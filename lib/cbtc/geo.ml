@@ -169,6 +169,35 @@ let max_power_graph ?pool ?(cutoff = Geom.Grid.default_brute_cutoff) ?env
     g
   end
 
+(* The grid probe and pair predicate of [max_power_graph], but each
+   admitted pair goes straight into a union-find: no adjacency sets and
+   no per-node lists, only the forest and the label array. *)
+let max_power_partition ?env ~alive pathloss positions =
+  let env = real_env env in
+  let n = Array.length positions in
+  if Array.length alive <> n then
+    invalid_arg "Geo.max_power_partition: alive/positions length mismatch";
+  let grid = make_grid pathloss positions in
+  let reach =
+    match env with
+    | Some env -> Radio.Env.max_reach env
+    | None -> max_reach pathloss
+  in
+  let uf = Graphkit.Unionfind.create n in
+  for u = 0 to n - 1 do
+    if alive.(u) then
+      Geom.Grid.iter_in_range grid positions.(u) ~dist:reach (fun v ->
+          if
+            v > u && alive.(v)
+            && (match env with
+               | Some env -> env_in_range env positions u v
+               | None ->
+                   Radio.Pathloss.in_range pathloss
+                     ~dist:(Geom.Vec2.dist positions.(u) positions.(v)))
+          then ignore (Graphkit.Unionfind.union uf u v : bool))
+  done;
+  Graphkit.Unionfind.labels uf
+
 (* Walk the power schedule for one node: at each step, move the candidates
    now reachable from [remaining] to [discovered] (tagging them with the
    step power), and stop at the first gap-free step.  The last step always

@@ -160,6 +160,21 @@ val max_power_graph :
   ?env:Radio.Env.t ->
   Radio.Pathloss.t -> Geom.Vec2.t array -> Graphkit.Ugraph.t
 
+(** [max_power_partition ?env ~alive pathloss positions] is the
+    component partition of [G_R] (or [G_R^env]) restricted to the nodes
+    with [alive.(u)], as {!Graphkit.Unionfind.labels}: dead nodes are
+    singletons.  It runs the grid probe and pair predicate of
+    {!max_power_graph} but feeds each admitted pair to a union-find
+    instead of materialising the graph, so it equals
+    [Graphkit.Traversal.components] of [max_power_graph] with the edges
+    at dead endpoints removed.
+    @raise Invalid_argument when [alive] and [positions] differ in
+    length. *)
+val max_power_partition :
+  ?env:Radio.Env.t ->
+  alive:bool array ->
+  Radio.Pathloss.t -> Geom.Vec2.t array -> int array
+
 (** Brute-force O(n²) reference implementations, producing identical
     results to the grid-backed functions above.  Used by the property
     tests and as the baseline of the [perf] benchmark. *)

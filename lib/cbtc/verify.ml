@@ -147,21 +147,6 @@ let restrict_to_survivors g ~alive =
     g;
   r
 
-(* Component partitions agree on the survivors (dead nodes are isolated
-   in both graphs, so they are ignored). *)
-let same_partition_on ~alive a b =
-  let ca = Graphkit.Traversal.components a in
-  let cb = Graphkit.Traversal.components b in
-  let n = Array.length ca in
-  let ok = ref true in
-  for u = 0 to n - 1 do
-    if alive.(u) then
-      for v = u + 1 to n - 1 do
-        if alive.(v) && (ca.(u) = ca.(v)) <> (cb.(u) = cb.(v)) then ok := false
-      done
-  done;
-  !ok
-
 type degradation = {
   survivors : int;
   crashed : int;
@@ -198,8 +183,10 @@ let degradation ?reference ?env (o : Distributed.outcome) =
     alive;
   let reference_graph = reachability_of_survivors ?env d ~alive in
   let closure = restrict_to_survivors (Discovery.closure d) ~alive in
+  (* both graphs hold survivor edges only, so dead nodes are the same
+     singletons in each and the whole partitions can be compared *)
   let connectivity_preserved =
-    same_partition_on ~alive reference_graph closure
+    Graphkit.Traversal.same_partition reference_graph closure
   in
   let s = o.Distributed.stats in
   let attempted = s.Distributed.deliveries + s.Distributed.drops in

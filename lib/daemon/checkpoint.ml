@@ -43,7 +43,9 @@ let of_json j =
   | Int v when v = version -> ()
   | _ -> fail "unsupported version");
   let time = num "time" (get "time") in
-  let epoch = match get "epoch" with Int e -> e | _ -> fail "epoch" in
+  let epoch =
+    match get "epoch" with Int e when e >= 0 -> e | _ -> fail "epoch"
+  in
   let positions =
     match get "positions" with
     | List ps ->
@@ -64,9 +66,18 @@ let of_json j =
   in
   if Array.length alive <> Array.length positions then
     fail "alive/positions length mismatch";
+  let n = Array.length positions in
+  (* a restored event is applied to the engine verbatim: reject here
+     what [Engine.apply] would reject mid-stream *)
+  let event j =
+    let e = Event.of_json j in
+    if e.Event.node < 0 || e.Event.node >= n then
+      fail (Printf.sprintf "backlog event node %d outside [0, %d)" e.Event.node n);
+    e
+  in
   let backlog =
     match get "backlog" with
-    | List es -> List.map Event.of_json es
+    | List es -> List.map event es
     | _ -> fail "backlog"
   in
   let counters =
@@ -77,13 +88,18 @@ let of_json j =
   in
   { time; epoch; positions; alive; backlog; counters }
 
+(* Write-then-rename: a crash or write error mid-save leaves at most a
+   stray temporary, never a truncated checkpoint at [path]. *)
 let save path c =
-  let oc = open_out path in
+  let tmp = path ^ ".tmp" in
+  let oc = open_out tmp in
   Fun.protect
-    ~finally:(fun () -> close_out oc)
+    ~finally:(fun () -> close_out_noerr oc)
     (fun () ->
       output_string oc (Obs.Jsonl.to_string (to_json c));
-      output_char oc '\n')
+      output_char oc '\n';
+      close_out oc);
+  Sys.rename tmp path
 
 let load path =
   let ic =

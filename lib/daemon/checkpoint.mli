@@ -19,10 +19,15 @@ type t = {
 
 val to_json : t -> Obs.Jsonl.t
 
-(** @raise Failure on a structurally invalid document. *)
+(** @raise Failure on a structurally invalid document, a negative
+    [epoch], or a backlog event whose node is outside
+    [\[0, Array.length positions)]. *)
 val of_json : Obs.Jsonl.t -> t
 
-(** Single-line JSON document at [path] (truncates). *)
+(** Single-line JSON document at [path], replaced atomically: the
+    document is written and closed at [path ^ ".tmp"], then renamed over
+    [path], so a failed save leaves the previous checkpoint intact.
+    @raise Sys_error when the temporary cannot be written or renamed. *)
 val save : string -> t -> unit
 
 (** @raise Failure when the file is unreadable or malformed — the CLI

@@ -140,15 +140,6 @@ let restore_counters (es : Engine.stats) (qs : Equeue.stats) kvs =
   qs.overflow <- get "overflow";
   qs.peak <- get "peak"
 
-(* Edges of [g] with both endpoints alive — connectivity comparisons
-   are made among the true survivors only. *)
-let restrict g alive =
-  let h = Graphkit.Ugraph.create (Graphkit.Ugraph.nb_nodes g) in
-  Graphkit.Ugraph.iter_edges
-    (fun u v -> if alive.(u) && alive.(v) then Graphkit.Ugraph.add_edge h u v)
-    g;
-  h
-
 let validate (params : params) (stream : stream) =
   if not (params.duration > 0.) then
     invalid_arg "Daemon.Driver.run: duration must be positive";
@@ -237,18 +228,17 @@ let run ?pool ?obs ?clock ?restore ?env ~params ~config ~pathloss stream =
       if Engine.position engine u <> truth_pos.(u) then Stdlib.incr drift;
       if Engine.alive engine u <> truth_alive.(u) then Stdlib.incr lag
     done;
-    let reference =
-      restrict
-        (Cbtc.Geo.max_power_graph ?pool ?env pathloss truth_pos)
-        truth_alive
-    in
-    let tracked = restrict (Engine.topology engine) truth_alive in
+    (* connectivity among the true survivors: both partitions number
+       components by smallest member, so equal partitions are equal
+       arrays *)
     let d =
       {
         drift = !drift;
         liveness_lag = !lag;
         connectivity_preserved =
-          Metrics.Connectivity.preserves ~reference tracked;
+          Cbtc.Geo.max_power_partition ?env ~alive:truth_alive pathloss
+            truth_pos
+          = Engine.partition ~alive:truth_alive engine;
       }
     in
     if degraded d then Stdlib.incr degraded_checks;

@@ -403,6 +403,22 @@ let discovery t =
 
 let topology t = Cbtc.Discovery.closure (discovery t)
 
+(* Components of the symmetric closure straight from the flat rows:
+   uniting u with every v in u's row covers both directions of each
+   closure edge, so the closure itself is never built. *)
+let partition ~alive t =
+  let n = nb_nodes t in
+  if Array.length alive <> n then
+    invalid_arg "Daemon.Engine.partition: alive mask length mismatch";
+  let uf = Graphkit.Unionfind.create n in
+  for u = 0 to n - 1 do
+    if alive.(u) then
+      Array.iter
+        (fun v -> if alive.(v) then ignore (Graphkit.Unionfind.union uf u v : bool))
+        t.nbr_ids.(u)
+  done;
+  Graphkit.Unionfind.labels uf
+
 let digest t =
   let b = Buffer.create (64 * nb_nodes t) in
   let f x = Buffer.add_int64_le b (Int64.bits_of_float x) in

@@ -97,6 +97,14 @@ val discovery : t -> Cbtc.Discovery.t
     discovered-neighbor relation. *)
 val topology : t -> Graphkit.Ugraph.t
 
+(** [partition ~alive t] is the component partition of {!topology}
+    restricted to the nodes with [alive.(u)], as
+    {!Graphkit.Unionfind.labels} (dead nodes are singletons) — computed
+    from the flat neighbor rows without materialising the closure.
+    Compare it with {!Cbtc.Geo.max_power_partition} by [=].
+    @raise Invalid_argument on an [alive] mask of the wrong length. *)
+val partition : alive:bool array -> t -> int array
+
 (** MD5 hex over the full tracked state (positions, liveness, powers,
     boundary flags, neighbor records): two runs converged to the same
     topology iff their digests match — the checkpoint-recovery smoke

@@ -30,3 +30,22 @@ let union t x y =
 let same t x y = find t x = find t y
 
 let nb_sets t = t.nb_sets
+
+(* One pass in increasing id: the first member seen of each set is its
+   smallest, so it names the next fresh id — [Traversal.components]'
+   numbering, which makes equal partitions literally equal arrays.
+   [ids] is indexed by root, so the pass allocates nothing per set. *)
+let labels t =
+  let n = Array.length t.parent in
+  let ids = Array.make n (-1) in
+  let label = Array.make n 0 in
+  let next = ref 0 in
+  for x = 0 to n - 1 do
+    let r = find t x in
+    if ids.(r) < 0 then begin
+      ids.(r) <- !next;
+      incr next
+    end;
+    label.(x) <- ids.(r)
+  done;
+  label

@@ -19,3 +19,9 @@ val same : t -> int -> int -> bool
 
 (** [nb_sets t] is the current number of disjoint sets. *)
 val nb_sets : t -> int
+
+(** [labels t] is the component id of every element, ids numbered in
+    order of each set's smallest member — the convention of
+    {!Traversal.components}.  Two forests over the same elements hold the
+    same partition iff their [labels] are equal. *)
+val labels : t -> int array

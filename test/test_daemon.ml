@@ -364,6 +364,75 @@ let test_checkpoint_load_failures () =
         | exception Failure _ -> true
         | _ -> false))
 
+let small_checkpoint ?(epoch = 3) ?(backlog_node = 1) () =
+  {
+    Daemon.Checkpoint.time = 3.5;
+    epoch;
+    positions =
+      [| Geom.Vec2.make 0.25 10.; Geom.Vec2.make 7. (-2.5); Geom.Vec2.make 1e3 3. |];
+    alive = [| true; false; true |];
+    backlog =
+      [ move ~t:3.25 backlog_node; leave ~t:3.5 2;
+        ev ~t:3.5 ~node:0 (Daemon.Event.Join (Geom.Vec2.make 4. 5.)) ];
+    counters = [ ("events", 12); ("shed", 0) ];
+  }
+
+let with_temp_path f =
+  let path = Filename.temp_file "daemon" ".ckpt" in
+  Fun.protect ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+    (fun () -> f path)
+
+let test_checkpoint_save_atomic () =
+  with_temp_path (fun path ->
+      let first = small_checkpoint () in
+      Daemon.Checkpoint.save path first;
+      Alcotest.(check bool) "no temporary left after a save" false
+        (Sys.file_exists (path ^ ".tmp"));
+      (* an unwritable temporary: the save must fail before touching
+         the live checkpoint *)
+      Sys.mkdir (path ^ ".tmp") 0o755;
+      Fun.protect ~finally:(fun () -> Sys.rmdir (path ^ ".tmp")) (fun () ->
+          Alcotest.(check bool) "save raises" true
+            (match Daemon.Checkpoint.save path (small_checkpoint ~epoch:4 ()) with
+            | exception Sys_error _ -> true
+            | () -> false));
+      Alcotest.(check bool) "previous checkpoint still loads unchanged" true
+        (Daemon.Checkpoint.load path = first))
+
+let test_checkpoint_rejects_out_of_range () =
+  let rejects what c =
+    Alcotest.(check bool) what true
+      (match Daemon.Checkpoint.of_json (Daemon.Checkpoint.to_json c) with
+      | exception Failure _ -> true
+      | _ -> false)
+  in
+  rejects "backlog node = n" (small_checkpoint ~backlog_node:3 ());
+  rejects "negative backlog node" (small_checkpoint ~backlog_node:(-1) ());
+  rejects "negative epoch" (small_checkpoint ~epoch:(-1) ());
+  Alcotest.(check bool) "in-range checkpoint accepted" true
+    (Daemon.Checkpoint.of_json (Daemon.Checkpoint.to_json (small_checkpoint ()))
+    = small_checkpoint ())
+
+let test_checkpoint_truncation () =
+  with_temp_path (fun path ->
+      let c = small_checkpoint () in
+      let line = Obs.Jsonl.to_string (Daemon.Checkpoint.to_json c) in
+      let load_text text =
+        let oc = open_out path in
+        output_string oc text;
+        close_out oc;
+        Daemon.Checkpoint.load path
+      in
+      for len = 0 to String.length line - 1 do
+        match load_text (String.sub line 0 len) with
+        | exception Failure _ -> ()
+        | exception e ->
+            Alcotest.failf "prefix of %d bytes: %s instead of Failure" len
+              (Printexc.to_string e)
+        | _ -> Alcotest.failf "prefix of %d bytes loaded" len
+      done;
+      Alcotest.(check bool) "full line round-trips" true (load_text line = c))
+
 (* ------------------------------------------------------------------ *)
 (* qcheck: random streams keep incremental == full                    *)
 
@@ -376,6 +445,122 @@ let equivalence_prop =
         run_stream_through_engine ~watchdog_frac:0.3 sc ~seed ~epochs
       in
       Daemon.Engine.check_full_equivalence eng = Ok ())
+
+(* ------------------------------------------------------------------ *)
+(* Connectivity verdict: union-find partitions vs the graph oracle    *)
+
+(* The graph computation the driver's connectivity check replaces, kept
+   as its oracle: G_R and the tracked closure, each restricted to the
+   true survivors, compared by component partition. *)
+let restrict g alive =
+  let h = Graphkit.Ugraph.create (Graphkit.Ugraph.nb_nodes g) in
+  Graphkit.Ugraph.iter_edges
+    (fun u v -> if alive.(u) && alive.(v) then Graphkit.Ugraph.add_edge h u v)
+    g;
+  h
+
+(* Checks that both partitions equal the oracle graphs' components
+   exactly, and returns the (oracle, partition) verdict pair. *)
+let verdicts ?env pl eng ~truth_pos ~truth_alive =
+  let reference =
+    restrict (Cbtc.Geo.max_power_graph ?env pl truth_pos) truth_alive
+  in
+  let tracked = restrict (Daemon.Engine.topology eng) truth_alive in
+  let pr = Cbtc.Geo.max_power_partition ?env ~alive:truth_alive pl truth_pos in
+  let pt = Daemon.Engine.partition ~alive:truth_alive eng in
+  if pr <> Graphkit.Traversal.components reference then
+    Alcotest.fail "max_power_partition /= components of restricted G_R";
+  if pt <> Graphkit.Traversal.components tracked then
+    Alcotest.fail "Engine.partition /= components of restricted closure";
+  (Metrics.Connectivity.preserves ~reference tracked, pr = pt)
+
+(* An engine driven through a churned stream, then a truth that has
+   drifted from it: some nodes moved elsewhere in the field, some
+   liveness flipped. *)
+let drifted_engine ~sigma ~seed ~epochs =
+  let sc = scenario ~n:40 (2000 + seed) in
+  let pl = pl_of sc in
+  let env = Radio.Env.make ~sigma_db:sigma ~shadow_seed:seed pl in
+  let positions = Workload.Scenario.positions sc in
+  let n = Array.length positions in
+  let prng = Prng.create ~seed in
+  let churn =
+    Faults.Plan.random_crashes ~prng ~n ~fraction:0.2
+      ~window:(0., float_of_int epochs /. 2.)
+      ~recover_after:(float_of_int epochs) ()
+  in
+  let src =
+    Daemon.Source.create ~seed ~field:sc.Workload.Scenario.field
+      ~params:Workload.Mobility.default_params ~move_rate:30. ~churn positions
+  in
+  let eng = Daemon.Engine.create ~env ~watchdog_frac:1. config pl positions in
+  for ep = 1 to epochs do
+    List.iter (Daemon.Engine.apply eng)
+      (Daemon.Source.tick src ~until:(float_of_int ep));
+    ignore (Daemon.Engine.commit eng)
+  done;
+  let w = sc.Workload.Scenario.field.Workload.Placement.width in
+  let h = sc.Workload.Scenario.field.Workload.Placement.height in
+  let truth_pos =
+    Array.init n (fun u ->
+        if Prng.float prng 1. < 0.15 then
+          Geom.Vec2.make (Prng.float prng w) (Prng.float prng h)
+        else Daemon.Engine.position eng u)
+  in
+  let truth_alive =
+    Array.init n (fun u ->
+        Daemon.Engine.alive eng u <> (Prng.float prng 1. < 0.1))
+  in
+  (env, pl, eng, truth_pos, truth_alive)
+
+let partition_verdict_prop =
+  QCheck.Test.make ~count:40
+    ~name:"partition verdict equals the graph oracle (sigma 0 and 4)"
+    QCheck.(pair small_int (int_range 0 6))
+    (fun (seed, epochs) ->
+      List.for_all
+        (fun sigma ->
+          let env, pl, eng, truth_pos, truth_alive =
+            drifted_engine ~sigma ~seed ~epochs
+          in
+          let oracle, partition =
+            verdicts ~env pl eng ~truth_pos ~truth_alive
+          in
+          oracle = partition)
+        [ 0.; 4. ])
+
+let test_partition_detects_lost_connectivity () =
+  List.iter
+    (fun sigma ->
+      let sc = scenario 19 in
+      let pl = pl_of sc in
+      let env = Radio.Env.make ~sigma_db:sigma ~shadow_seed:5 pl in
+      let positions = Workload.Scenario.positions sc in
+      let n = Array.length positions in
+      let eng = Daemon.Engine.create ~env ~watchdog_frac:1. config pl positions in
+      let truth_alive = Array.make n true in
+      Alcotest.(check (pair bool bool))
+        (Fmt.str "sigma %g: tracked truth preserves connectivity" sigma)
+        (true, true)
+        (verdicts ~env pl eng ~truth_pos:positions ~truth_alive);
+      (* truth moves a linked node out of everyone's range; the engine
+         still tracks it at its old place, linked to its neighbors *)
+      let topo = Daemon.Engine.topology eng in
+      let u =
+        match
+          List.find_opt (fun u -> Graphkit.Ugraph.degree topo u > 0)
+            (List.init n Fun.id)
+        with
+        | Some u -> u
+        | None -> Alcotest.fail "no linked node"
+      in
+      let truth_pos = Array.copy positions in
+      truth_pos.(u) <- Geom.Vec2.make 1e7 1e7;
+      Alcotest.(check (pair bool bool))
+        (Fmt.str "sigma %g: node %d out of range breaks the verdict" sigma u)
+        (false, false)
+        (verdicts ~env pl eng ~truth_pos ~truth_alive))
+    [ 0.; 4. ]
 
 let () =
   Alcotest.run "daemon"
@@ -419,5 +604,17 @@ let () =
             test_driver_checkpoint_restore_same_digest;
           Alcotest.test_case "checkpoint load failures" `Quick
             test_checkpoint_load_failures;
+          Alcotest.test_case "checkpoint save is atomic" `Quick
+            test_checkpoint_save_atomic;
+          Alcotest.test_case "checkpoint rejects out-of-range events" `Quick
+            test_checkpoint_rejects_out_of_range;
+          Alcotest.test_case "checkpoint truncation" `Quick
+            test_checkpoint_truncation;
+        ] );
+      ( "connectivity",
+        [
+          Alcotest.test_case "partition detects lost connectivity" `Quick
+            test_partition_detects_lost_connectivity;
+          QCheck_alcotest.to_alcotest partition_verdict_prop;
         ] );
     ]

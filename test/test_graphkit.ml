@@ -256,7 +256,10 @@ let prop_components_match_unionfind =
             ok := false
         done
       done;
-      !ok && Graphkit.Traversal.nb_components g = Graphkit.Unionfind.nb_sets uf)
+      !ok
+      && Graphkit.Traversal.nb_components g = Graphkit.Unionfind.nb_sets uf
+      (* same smallest-member numbering: equal partitions, equal arrays *)
+      && Graphkit.Unionfind.labels uf = labels)
 
 let prop_dijkstra_unit_weights_is_bfs =
   QCheck.Test.make ~count:200 ~name:"Dijkstra with unit weights equals BFS"
