@@ -515,7 +515,7 @@ let drifted_engine ~sigma ~seed ~epochs =
 
 let partition_verdict_prop =
   QCheck.Test.make ~count:40
-    ~name:"partition verdict equals the graph oracle (sigma 0 and 4)"
+    ~name:"partition verdict = graph oracle"
     QCheck.(pair small_int (int_range 0 6))
     (fun (seed, epochs) ->
       List.for_all
@@ -611,7 +611,7 @@ let () =
           Alcotest.test_case "checkpoint truncation" `Quick
             test_checkpoint_truncation;
         ] );
-      ( "connectivity",
+      ( "verify",
         [
           Alcotest.test_case "partition detects lost connectivity" `Quick
             test_partition_detects_lost_connectivity;
