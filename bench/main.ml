@@ -15,7 +15,8 @@
    Usage: main.exe [--seeds N] [--fast] [--out DIR] [-j N]
                    [--trace-out FILE] [--metrics-out FILE] [section ...]
    Sections: table1 figures figure6 connectivity ablations extensions
-   series perf parallel daemon (default: all of them).
+   series parallel daemon shadowing lifetime perf (default: all of
+   them, in that order); an unknown section name exits 2.
 
    [--trace-out] / [--metrics-out] enable the observability layer with a
    wall clock (this is a timing harness, so spans carry durations and the
@@ -1613,7 +1614,11 @@ let () =
   let rec parse = function
     | [] -> ()
     | "--seeds" :: v :: rest ->
-        seeds_count := int_of_string v;
+        (match int_of_string_opt v with
+        | Some k when k >= 1 -> seeds_count := k
+        | Some _ | None ->
+            Fmt.epr "main.exe: --seeds expects a positive integer (got %S)@." v;
+            exit 2);
         parse rest
     | "--out" :: v :: rest ->
         if String.trim v = "" then (
@@ -1657,6 +1662,41 @@ let () =
           exit 2)
   in
   let seeds = Workload.Scenario.seeds ~base:42 ~count:!seeds_count in
+  let fast = !fast and out_dir = !out_dir in
+  (* Every section, in run order: the loop at the end dispatches on
+     these names and the check below rejects any other. *)
+  let all_sections =
+    [
+      ("table1", fun pool obs -> run_table1 ~pool ~obs ~seeds);
+      ("figures", fun _ _ -> run_figures ());
+      ("figure6", fun _ _ -> run_figure6 ~out_dir);
+      ( "connectivity",
+        fun pool _ ->
+          run_connectivity ~pool
+            ~seeds:
+              (Workload.Scenario.seeds ~base:42
+                 ~count:(Stdlib.min 30 !seeds_count)) );
+      ("ablations", fun pool _ -> run_ablations ~pool ~seeds);
+      ("extensions", fun _ _ -> run_extensions ~seeds);
+      ("series", fun pool _ -> run_series ~pool ~seeds ~out_dir);
+      ("parallel", fun _ _ -> run_parallel_bench ~fast ~out_dir);
+      ("daemon", fun pool _ -> run_daemon_scaling ~pool ~fast ~out_dir);
+      ("shadowing", fun pool _ -> run_shadowing ~pool ~fast ~out_dir);
+      ("lifetime", fun pool _ -> run_lifetime ~pool ~fast ~out_dir);
+      ( "perf",
+        fun _ _ ->
+          run_perf_scaling ~fast ~out_dir;
+          run_perf ~fast () );
+    ]
+  in
+  List.iter
+    (fun s ->
+      if not (List.mem_assoc s all_sections) then begin
+        Fmt.epr "main.exe: unknown section %S (valid sections: %s)@." s
+          (String.concat " " (List.map fst all_sections));
+        exit 2
+      end)
+    (List.rev !sections);
   let want s = !sections = [] || List.mem s !sections in
   Fmt.pr "CBTC reproduction benchmarks (%d networks per table, -j %d)@."
     !seeds_count jobs;
@@ -1683,7 +1723,7 @@ let () =
   Obs.Recorder.set_str obs "command" "bench";
   Obs.Recorder.set_int obs "seeds" !seeds_count;
   Obs.Recorder.set_int obs "jobs" jobs;
-  Obs.Recorder.set obs "fast" (Obs.Jsonl.Bool !fast);
+  Obs.Recorder.set obs "fast" (Obs.Jsonl.Bool fast);
   Obs.Recorder.set_str obs "sections"
     (match !sections with [] -> "all" | l -> String.concat "," (List.rev l));
   let pool = Parallel.Pool.create ~obs ~jobs () in
@@ -1708,36 +1748,7 @@ let () =
           close_out oc)
         metrics_oc)
     (fun () ->
-      if want "table1" then sect "table1" (fun () -> run_table1 ~pool ~obs ~seeds);
-      if want "figures" then sect "figures" run_figures;
-      if want "figure6" then
-        sect "figure6" (fun () -> run_figure6 ~out_dir:!out_dir);
-      if want "connectivity" then
-        sect "connectivity" (fun () ->
-            run_connectivity ~pool
-              ~seeds:
-                (Workload.Scenario.seeds ~base:42
-                   ~count:(Stdlib.min 30 !seeds_count)));
-      if want "ablations" then
-        sect "ablations" (fun () -> run_ablations ~pool ~seeds);
-      if want "extensions" then
-        sect "extensions" (fun () -> run_extensions ~seeds);
-      if want "series" then
-        sect "series" (fun () -> run_series ~pool ~seeds ~out_dir:!out_dir);
-      if want "parallel" then
-        sect "parallel" (fun () ->
-            run_parallel_bench ~fast:!fast ~out_dir:!out_dir);
-      if want "daemon" then
-        sect "daemon" (fun () ->
-            run_daemon_scaling ~pool ~fast:!fast ~out_dir:!out_dir);
-      if want "shadowing" then
-        sect "shadowing" (fun () ->
-            run_shadowing ~pool ~fast:!fast ~out_dir:!out_dir);
-      if want "lifetime" then
-        sect "lifetime" (fun () ->
-            run_lifetime ~pool ~fast:!fast ~out_dir:!out_dir);
-      if want "perf" then
-        sect "perf" (fun () ->
-            run_perf_scaling ~fast:!fast ~out_dir:!out_dir;
-            run_perf ~fast:!fast ()));
+      List.iter
+        (fun (name, run) -> if want name then sect name (fun () -> run pool obs))
+        all_sections);
   Fmt.pr "@.done.@."

@@ -44,11 +44,7 @@ type 'msg t = {
 let create ?(obs = Obs.Recorder.nil) ?env ~sim ~pathloss ~channel ~prng
     ~positions () =
   let n = Array.length positions in
-  let env =
-    match env with
-    | Some e when not (Radio.Env.is_trivial e) -> Some e
-    | _ -> None
-  in
+  let env = Radio.Env.effective env in
   {
     sim;
     pathloss;

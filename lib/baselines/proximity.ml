@@ -4,12 +4,9 @@ let in_range pathloss positions u v =
 
 (* Non-trivial environments swap the membership predicate (env link
    power against the max-power cap) and inflate the grid probe radius
-   to the env's sigma-aware [max_reach]; a trivial/absent env keeps the
-   pre-env spellings bit for bit. *)
-let real_env = function
-  | Some env when not (Radio.Env.is_trivial env) -> Some env
-  | _ -> None
-
+   to the env's sigma-aware [max_reach]; a trivial/absent env
+   ([Radio.Env.effective] gives [None]) keeps the pre-env spellings bit
+   for bit. *)
 let env_in_range env positions u v =
   let pu = positions.(u) and pv = positions.(v) in
   Radio.Env.in_range env ~u ~v ~pu ~pv ~dist:(Geom.Vec2.dist pu pv)
@@ -35,7 +32,7 @@ let for_nodes ?pool n body =
    keep [v > u] so every pair is examined once, as the brute-force
    triangular loop does. *)
 let filter_gr ?pool ?grid ?env pathloss positions ~keep =
-  let env = real_env env in
+  let env = Radio.Env.effective env in
   let n = Array.length positions in
   let grid =
     match grid with Some g -> g | None -> make_grid pathloss positions
@@ -76,7 +73,7 @@ let brute_max_power pathloss positions =
 
 let max_power ?pool ?(cutoff = Geom.Grid.default_brute_cutoff) ?env pathloss
     positions =
-  match (real_env env, pool) with
+  match (Radio.Env.effective env, pool) with
   | None, None when Array.length positions < cutoff ->
       brute_max_power pathloss positions
   | env, pool -> filter_gr ?pool ?env pathloss positions ~keep:(fun _ _ -> true)
@@ -114,7 +111,7 @@ let euclidean_mst ?env pathloss positions =
 
 let knn ?pool ?env pathloss positions ~k =
   if k <= 0 then invalid_arg "Proximity.knn: non-positive k";
-  let env = real_env env in
+  let env = Radio.Env.effective env in
   let n = Array.length positions in
   let grid = make_grid pathloss positions in
   let reach =

@@ -1,9 +1,5 @@
 let smecn ?env (energy : Radio.Energy.t) positions =
-  let env =
-    match env with
-    | Some env when not (Radio.Env.is_trivial env) -> Some env
-    | _ -> None
-  in
+  let env = Radio.Env.effective env in
   let n = Array.length positions in
   let pathloss = energy.Radio.Energy.pathloss in
   let cost u v =

@@ -59,11 +59,7 @@ let build ?pool ?env pathloss positions ~k ~candidates_of =
 
 let yao ?pool ?(cutoff = Geom.Grid.default_brute_cutoff) ?env pathloss
     positions ~k =
-  let env =
-    match env with
-    | Some env when not (Radio.Env.is_trivial env) -> Some env
-    | _ -> None
-  in
+  let env = Radio.Env.effective env in
   let n = Array.length positions in
   let inline = match pool with None -> true | Some _ -> false in
   if n < cutoff && inline then

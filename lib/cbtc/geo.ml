@@ -1,99 +1,23 @@
-(* Shared candidate test: [consider u v acc] conses v's Neighbor.t onto
-   [acc] when v is a distinct node physically within range of u.  Both
-   the brute-force scans and the grid probes funnel through this, so the
-   two paths examine different pair sets but accept identical ones. *)
-let consider pathloss positions u v acc =
-  if v = u then acc
-  else begin
-    let dist = Geom.Vec2.dist positions.(u) positions.(v) in
-    if Radio.Pathloss.in_range pathloss ~dist then begin
-      let link_power = Radio.Pathloss.power_for_distance pathloss dist in
-      let dir = Geom.Vec2.direction ~from:positions.(u) ~toward:positions.(v) in
-      Neighbor.make ~id:v ~dir ~link_power ~tag:link_power :: acc
-    end
-    else acc
-  end
-
-(* Env counterpart of [consider]: membership and link power come from
-   the environment's per-pair excess.  Only reached through [real_env],
-   so the sigma = 0 / no-attenuation pipeline never leaves the
-   bit-identical [consider] path above. *)
-let consider_env env positions u v acc =
-  if v = u then acc
-  else begin
-    let pu = positions.(u) and pv = positions.(v) in
-    let dist = Geom.Vec2.dist pu pv in
-    let link_power = Radio.Env.link_power env ~u ~v ~pu ~pv ~dist in
-    if link_power <= Radio.Env.max_link_cap env then begin
-      let dir = Geom.Vec2.direction ~from:pu ~toward:pv in
-      Neighbor.make ~id:v ~dir ~link_power ~tag:link_power :: acc
-    end
-    else acc
-  end
-
-(* Collapse a trivial environment to [None] once, at the entry of every
-   wired function: downstream the [None] branch is the pre-env code,
-   byte for byte, so sigma = 0 stays bit-identical by construction. *)
-let real_env = function
-  | Some env when not (Radio.Env.is_trivial env) -> Some env
-  | _ -> None
-
 let check_node positions u =
   if u < 0 || u >= Array.length positions then
-    invalid_arg "Geo.candidates: node out of range"
+    invalid_arg "Geo.grow_into: node out of range"
 
 let max_reach pathloss =
   Radio.Pathloss.reach_distance pathloss
     ~power:(Radio.Pathloss.max_power pathloss)
 
-let candidates ?grid ?(alive = fun _ -> true) ?env pathloss positions u =
-  check_node positions u;
-  let acc =
-    match real_env env with
-    | Some env -> begin
-        (* the grid probe inflates the radius to the env's headroom
-           (shadowing may admit pairs beyond the pathloss reach); the
-           exact env predicate decides membership *)
-        match grid with
-        | Some grid ->
-            Geom.Grid.fold_in_range grid positions.(u)
-              ~dist:(Radio.Env.max_reach env) ~init:[]
-              ~f:(fun acc v ->
-                if alive v then consider_env env positions u v acc else acc)
-        | None ->
-            let acc = ref [] in
-            for v = 0 to Array.length positions - 1 do
-              if alive v then acc := consider_env env positions u v !acc
-            done;
-            !acc
-      end
-    | None -> (
-        match grid with
-        | Some grid ->
-            Geom.Grid.fold_in_range grid positions.(u)
-              ~dist:(max_reach pathloss) ~init:[]
-              ~f:(fun acc v ->
-                if alive v then consider pathloss positions u v acc else acc)
-        | None ->
-            let acc = ref [] in
-            for v = 0 to Array.length positions - 1 do
-              if alive v then acc := consider pathloss positions u v !acc
-            done;
-            !acc)
-  in
-  List.sort Neighbor.compare_by_link_power acc
-
 let make_grid pathloss positions =
   Geom.Grid.create ~range:(Radio.Pathloss.max_range pathloss) positions
 
 (* Run [body lo hi] over [0, n) — chunked over the pool's domains when
-   one is given, inline otherwise.  Bodies write only to slots of
+   one is given (ranges at most [chunk] long), one inline call
+   otherwise; never called when [n = 0].  Bodies write only to slots of
    preallocated arrays inside their own range, so the merge is the
    arrays themselves and the result is independent of scheduling. *)
-let for_nodes ?pool n body =
+let for_nodes ?pool ?chunk n body =
   match pool with
-  | Some pool -> Parallel.Pool.iter_chunks pool n body
-  | None -> body 0 n
+  | Some pool -> Parallel.Pool.iter_chunks pool ?chunk n body
+  | None -> if n > 0 then body 0 n
 
 let brute_max_power_graph pathloss positions =
   let n = Array.length positions in
@@ -127,7 +51,7 @@ let brute_max_power_graph_env env positions =
 
 let max_power_graph ?pool ?(cutoff = Geom.Grid.default_brute_cutoff) ?env
     pathloss positions =
-  let env = real_env env in
+  let env = Radio.Env.effective env in
   let n = Array.length positions in
   let inline = match pool with None -> true | Some _ -> false in
   if n < cutoff && inline then
@@ -173,7 +97,7 @@ let max_power_graph ?pool ?(cutoff = Geom.Grid.default_brute_cutoff) ?env
    admitted pair goes straight into a union-find: no adjacency sets and
    no per-node lists, only the forest and the label array. *)
 let max_power_partition ?env ~alive pathloss positions =
-  let env = real_env env in
+  let env = Radio.Env.effective env in
   let n = Array.length positions in
   if Array.length alive <> n then
     invalid_arg "Geo.max_power_partition: alive/positions length mismatch";
@@ -198,116 +122,20 @@ let max_power_partition ?env ~alive pathloss positions =
   done;
   Graphkit.Unionfind.labels uf
 
-(* Walk the power schedule for one node: at each step, move the candidates
-   now reachable from [remaining] to [discovered] (tagging them with the
-   step power), and stop at the first gap-free step.  The last step always
-   absorbs all remaining candidates (it is >= P up to rounding).
-   Accumulation is by prepending — one final sort instead of a quadratic
-   append per step. *)
-let grow_node ~alpha ~max_power cands steps =
-  let rec walk nsteps discovered dirs remaining = function
-    | [] -> assert false
-    | step :: rest ->
-        let is_last = rest = [] in
-        let reachable (nb : Neighbor.t) = is_last || nb.link_power <= step in
-        let newly, remaining = List.partition reachable remaining in
-        let discovered =
-          List.fold_left
-            (fun acc (nb : Neighbor.t) -> { nb with tag = step } :: acc)
-            discovered newly
-        in
-        let dirs =
-          List.fold_left (fun acc (nb : Neighbor.t) -> nb.dir :: acc) dirs newly
-        in
-        if not (Geom.Dirset.has_gap ~alpha dirs) then
-          (discovered, step, false, nsteps)
-        else if is_last then (discovered, max_power, true, nsteps)
-        else walk (nsteps + 1) discovered dirs remaining rest
-  in
-  let discovered, power, boundary, nsteps = walk 1 [] [] cands steps in
-  (List.sort Neighbor.compare_by_link_power discovered, power, boundary, nsteps)
-
-(* Per-node oracle step: [u]'s converged CBTC(alpha) state against the
-   candidates passing the [alive] filter — exactly the per-node body of
-   [run_with].  Discovery is a pure function of the (live) positions
-   within range of [u], so re-growing only the nodes an event can affect
-   (the incremental daemon engine) is provably equivalent to a full
-   recompute of every node. *)
-let grow_one ?grid ?alive ?env config pathloss positions u =
-  let cands = candidates ?grid ?alive ?env pathloss positions u in
-  let link_powers = List.map (fun (nb : Neighbor.t) -> nb.link_power) cands in
-  let steps = Config.power_steps config ~pathloss ~link_powers in
-  let discovered, power, boundary, _nsteps =
-    grow_node ~alpha:config.Config.alpha
-      ~max_power:(Radio.Pathloss.max_power pathloss)
-      cands steps
-  in
-  (discovered, power, boundary)
-
-let run_with ?pool ?(obs = Obs.Recorder.nil) ~candidates config pathloss
-    positions =
-  Obs.Recorder.span obs "discovery" @@ fun () ->
-  let n = Array.length positions in
-  let alpha = config.Config.alpha in
-  let max_power = Radio.Pathloss.max_power pathloss in
-  let neighbors = Array.make n [] in
-  let power = Array.make n max_power in
-  let boundary = Array.make n false in
-  (* per-node observability slots, folded into the recorder sequentially
-     after the parallel loop: worker domains never touch [obs], and the
-     fold order is node order, so the recorded metrics are identical for
-     every -j (chunking must not leak into them) *)
-  let recording = Obs.Recorder.enabled obs in
-  let steps_used = if recording then Array.make n 0 else [||] in
-  let cand_count = if recording then Array.make n 0 else [||] in
-  (* each node's discovery is independent: a pure function of the
-     positions and the schedule, written to slot u only *)
-  for_nodes ?pool n (fun lo hi ->
-      for u = lo to hi - 1 do
-        let cands = candidates u in
-        let link_powers =
-          List.map (fun (nb : Neighbor.t) -> nb.link_power) cands
-        in
-        let steps = Config.power_steps config ~pathloss ~link_powers in
-        let discovered, final_power, is_boundary, nsteps =
-          grow_node ~alpha ~max_power cands steps
-        in
-        neighbors.(u) <- discovered;
-        power.(u) <- final_power;
-        boundary.(u) <- is_boundary;
-        if recording then begin
-          steps_used.(u) <- nsteps;
-          cand_count.(u) <- List.length cands
-        end
-      done);
-  if recording then begin
-    Obs.Recorder.incr ~by:n obs "discovery.nodes";
-    for u = 0 to n - 1 do
-      Obs.Recorder.incr ~by:steps_used.(u) obs "discovery.power_steps";
-      if boundary.(u) then Obs.Recorder.incr obs "discovery.boundary_nodes";
-      Obs.Recorder.observe obs "discovery.candidates"
-        (Stdlib.float_of_int cand_count.(u));
-      Obs.Recorder.observe obs "discovery.degree"
-        (Stdlib.float_of_int (List.length neighbors.(u)))
-    done
-  end;
-  { Discovery.config; pathloss; positions = Array.copy positions; neighbors;
-    power; boundary }
-
 (* ------------------------------------------------------------------ *)
-(* Struct-of-arrays discovery kernel.                                  *)
+(* Struct-of-arrays discovery kernel: the only implementation of the   *)
+(* CBTC growth rule in the library.                                     *)
 (*                                                                     *)
-(* The list-based path above ([candidates] + [grow_node]) allocates a  *)
-(* Neighbor.t record per candidate and rebuilds lists at every power   *)
-(* step.  The kernel below computes the identical result — same        *)
-(* discovered sets in the same order, same powers, tags and step       *)
-(* counts, property-tested against [Brute] — out of reusable flat      *)
-(* arrays: candidates are collected into parallel int/float arrays, a  *)
+(* Candidates are collected into parallel int/float arrays, a          *)
 (* permutation is sorted once by (link power, id), the power walk is a *)
 (* pointer sweep over that permutation, and the gap test maintains a   *)
 (* sorted-unique direction array incrementally instead of re-sorting a *)
 (* list per step.  Nothing is allocated per node beyond amortized      *)
-(* scratch growth.                                                     *)
+(* scratch growth.  The list-based statement of the same rule (a       *)
+(* Neighbor.t list per node, rebuilt at every power step) lives in     *)
+(* test/spec_geo.ml as the oracle: the differential properties pin     *)
+(* this kernel to it bit for bit — same discovered sets in the same    *)
+(* order, same powers, tags and boundary flags.                        *)
 (* ------------------------------------------------------------------ *)
 
 (* Float scratch lives in float64 Bigarrays: flat 8-byte lanes with no
@@ -363,17 +191,17 @@ let scratch_grow s needed =
   s.cap <- cap
 
 (* [collect u] fills the scratch with u's G_R candidates and returns
-   their count — the flat equivalent of [candidates], minus the sort.
+   their count, unsorted.
 
    This is the innermost loop of the whole pipeline (every grid-probed
    pair passes through it), so without flambda it cannot afford the
    boxed floats and intermediate records of the [Vec2.dist] /
-   [Pathloss.in_range] / [Vec2.direction] calls the list path makes.
+   [Pathloss.in_range] / [Vec2.direction] calls the spec makes.
    The math is inlined with identical operations in identical order —
    [dist] is [sqrt (dx*dx + dy*dy)] exactly as [Vec2.dist] computes it,
    and the link test is [Pathloss.reaches] with its cap hoisted
-   ([Pathloss.reach_cap]) — so results stay bit-identical to
-   [candidates] (pinned by the differential properties in
+   ([Pathloss.reach_cap]) — so results stay bit-identical to the
+   spec's candidates (pinned by the differential properties in
    test/test_grid.ml and test/test_csr.ml).  The [dist <= pre] guard
    skips the pow call for the ~2/3 of probed candidates outside range:
    [max_reach] bounds the support of [reaches] from above (the grid
@@ -529,7 +357,7 @@ let insert_dir s len d =
 (* [Vec2.direction] then [Angle.normalize], with identical float
    operations in identical order (the [2. *. Float.pi] constant is
    [angle_of]'s own spelling), so the result is bit-identical to the
-   list path's [Angle.normalize (Vec2.direction ...)]. *)
+   spec's [Angle.normalize (Vec2.direction ...)]. *)
 let norm_dir_between pu pv =
   let dx = pv.Geom.Vec2.x -. pu.Geom.Vec2.x
   and dy = pv.Geom.Vec2.y -. pu.Geom.Vec2.y in
@@ -544,10 +372,10 @@ let norm_dir_between pu pv =
   let r = if r < 0. then r +. Geom.Angle.two_pi else r in
   if r >= Geom.Angle.two_pi then 0. else r
 
-(* Flat counterpart of [grow_node]: sweep the (link, id)-sorted
-   permutation along the power schedule.  [stepped] is the precomputed
-   schedule for Double/Mult growth; [None] means Exact growth, whose
-   steps are the distinct candidate link powers in increasing order.
+(* The power walk: sweep the (link, id)-sorted permutation along the
+   power schedule.  [stepped] is the precomputed schedule for
+   Double/Mult growth; [None] means Exact growth, whose steps are the
+   distinct candidate link powers in increasing order.
    Returns (discovered count, final power, boundary, steps used); the
    discovered set is perm.(0..k-1) with tags in tag.(0..k-1) and
    directions filled into dir on absorption. *)
@@ -621,17 +449,22 @@ let schedule_final = function
   | None -> Float.infinity
   | Some steps -> List.fold_left (fun _ s -> s) Float.infinity steps
 
-(* [grow_one] without the lists: collect + sort + power walk entirely in
-   the scratch, bit-identical results (same candidate math, same
-   (link, id) order, same gap test — pinned by the differential
-   properties in test/test_csr.ml).  The discovered rows stay resident
-   in the scratch for the caller to read through [row_id] & co, so an
-   incremental engine can re-grow one node with zero list allocation. *)
+(* The one collect dispatch of the kernel.  [env] must already have
+   gone through [Radio.Env.effective], so [None] is the sigma = 0 path
+   with its exact pre-env float spellings. *)
+let collect_any ?grid ?alive ~env pathloss positions s u =
+  match env with
+  | Some env -> collect_env ?grid ?alive env positions s u
+  | None -> collect ?grid ?alive pathloss positions s u
+
+(* One node's discovery: collect + sort + power walk entirely in the
+   scratch.  The discovered rows stay resident in the scratch for the
+   caller to read through [row_id] & co, so an incremental engine can
+   re-grow one node with zero list allocation. *)
 let grow_into ?grid ?alive ?env ~schedule s config pathloss positions u =
   let m =
-    match real_env env with
-    | Some env -> collect_env ?grid ?alive env positions s u
-    | None -> collect ?grid ?alive pathloss positions s u
+    collect_any ?grid ?alive ~env:(Radio.Env.effective env) pathloss
+      positions s u
   in
   let k, power, boundary, _nsteps =
     grow_scratch s ~positions ~u ~alpha:config.Config.alpha
@@ -681,26 +514,27 @@ let rowbuf_append b s k =
   done;
   b.len <- b.len + k
 
-let run_flat ?pool ?(obs = Obs.Recorder.nil) ?env config pathloss positions =
-  let env = real_env env in
+(* [run_flat], and with [~scan:true] the O(n²) baseline [Brute.run]:
+   the same kernel, with every node scanning all positions instead of
+   probing the grid. *)
+let run_soa ?pool ?(obs = Obs.Recorder.nil) ?env ~scan config pathloss
+    positions =
+  let env = Radio.Env.effective env in
   let n = Array.length positions in
-  let grid = make_grid pathloss positions in
+  let grid = if scan then None else Some (make_grid pathloss positions) in
   if Obs.Recorder.enabled obs then
-    List.iter
-      (fun occ ->
-        Obs.Recorder.observe obs "grid.cell_occupancy"
-          (Stdlib.float_of_int occ))
-      (Geom.Grid.occupancy grid);
+    Option.iter
+      (fun grid ->
+        List.iter
+          (fun occ ->
+            Obs.Recorder.observe obs "grid.cell_occupancy"
+              (Stdlib.float_of_int occ))
+          (Geom.Grid.occupancy grid))
+      grid;
   Obs.Recorder.span obs "discovery" @@ fun () ->
   let alpha = config.Config.alpha in
   let max_power = Radio.Pathloss.max_power pathloss in
-  let stepped =
-    match config.Config.growth with
-    | Config.Exact -> None
-    | Config.Double _ | Config.Mult _ ->
-        (* the stepped schedules ignore link powers entirely *)
-        Some (Config.power_steps config ~pathloss ~link_powers:[])
-  in
+  let schedule = schedule_of config pathloss in
   let power = Array.make n max_power in
   let boundary = Array.make n false in
   let off = Array.make (n + 1) 0 in
@@ -709,7 +543,8 @@ let run_flat ?pool ?(obs = Obs.Recorder.nil) ?env config pathloss positions =
   let cand_count = if recording then Array.make n 0 else [||] in
   (* fixed chunk size so a chunk's buffer index is lo / chunk; each
      chunk appends its rows to its own buffer and writes per-node slots
-     only in its own range, so the merge below is scheduling-independent *)
+     only in its own range, so the merge below is scheduling-independent.
+     With no pool the single chunk is [0, n) into bufs.(0). *)
   let chunk =
     match pool with
     | None -> Stdlib.max 1 n
@@ -719,45 +554,23 @@ let run_flat ?pool ?(obs = Obs.Recorder.nil) ?env config pathloss positions =
   in
   let nchunks = if n = 0 then 0 else ((n + chunk - 1) / chunk) in
   let bufs = Array.init nchunks (fun _ -> rowbuf_create ()) in
-  let collect_with s u =
-    match env with
-    | Some env -> collect_env ~grid env positions s u
-    | None -> collect ~grid pathloss positions s u
-  in
-  (match pool with
-  | Some pool ->
-      Parallel.Pool.iter_chunks pool ~chunk n (fun lo hi ->
-          let s = scratch_create () in
-          let b = bufs.(lo / chunk) in
-          for u = lo to hi - 1 do
-            let m = collect_with s u in
-            let k, pw, bd, ns = grow_scratch s ~positions ~u ~alpha ~max_power ~stepped m in
-            off.(u + 1) <- k;
-            power.(u) <- pw;
-            boundary.(u) <- bd;
-            if recording then begin
-              steps_used.(u) <- ns;
-              cand_count.(u) <- m
-            end;
-            rowbuf_append b s k
-          done)
-  | None ->
-      if n > 0 then begin
-        let s = scratch_create () in
-        let b = bufs.(0) in
-        for u = 0 to n - 1 do
-          let m = collect_with s u in
-          let k, pw, bd, ns = grow_scratch s ~positions ~u ~alpha ~max_power ~stepped m in
-          off.(u + 1) <- k;
-          power.(u) <- pw;
-          boundary.(u) <- bd;
-          if recording then begin
-            steps_used.(u) <- ns;
-            cand_count.(u) <- m
-          end;
-          rowbuf_append b s k
-        done
-      end);
+  for_nodes ?pool ~chunk n (fun lo hi ->
+      let s = scratch_create () in
+      let b = bufs.(lo / chunk) in
+      for u = lo to hi - 1 do
+        let m = collect_any ?grid ~env pathloss positions s u in
+        let k, pw, bd, ns =
+          grow_scratch s ~positions ~u ~alpha ~max_power ~stepped:schedule m
+        in
+        off.(u + 1) <- k;
+        power.(u) <- pw;
+        boundary.(u) <- bd;
+        if recording then begin
+          steps_used.(u) <- ns;
+          cand_count.(u) <- m
+        end;
+        rowbuf_append b s k
+      done);
   for u = 1 to n do
     off.(u) <- off.(u) + off.(u - 1)
   done;
@@ -799,15 +612,15 @@ let run_flat ?pool ?(obs = Obs.Recorder.nil) ?env config pathloss positions =
     boundary;
   }
 
+let run_flat ?pool ?obs ?env config pathloss positions =
+  run_soa ?pool ?obs ?env ~scan:false config pathloss positions
+
 let run ?pool ?obs ?env config pathloss positions =
   Soa.to_discovery (run_flat ?pool ?obs ?env config pathloss positions)
 
 module Brute = struct
-  let candidates pathloss positions u = candidates pathloss positions u
-
   let max_power_graph = brute_max_power_graph
 
   let run config pathloss positions =
-    run_with config pathloss positions
-      ~candidates:(fun u -> candidates pathloss positions u)
+    Soa.to_discovery (run_soa ~scan:true config pathloss positions)
 end

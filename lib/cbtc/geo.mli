@@ -10,10 +10,16 @@
     With the [Exact] growth schedule this is the continuous-growth limit
     and produces the paper's Table 1 topologies.
 
+    One flat kernel computes every node's discovery: {!run},
+    {!run_flat} and {!grow_into} all go through it.  The list-based
+    statement of the rule (a {!Neighbor.t} list per node, rebuilt at
+    every power step) is kept in [test/spec_geo.ml] as the oracle the
+    kernel is property-tested against, bit for bit.
+
     All-pairs scans are accelerated by a [Geom.Grid] spatial index keyed
-    on the radio range; results are identical to the brute-force
-    reference kept in {!Brute} (property-tested), which exists for
-    differential testing and as the benchmark baseline.
+    on the radio range; results are identical to the full scans of
+    {!Brute} (property-tested), which exist for differential testing and
+    as the benchmark baseline.
 
     Every node's discovery is independent of every other's, so the
     per-node loops optionally run chunked over a [Parallel.Pool]
@@ -61,43 +67,18 @@ val run_flat :
   ?env:Radio.Env.t ->
   Config.t -> Radio.Pathloss.t -> Geom.Vec2.t array -> Soa.t
 
-(** [candidates ?grid ?alive pathloss positions u] lists the nodes
-    physically within range [R] of [u] (its [G_R] neighbors) as
-    {!Neighbor.t} values with true link powers and directions, sorted by
-    increasing link power; tags are set to the link power.  When [grid]
-    (an index built over exactly [positions]) is given, only nearby
-    cells are probed; otherwise all positions are scanned.  [alive]
-    (default: everyone) filters the candidate set — crashed nodes are
-    invisible to discovery. *)
-val candidates :
-  ?grid:Geom.Grid.t ->
-  ?alive:(int -> bool) ->
-  ?env:Radio.Env.t ->
-  Radio.Pathloss.t -> Geom.Vec2.t array -> int -> Neighbor.t list
-
-(** [grow_one ?grid ?alive config pathloss positions u] is [u]'s
-    converged per-node state — (discovered neighbors sorted by link
-    power, final power, boundary flag) — against the candidates passing
-    [alive]: exactly the per-node body of {!run}.  Discovery is a pure
-    function of the live positions within range of [u], which is what
-    makes incremental dirty-node regrowth (lib/daemon) provably
-    equivalent to a full recompute. *)
-val grow_one :
-  ?grid:Geom.Grid.t ->
-  ?alive:(int -> bool) ->
-  ?env:Radio.Env.t ->
-  Config.t -> Radio.Pathloss.t -> Geom.Vec2.t array -> int ->
-  Neighbor.t list * float * bool
-
 (** {2 Flat per-node kernel}
 
-    The allocation-free counterpart of {!grow_one}, for callers that
-    re-grow single nodes at high rates (the daemon's incremental
-    engine).  A {!scratch} owns reusable Bigarray-backed buffers; one
-    [grow_into] call leaves the discovered rows resident in it, read
-    back through the [row_*] accessors.  Results are bit-identical to
-    {!grow_one} — same candidate math, same (link power, id) order,
-    same gap test — pinned by the differential properties in
+    One node's discovery, allocation-free, for callers that re-grow
+    single nodes at high rates (the daemon's incremental engine).  A
+    {!scratch} owns reusable Bigarray-backed buffers; one [grow_into]
+    call leaves the discovered rows resident in it, read back through
+    the [row_*] accessors.  Discovery is a pure function of the live
+    positions within range of [u], which is what makes incremental
+    dirty-node regrowth (lib/daemon) provably equivalent to a full
+    recompute.  Results are bit-identical to the list-based spec in
+    [test/spec_geo.ml] — same candidate math, same (link power, id)
+    order, same gap test — pinned by the differential properties in
     test/test_csr.ml. *)
 
 (** Reusable per-worker scratch buffers.  Not thread-safe: use one per
@@ -127,10 +108,15 @@ val schedule_final : schedule -> float
 
 (** [grow_into ?grid ?alive ~schedule s config pathloss positions u]
     grows node [u] to convergence and returns
-    [(degree, final power, boundary)].  The [degree] discovered
-    neighbors are left in [s], sorted by increasing (link power, id) —
-    read row [r < degree] with the accessors below before the next
-    [grow_into] on [s] overwrites them. *)
+    [(degree, final power, boundary)].  Candidates are [u]'s [G_R]
+    neighbors passing [alive] (default: everyone — crashed nodes are
+    invisible to discovery); when [grid] (an index built over exactly
+    [positions]) is given only nearby cells are probed, otherwise all
+    positions are scanned.  The [degree] discovered neighbors are left
+    in [s], sorted by increasing (link power, id) — read row
+    [r < degree] with the accessors below before the next [grow_into]
+    on [s] overwrites them.
+    @raise Invalid_argument when [u] is not a node of [positions]. *)
 val grow_into :
   ?grid:Geom.Grid.t ->
   ?alive:(int -> bool) ->
@@ -175,13 +161,12 @@ val max_power_partition :
   alive:bool array ->
   Radio.Pathloss.t -> Geom.Vec2.t array -> int array
 
-(** Brute-force O(n²) reference implementations, producing identical
-    results to the grid-backed functions above.  Used by the property
-    tests and as the baseline of the [perf] benchmark. *)
+(** Brute-force O(n²) baselines, producing identical results to the
+    grid-backed functions above: [max_power_graph] is the triangular
+    pair scan, and [run] is the discovery kernel with every node
+    scanning all positions instead of probing the grid.  Used by the
+    property tests and as the baseline of the [perf] benchmark. *)
 module Brute : sig
-  val candidates :
-    Radio.Pathloss.t -> Geom.Vec2.t array -> int -> Neighbor.t list
-
   val max_power_graph :
     Radio.Pathloss.t -> Geom.Vec2.t array -> Graphkit.Ugraph.t
 

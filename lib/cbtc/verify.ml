@@ -9,11 +9,7 @@ let check ?(obs = Obs.Recorder.nil) ?(complete = false) ?(minimal = false)
   let n = Discovery.nb_nodes d in
   let alpha = d.config.Config.alpha in
   let pathloss = d.pathloss in
-  let env =
-    match env with
-    | Some e when not (Radio.Env.is_trivial e) -> Some e
-    | _ -> None
-  in
+  let env = Radio.Env.effective env in
   let in_range_uv ~u ~v ~dist =
     match env with
     | Some e ->
@@ -113,11 +109,7 @@ let surviving ?complete ?env ~alive (d : Discovery.t) =
    post-fault connectivity — edges through crashed nodes are gone for any
    algorithm. *)
 let reachability_of_survivors ?env (d : Discovery.t) ~alive =
-  let env =
-    match env with
-    | Some e when not (Radio.Env.is_trivial e) -> Some e
-    | _ -> None
-  in
+  let env = Radio.Env.effective env in
   let n = Discovery.nb_nodes d in
   let g = Graphkit.Ugraph.create n in
   for u = 0 to n - 1 do

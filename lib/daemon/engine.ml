@@ -12,9 +12,9 @@
 
    The engine is built for sustained streams over n = 10⁵–10⁶ nodes:
 
-   - Regrowth runs through the flat SoA kernel ([Cbtc.Geo.grow_into],
-     bit-identical to [grow_one]) with a reusable scratch per worker —
-     no Neighbor.t lists, no per-step list rebuilding.
+   - Regrowth runs through the flat SoA kernel ([Cbtc.Geo.grow_into])
+     with a reusable scratch per worker — no Neighbor.t lists, no
+     per-step list rebuilding.
    - Cone state is flat: powers in a float64 Bigarray, each node's
      neighbors as one int row plus one float row of (link, dir, tag)
      triples.  Positions stay in the kernel's [Vec2.t array] layout —
@@ -180,11 +180,7 @@ let create ?pool ?alive ?env ?(shards = 0) ~watchdog_frac config pathloss
     invalid_arg "Daemon.Engine.create: watchdog_frac must be >= 0";
   if shards < 0 then
     invalid_arg "Daemon.Engine.create: shards must be >= 0";
-  let env =
-    match env with
-    | Some e when not (Radio.Env.is_trivial e) -> Some e
-    | _ -> None
-  in
+  let env = Radio.Env.effective env in
   let n = Array.length positions in
   let alive =
     match alive with
@@ -439,54 +435,53 @@ let digest t =
   Digest.to_hex (Digest.string (Buffer.contents b))
 
 (* The central invariant: tracked state == from-scratch recompute over
-   the tracked world.  The reference pass is the *list* kernel
-   ([Cbtc.Geo.grow_one]) against a *fresh* grid, so it cross-checks both
-   the incremental index against a clean build and the flat regrowth
-   kernel against the list path.  Float-exact comparison is intentional
-   — both sides run the identical per-node float computation on
-   identical inputs. *)
+   the tracked world.  The reference pass regrows every live node with
+   the kernel ([Cbtc.Geo.grow_into]) against a *fresh* grid, a fresh
+   schedule and a fresh scratch, so it cross-checks the incremental
+   index and the dirty-propagation cut against a clean build; the
+   kernel itself is checked against the list-based spec in the test
+   suite.  Float-exact comparison is intentional — both sides run the
+   identical per-node float computation on identical inputs. *)
 let check_full_equivalence ?pool t =
   let grid = Geom.Grid.create ~range:(Radio.Pathloss.max_range t.pathloss) t.positions in
+  let schedule = Cbtc.Geo.schedule_of t.config t.pathloss in
   let alive_fn v = t.alive.(v) in
   let n = nb_nodes t in
   let bad = Array.make n None in
-  let check u =
+  let check s u =
     if t.alive.(u) then begin
-      let nbs, p, b =
-        Cbtc.Geo.grow_one ~grid ~alive:alive_fn ?env:t.env t.config t.pathloss
-          t.positions u
+      let k, p, b =
+        Cbtc.Geo.grow_into ~grid ~alive:alive_fn ?env:t.env ~schedule s
+          t.config t.pathloss t.positions u
       in
-      let nb_eq (nb : Cbtc.Neighbor.t) r =
-        nb.id = t.nbr_ids.(u).(r)
-        && nb.link_power = t.nbr_data.(u).(3 * r)
-        && nb.dir = t.nbr_data.(u).((3 * r) + 1)
-        && nb.tag = t.nbr_data.(u).((3 * r) + 2)
+      let ids = t.nbr_ids.(u) and data = t.nbr_data.(u) in
+      let row_eq r =
+        Cbtc.Geo.row_id s r = ids.(r)
+        && Cbtc.Geo.row_link s r = data.(3 * r)
+        && Cbtc.Geo.row_dir s r = data.((3 * r) + 1)
+        && Cbtc.Geo.row_tag s r = data.((3 * r) + 2)
       in
-      let rec rows_eq r = function
-        | [] -> r = Array.length t.nbr_ids.(u)
-        | nb :: rest -> r < Array.length t.nbr_ids.(u) && nb_eq nb r && rows_eq (r + 1) rest
-      in
+      let rec rows_eq r = r = k || (row_eq r && rows_eq (r + 1)) in
       if p <> fget t.power u then
         bad.(u) <- Some (Printf.sprintf "node %d: power %.17g, full recompute %.17g" u (fget t.power u) p)
       else if b <> t.boundary.(u) then
         bad.(u) <- Some (Printf.sprintf "node %d: boundary %b, full recompute %b" u t.boundary.(u) b)
-      else if not (rows_eq 0 nbs) then
+      else if k <> Array.length ids || not (rows_eq 0) then
         bad.(u) <- Some (Printf.sprintf "node %d: neighbor sets differ" u)
     end
     else if
       t.nbr_ids.(u) <> [||] || fget t.power u <> 0. || t.boundary.(u)
     then bad.(u) <- Some (Printf.sprintf "node %d: dead but has residual state" u)
   in
+  let check_range lo hi =
+    let s = Cbtc.Geo.scratch_create () in
+    for u = lo to hi - 1 do
+      check s u
+    done
+  in
   (match pool with
-  | None ->
-      for u = 0 to n - 1 do
-        check u
-      done
-  | Some pool ->
-      Parallel.Pool.iter_chunks pool n (fun lo hi ->
-          for u = lo to hi - 1 do
-            check u
-          done));
+  | None -> check_range 0 n
+  | Some pool -> Parallel.Pool.iter_chunks pool n check_range);
   match Array.find_map (fun x -> x) bad with
   | None -> Ok ()
   | Some m -> Error m

@@ -2,7 +2,7 @@
 
     Tracks positions, liveness, and every node's converged cone
     (neighbors, power, boundary flag) under a stream of join/leave/move
-    events.  Because per-node discovery ({!Cbtc.Geo.grow_one}) is a pure
+    events.  Because per-node discovery ({!Cbtc.Geo.grow_into}) is a pure
     function of the live positions within radio range, an event can only
     affect nodes within range R of the positions it touches: {!apply}
     marks exactly those dirty, {!commit} regrows them, and the result is
@@ -112,7 +112,8 @@ val partition : alive:bool array -> t -> int array
 val digest : t -> string
 
 (** [check_full_equivalence ?pool t] recomputes every live node from
-    scratch — against a {e fresh} spatial index — and float-exactly
+    scratch with {!Cbtc.Geo.grow_into} — against a {e fresh} spatial
+    index and fresh scratch buffers — and float-exactly
     compares with the tracked state; dead nodes must hold no residual
     state.  [Error] names the first mismatching node. *)
 val check_full_equivalence : ?pool:Parallel.Pool.t -> t -> (unit, string) result

@@ -1,13 +1,23 @@
 let sort_directions dirs =
   List.sort_uniq Float.compare (List.map Angle.normalize dirs)
 
+(* The gap wrapping from the largest of two or more distinct sorted
+   directions, [last], back to the smallest, [first].  When the two lie
+   within an ulp of each other that gap is nearly a full turn, which
+   [Angle.normalize] inside [ccw_delta] rounds up to [two_pi] and maps
+   to 0.  No other wrap reads 0, so 0 is read as [two_pi]; every other
+   wrap keeps the [ccw_delta] bits. *)
+let wrap_gap last first =
+  let g = Angle.ccw_delta last first in
+  if g = 0. then Angle.two_pi else g
+
 let gaps_of_sorted sorted =
   match sorted with
   | [] -> []
   | first :: _ ->
       let rec consecutive acc = function
         | [] -> List.rev acc
-        | [ last ] -> List.rev ((last, Angle.ccw_delta last first) :: acc)
+        | [ last ] -> List.rev ((last, wrap_gap last first) :: acc)
         | a :: (b :: _ as rest) -> consecutive ((a, b -. a) :: acc) rest
       in
       consecutive [] sorted
@@ -40,12 +50,12 @@ let has_gap ?(eps = 1e-9) ~alpha dirs = max_gap dirs >= alpha -. eps
 (* Array variants over an already sorted-unique prefix [dirs.(0..len-1)]
    of normalized directions, for callers that maintain the set
    incrementally (the SoA discovery core).  Same float operations as the
-   list path above — consecutive [b -. a] plus the [ccw_delta] wrap — so
+   list path above — consecutive [b -. a] plus the [wrap_gap] wrap — so
    the results are bit-identical. *)
 let max_gap_sorted dirs len =
   if len <= 1 then Angle.two_pi
   else begin
-    let best = ref (Angle.ccw_delta dirs.(len - 1) dirs.(0)) in
+    let best = ref (wrap_gap dirs.(len - 1) dirs.(0)) in
     for i = 0 to len - 2 do
       let g = dirs.(i + 1) -. dirs.(i) in
       if g > !best then best := g
@@ -63,7 +73,7 @@ let max_gap_ba (dirs : (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray
   if len <= 1 then Angle.two_pi
   else begin
     let get = Bigarray.Array1.unsafe_get dirs in
-    let best = ref (Angle.ccw_delta (get (len - 1)) (get 0)) in
+    let best = ref (wrap_gap (get (len - 1)) (get 0)) in
     for i = 0 to len - 2 do
       let g = get (i + 1) -. get i in
       if g > !best then best := g

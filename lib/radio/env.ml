@@ -90,6 +90,10 @@ let is_trivial t =
   && Array.length t.obstacles = 0
   && (t.height_loss_db = 0. || Array.length t.heights = 0)
 
+let effective = function
+  | Some t when not (is_trivial t) -> Some t
+  | _ -> None
+
 let pathloss t = t.pathloss
 let sigma_db t = t.sigma_db
 let clamp_db t = t.clamp_db

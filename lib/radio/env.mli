@@ -83,6 +83,12 @@ val relabel : labels:int array -> t -> t
     it to fall back to the bit-identical {!Pathloss}-only code path. *)
 val is_trivial : t -> bool
 
+(** [effective env] is [env] unless it is absent or trivial, then
+    [None].  Wired functions apply it once at entry, so their [None]
+    branch is the env-free code byte for byte and a trivial
+    environment stays bit-identical to passing none. *)
+val effective : t option -> t option
+
 val pathloss : t -> Pathloss.t
 val sigma_db : t -> float
 val clamp_db : t -> float

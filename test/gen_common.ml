@@ -1,5 +1,6 @@
-(* Shared QCheck placement generators for the randomized suites
-   (test_theory, test_distributed).
+(* Shared QCheck generators for the randomized suites: placements
+   (test_theory, test_distributed, test_schedule) and non-trivial
+   propagation environments (test_env, test_csr, test_grid).
 
    The generator draws 2..35 uniform points on a 400 x 400 field; the
    shrinker deletes nodes — contiguous chunks first, then singles — so a
@@ -43,3 +44,26 @@ let positions_print a =
 
 let positions_arb =
   QCheck.make ~shrink:positions_shrink ~print:positions_print positions_gen
+
+(* A non-trivial environment for [pl] over a 300x300 test field:
+   shadowing plus a couple of obstacle discs plus height loss, all
+   derived from one seed so properties shrink well. *)
+let env_gen pl n =
+  QCheck.Gen.(
+    triple (float_range 0.5 8.) (int_range 0 1000) (int_range 0 3)
+    >>= fun (sigma, shadow_seed, nobs) ->
+    list_repeat nobs
+      (triple
+         (pair (float_bound_exclusive 300.) (float_bound_exclusive 300.))
+         (float_range 5. 60.) (float_range 0.5 10.))
+    >>= fun obs ->
+    list_repeat n (float_bound_exclusive 30.) >|= fun heights ->
+    let obstacles =
+      Array.of_list
+        (List.map
+           (fun ((x, y), radius, loss_db) ->
+             Radio.Env.obstacle ~center:(Geom.Vec2.make x y) ~radius ~loss_db)
+           obs)
+    in
+    Radio.Env.make ~sigma_db:sigma ~shadow_seed ~obstacles
+      ~heights:(Array.of_list heights) ~height_loss_db:0.5 pl)

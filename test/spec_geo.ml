@@ -1,0 +1,148 @@
+(* The CBTC discovery rule stated directly, as the oracle the library's
+   flat kernel (Cbtc.Geo.grow_into / run_flat) is tested against.
+
+   Each node's candidates are its G_R neighbors as a Neighbor.t list
+   sorted by (link power, id); the power walk moves the candidates a
+   step reaches from [remaining] to [discovered] and stops at the first
+   step whose discovered directions leave no alpha-gap, or at the last
+   step (maximum power, boundary node).  Nothing here is tuned: every
+   float goes through the Vec2 / Pathloss / Radio.Env functions the
+   kernel inlines, so the differential properties compare the kernel's
+   hand-inlined arithmetic against the plain spelling, float for float.
+   Shared by every suite through test/dune's [:standard] modules. *)
+
+open Cbtc
+
+(* Shared candidate test: [consider u v acc] conses v's Neighbor.t onto
+   [acc] when v is a distinct node physically within range of u.  Both
+   the brute-force scans and the grid probes funnel through this, so the
+   two paths examine different pair sets but accept identical ones. *)
+let consider pathloss positions u v acc =
+  if v = u then acc
+  else begin
+    let dist = Geom.Vec2.dist positions.(u) positions.(v) in
+    if Radio.Pathloss.in_range pathloss ~dist then begin
+      let link_power = Radio.Pathloss.power_for_distance pathloss dist in
+      let dir = Geom.Vec2.direction ~from:positions.(u) ~toward:positions.(v) in
+      Neighbor.make ~id:v ~dir ~link_power ~tag:link_power :: acc
+    end
+    else acc
+  end
+
+(* Env counterpart of [consider]: membership and link power come from
+   the environment's per-pair excess.  Only reached for a non-trivial
+   env, so the sigma = 0 spec never leaves [consider] above. *)
+let consider_env env positions u v acc =
+  if v = u then acc
+  else begin
+    let pu = positions.(u) and pv = positions.(v) in
+    let dist = Geom.Vec2.dist pu pv in
+    let link_power = Radio.Env.link_power env ~u ~v ~pu ~pv ~dist in
+    if link_power <= Radio.Env.max_link_cap env then begin
+      let dir = Geom.Vec2.direction ~from:pu ~toward:pv in
+      Neighbor.make ~id:v ~dir ~link_power ~tag:link_power :: acc
+    end
+    else acc
+  end
+
+let max_reach pathloss =
+  Radio.Pathloss.reach_distance pathloss
+    ~power:(Radio.Pathloss.max_power pathloss)
+
+(* [candidates ?grid ?alive ?env pathloss positions u] lists the nodes
+   within range of [u] (its G_R or G_R^env neighbors) with true link
+   powers and directions, sorted by increasing link power; tags are set
+   to the link power.  With [grid] (an index built over exactly
+   [positions]) only nearby cells are probed, otherwise all positions
+   are scanned; [alive] filters the candidate set. *)
+let candidates ?grid ?(alive = fun _ -> true) ?env pathloss positions u =
+  if u < 0 || u >= Array.length positions then
+    invalid_arg "Spec_geo.candidates: node out of range";
+  let acc =
+    match Radio.Env.effective env with
+    | Some env -> begin
+        (* the grid probe inflates the radius to the env's headroom
+           (shadowing may admit pairs beyond the pathloss reach); the
+           exact env predicate decides membership *)
+        match grid with
+        | Some grid ->
+            Geom.Grid.fold_in_range grid positions.(u)
+              ~dist:(Radio.Env.max_reach env) ~init:[]
+              ~f:(fun acc v ->
+                if alive v then consider_env env positions u v acc else acc)
+        | None ->
+            let acc = ref [] in
+            for v = 0 to Array.length positions - 1 do
+              if alive v then acc := consider_env env positions u v !acc
+            done;
+            !acc
+      end
+    | None -> (
+        match grid with
+        | Some grid ->
+            Geom.Grid.fold_in_range grid positions.(u)
+              ~dist:(max_reach pathloss) ~init:[]
+              ~f:(fun acc v ->
+                if alive v then consider pathloss positions u v acc else acc)
+        | None ->
+            let acc = ref [] in
+            for v = 0 to Array.length positions - 1 do
+              if alive v then acc := consider pathloss positions u v !acc
+            done;
+            !acc)
+  in
+  List.sort Neighbor.compare_by_link_power acc
+
+(* Walk the power schedule for one node: at each step, move the candidates
+   now reachable from [remaining] to [discovered] (tagging them with the
+   step power), and stop at the first gap-free step.  The last step always
+   absorbs all remaining candidates (it is >= P up to rounding).
+   Accumulation is by prepending — one final sort instead of a quadratic
+   append per step. *)
+let grow_node ~alpha ~max_power cands steps =
+  let rec walk discovered dirs remaining = function
+    | [] -> assert false
+    | step :: rest ->
+        let is_last = rest = [] in
+        let reachable (nb : Neighbor.t) = is_last || nb.link_power <= step in
+        let newly, remaining = List.partition reachable remaining in
+        let discovered =
+          List.fold_left
+            (fun acc (nb : Neighbor.t) -> { nb with tag = step } :: acc)
+            discovered newly
+        in
+        let dirs =
+          List.fold_left (fun acc (nb : Neighbor.t) -> nb.dir :: acc) dirs newly
+        in
+        if not (Geom.Dirset.has_gap ~alpha dirs) then (discovered, step, false)
+        else if is_last then (discovered, max_power, true)
+        else walk discovered dirs remaining rest
+  in
+  let discovered, power, boundary = walk [] [] cands steps in
+  (List.sort Neighbor.compare_by_link_power discovered, power, boundary)
+
+(* [grow_one ?grid ?alive ?env config pathloss positions u] is [u]'s
+   converged state — (discovered neighbors sorted by link power, final
+   power, boundary flag) — against the candidates passing [alive]. *)
+let grow_one ?grid ?alive ?env config pathloss positions u =
+  let cands = candidates ?grid ?alive ?env pathloss positions u in
+  let link_powers = List.map (fun (nb : Neighbor.t) -> nb.link_power) cands in
+  let steps = Config.power_steps config ~pathloss ~link_powers in
+  grow_node ~alpha:config.Config.alpha
+    ~max_power:(Radio.Pathloss.max_power pathloss)
+    cands steps
+
+(* Every node's [grow_one] over a full scan of the positions. *)
+let run ?env config pathloss positions =
+  let n = Array.length positions in
+  let neighbors = Array.make n [] in
+  let power = Array.make n (Radio.Pathloss.max_power pathloss) in
+  let boundary = Array.make n false in
+  for u = 0 to n - 1 do
+    let nbrs, p, b = grow_one ?env config pathloss positions u in
+    neighbors.(u) <- nbrs;
+    power.(u) <- p;
+    boundary.(u) <- b
+  done;
+  { Discovery.config; pathloss; positions = Array.copy positions; neighbors;
+    power; boundary }

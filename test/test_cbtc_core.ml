@@ -203,7 +203,7 @@ let test_candidates () =
     [| Geom.Vec2.zero; Geom.Vec2.make 10. 0.; Geom.Vec2.make 99. 0.;
        Geom.Vec2.make 101. 0. |]
   in
-  let cands = Cbtc.Geo.candidates pl positions 0 in
+  let cands = Spec_geo.candidates pl positions 0 in
   Alcotest.(check (list int)) "in-range candidates sorted by distance" [ 1; 2 ]
     (List.map (fun (n : Cbtc.Neighbor.t) -> n.Cbtc.Neighbor.id) cands);
   let gr = Cbtc.Geo.max_power_graph pl positions in

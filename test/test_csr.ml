@@ -1,8 +1,8 @@
 (* Differential tests for the flat memory layouts: CSR adjacency vs the
    set-based Ugraph/Digraph enumerations, the SoA discovery kernel
-   (Geo.run_flat) vs the list-based brute reference, degenerate and
-   mobile inputs on the CSR grid buckets, the occupancy contract, and
-   the VmHWM parser behind peak-RSS reporting. *)
+   (Geo.run_flat, Geo.grow_into) vs the list-based spec in spec_geo.ml,
+   degenerate and mobile inputs on the CSR grid buckets, the occupancy
+   contract, and the VmHWM parser behind peak-RSS reporting. *)
 
 let v2 = Geom.Vec2.make
 
@@ -117,7 +117,7 @@ let test_csr_empty () =
   let one = Graphkit.Csr.of_ugraph (Graphkit.Ugraph.create 1) in
   Alcotest.(check (list int)) "isolated row" [] (Graphkit.Csr.neighbors one 0)
 
-(* ---------- SoA discovery = list-based brute reference ---------- *)
+(* ---------- SoA discovery = list-based spec (Spec_geo) ---------- *)
 
 let positions_gen =
   QCheck.Gen.(
@@ -144,15 +144,15 @@ let soa_eq (a : Cbtc.Soa.t) (b : Cbtc.Soa.t) =
   a.off = b.off && a.ids = b.ids && a.dirs = b.dirs && a.links = b.links
   && a.tags = b.tags && a.power = b.power && a.boundary = b.boundary
 
-let prop_run_flat_matches_brute =
+let prop_run_flat_matches_spec =
   QCheck.Test.make ~count:150
-    ~name:"Soa.to_discovery (Geo.run_flat) = Geo.Brute.run, bit-exact"
+    ~name:"Soa.to_discovery (Geo.run_flat) = Spec_geo.run, bit-exact"
     (QCheck.make QCheck.Gen.(pair positions_gen growth_gen))
     (fun (positions, growth) ->
       let config = Cbtc.Config.make ~growth alpha56 in
       discovery_eq
         (Cbtc.Soa.to_discovery (Cbtc.Geo.run_flat config pl positions))
-        (Cbtc.Geo.Brute.run config pl positions))
+        (Spec_geo.run config pl positions))
 
 let prop_run_flat_rows_sorted =
   QCheck.Test.make ~count:100
@@ -197,7 +197,7 @@ let test_run_flat_degenerate () =
     Alcotest.(check bool) name true
       (discovery_eq
          (Cbtc.Soa.to_discovery (Cbtc.Geo.run_flat config pl positions))
-         (Cbtc.Geo.Brute.run config pl positions))
+         (Spec_geo.run config pl positions))
   in
   check_case "n = 0" [||];
   check_case "n = 1" [| Geom.Vec2.zero |];
@@ -317,51 +317,78 @@ let prop_grid_edits_match_fresh_rebuild =
       done;
       !ok)
 
-(* ---------- flat per-node kernel = grow_one, bit-exact ---------- *)
+(* ---------- flat per-node kernel = spec grow_one, bit-exact ---------- *)
 
-let prop_grow_into_matches_grow_one =
-  (* the daemon's allocation-free regrow path against the list-based
-     per-node oracle: same candidates (grid + alive mask), same power
-     walk, same rows — float-for-float *)
+(* The daemon's allocation-free regrow path against the list-based
+   per-node spec: same candidates (grid + alive mask), same power walk,
+   same rows — float-for-float — for every live node. *)
+let grow_into_matches_spec ?env positions growth seed =
+  let n = Array.length positions in
+  let config = Cbtc.Config.make ~growth alpha56 in
+  let prng = Prng.create ~seed in
+  let alive_mask = Array.init n (fun _ -> Prng.int prng 4 > 0) in
+  let alive v = alive_mask.(v) in
+  let grid = Geom.Grid.create ~range:(Radio.Pathloss.max_range pl) positions in
+  let schedule = Cbtc.Geo.schedule_of config pl in
+  let scratch = Cbtc.Geo.scratch_create () in
+  let ok = ref true in
+  for u = 0 to n - 1 do
+    if alive_mask.(u) then begin
+      let nbrs, power, boundary =
+        Spec_geo.grow_one ~grid ~alive ?env config pl positions u
+      in
+      let k, power', boundary' =
+        Cbtc.Geo.grow_into ~grid ~alive ?env ~schedule scratch config pl
+          positions u
+      in
+      if k <> List.length nbrs || power <> power' || boundary <> boundary'
+      then ok := false
+      else
+        List.iteri
+          (fun r (nb : Cbtc.Neighbor.t) ->
+            if
+              Cbtc.Geo.row_id scratch r <> nb.id
+              || Cbtc.Geo.row_link scratch r <> nb.link_power
+              || Cbtc.Geo.row_dir scratch r <> nb.dir
+              || Cbtc.Geo.row_tag scratch r <> nb.tag
+            then ok := false)
+          nbrs
+    end
+  done;
+  !ok
+
+let prop_grow_into_matches_spec =
   QCheck.Test.make ~count:100
-    ~name:"Geo.grow_into = Geo.grow_one (grid + alive mask), bit-exact"
+    ~name:"Geo.grow_into = Spec_geo.grow_one (grid + alive mask), bit-exact"
     (QCheck.make
        QCheck.Gen.(triple positions_gen growth_gen (int_range 0 1000)))
     (fun (positions, growth, seed) ->
-      let n = Array.length positions in
-      QCheck.assume (n > 0);
-      let config = Cbtc.Config.make ~growth alpha56 in
-      let prng = Prng.create ~seed in
-      let alive_mask = Array.init n (fun _ -> Prng.int prng 4 > 0) in
-      let alive v = alive_mask.(v) in
-      let grid = Geom.Grid.create ~range:(Radio.Pathloss.max_range pl) positions in
-      let schedule = Cbtc.Geo.schedule_of config pl in
-      let scratch = Cbtc.Geo.scratch_create () in
-      let ok = ref true in
-      for u = 0 to n - 1 do
-        if alive_mask.(u) then begin
-          let nbrs, power, boundary =
-            Cbtc.Geo.grow_one ~grid ~alive config pl positions u
-          in
-          let k, power', boundary' =
-            Cbtc.Geo.grow_into ~grid ~alive ~schedule scratch config pl
-              positions u
-          in
-          if k <> List.length nbrs || power <> power' || boundary <> boundary'
-          then ok := false
-          else
-            List.iteri
-              (fun r (nb : Cbtc.Neighbor.t) ->
-                if
-                  Cbtc.Geo.row_id scratch r <> nb.id
-                  || Cbtc.Geo.row_link scratch r <> nb.link_power
-                  || Cbtc.Geo.row_dir scratch r <> nb.dir
-                  || Cbtc.Geo.row_tag scratch r <> nb.tag
-                then ok := false)
-              nbrs
-        end
-      done;
-      !ok)
+      QCheck.assume (Array.length positions > 0);
+      grow_into_matches_spec positions growth seed)
+
+let prop_grow_into_env_matches_spec =
+  QCheck.Test.make ~count:60
+    ~name:"sigma > 0 / obstacles: Geo.grow_into ~env = Spec_geo.grow_one ~env"
+    (QCheck.make
+       QCheck.Gen.(
+         triple positions_gen growth_gen (int_range 0 1000)
+         >>= fun (positions, growth, seed) ->
+         Gen_common.env_gen pl (Array.length positions) >|= fun env ->
+         (positions, growth, seed, env)))
+    (fun (positions, growth, seed, env) ->
+      QCheck.assume (Array.length positions > 0);
+      grow_into_matches_spec ~env positions growth seed)
+
+let test_grow_into_rejects_out_of_range () =
+  let positions = [| v2 0. 0.; v2 10. 0. |] in
+  let config = Cbtc.Config.make alpha56 in
+  let schedule = Cbtc.Geo.schedule_of config pl in
+  let scratch = Cbtc.Geo.scratch_create () in
+  Alcotest.check_raises "u = n"
+    (Invalid_argument "Geo.grow_into: node out of range") (fun () ->
+      ignore
+        (Cbtc.Geo.grow_into ~schedule scratch config pl positions
+           (Array.length positions)))
 
 (* ---------- occupancy: one linear pass, sorted descending ---------- *)
 
@@ -440,7 +467,7 @@ let () =
         Alcotest.test_case "degenerate inputs" `Quick test_run_flat_degenerate
         :: qsuite
              [
-               prop_run_flat_matches_brute;
+               prop_run_flat_matches_spec;
                prop_run_flat_rows_sorted;
                prop_run_flat_pool_identical;
              ] );
@@ -451,7 +478,12 @@ let () =
                prop_grid_move_after_build;
                prop_grid_edits_match_fresh_rebuild;
              ] );
-      ("flat kernel", qsuite [ prop_grow_into_matches_grow_one ]);
+      ( "flat kernel",
+        Alcotest.test_case "node out of range" `Quick
+          test_grow_into_rejects_out_of_range
+        :: qsuite
+             [ prop_grow_into_matches_spec; prop_grow_into_env_matches_spec ]
+      );
       ( "occupancy",
         Alcotest.test_case "sorted descending" `Quick
           test_occupancy_sorted_descending

@@ -28,28 +28,7 @@ let growth_gen =
     [ Cbtc.Config.Exact; Cbtc.Config.Double 25.;
       Cbtc.Config.Mult { p0 = 100.; factor = 3. } ]
 
-(* A non-trivial environment over the 300x300 test field: shadowing plus
-   a couple of obstacle discs plus height loss, all derived from one
-   seed so properties shrink well. *)
-let env_gen n =
-  QCheck.Gen.(
-    triple (float_range 0.5 8.) (int_range 0 1000) (int_range 0 3)
-    >>= fun (sigma, shadow_seed, nobs) ->
-    list_repeat nobs
-      (triple
-         (pair (float_bound_exclusive 300.) (float_bound_exclusive 300.))
-         (float_range 5. 60.) (float_range 0.5 10.))
-    >>= fun obs ->
-    list_repeat n (float_bound_exclusive 30.) >|= fun heights ->
-    let obstacles =
-      Array.of_list
-        (List.map
-           (fun ((x, y), radius, loss_db) ->
-             Radio.Env.obstacle ~center:(v2 x y) ~radius ~loss_db)
-           obs)
-    in
-    Radio.Env.make ~sigma_db:sigma ~shadow_seed ~obstacles
-      ~heights:(Array.of_list heights) ~height_loss_db:0.5 pl)
+let env_gen = Gen_common.env_gen pl
 
 (* ---------- structural equality helpers (float-exact) ---------- *)
 
@@ -262,11 +241,11 @@ let prop_probe_radius_bounds_support =
       done;
       !ok)
 
-(* ---------- sigma > 0: flat = boxed, and -j independence ---------- *)
+(* ---------- sigma > 0: kernel = spec, and -j independence ---------- *)
 
-let prop_env_run_flat_matches_run =
+let prop_env_run_flat_matches_spec =
   QCheck.Test.make ~count:60
-    ~name:"sigma > 0: Soa.to_discovery (run_flat ~env) = run ~env"
+    ~name:"sigma > 0: Soa.to_discovery (run_flat ~env) = Spec_geo.run ~env"
     (QCheck.make
        QCheck.Gen.(
          pair positions_gen growth_gen >>= fun (positions, growth) ->
@@ -276,7 +255,7 @@ let prop_env_run_flat_matches_run =
       let config = Cbtc.Config.make ~growth alpha56 in
       discovery_eq
         (Cbtc.Soa.to_discovery (Cbtc.Geo.run_flat ~env config pl positions))
-        (Cbtc.Geo.run ~env config pl positions))
+        (Spec_geo.run ~env config pl positions))
 
 let prop_env_pool_identical =
   QCheck.Test.make ~count:30
@@ -428,7 +407,7 @@ let () =
       ( "sigma > 0 discovery",
         qsuite
           [
-            prop_env_run_flat_matches_run;
+            prop_env_run_flat_matches_spec;
             prop_env_pool_identical;
             prop_env_engine_equivalence;
           ] );

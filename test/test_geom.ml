@@ -168,7 +168,29 @@ let test_gap_pi_seam () =
   Alcotest.(check bool) "seam-straddling pair is nearly one direction" true
     (Geom.Dirset.max_gap [ d1; d2 ] > two_pi -. 1e-9);
   check_float "gap with a neighbor exactly at -pi" (3. *. pi /. 2.)
-    (Geom.Dirset.max_gap [ pi /. 2.; Geom.Angle.normalize (-.pi) ])
+    (Geom.Dirset.max_gap [ pi /. 2.; Geom.Angle.normalize (-.pi) ]);
+  (* two distinct directions an ulp apart away from the seam: the wrap
+     gap back from the larger is nearly a full turn, which must not
+     round to 0 (list, array and Bigarray variants alike) *)
+  let dirs =
+    List.sort_uniq Float.compare
+      (List.map Geom.Angle.normalize
+         [ 1.0471975511955975; -5.2359877559839889 ])
+  in
+  Alcotest.(check int) "an ulp apart, still distinct" 2 (List.length dirs);
+  let ba =
+    Bigarray.Array1.of_array Bigarray.float64 Bigarray.c_layout
+      (Array.of_list dirs)
+  in
+  List.iter
+    (fun (name, gap) ->
+      Alcotest.(check bool) name true (gap > two_pi -. 1e-9))
+    [
+      ("ulp-apart pair: max_gap", Geom.Dirset.max_gap dirs);
+      ( "ulp-apart pair: max_gap_sorted",
+        Geom.Dirset.max_gap_sorted (Array.of_list dirs) 2 );
+      ("ulp-apart pair: max_gap_ba", Geom.Dirset.max_gap_ba ba 2);
+    ]
 
 let test_covers_circle_gap_duality () =
   let dirs = [ 0.; 2.; 4. ] in

@@ -175,18 +175,29 @@ let discovery_eq (a : Cbtc.Discovery.t) (b : Cbtc.Discovery.t) =
   && Array.for_all2 (List.equal neighbor_eq) a.neighbors b.neighbors
   && a.power = b.power && a.boundary = b.boundary
 
+(* The spec's grid probe against its own full scan, without an env and
+   under a non-trivial one (whose probe radius is the inflated
+   [Env.max_reach]): the grid only decides which pairs are examined. *)
 let prop_candidates_identical =
-  QCheck.Test.make ~count:100 ~name:"Geo.candidates: grid = brute, bit-exact"
-    (QCheck.make positions_gen)
-    (fun positions ->
+  QCheck.Test.make ~count:100
+    ~name:"Spec_geo.candidates: grid = scan, bit-exact (no env / sigma > 0)"
+    (QCheck.make
+       QCheck.Gen.(
+         positions_gen >>= fun positions ->
+         Gen_common.env_gen pl (Array.length positions) >|= fun env ->
+         (positions, env)))
+    (fun (positions, env) ->
       let grid =
         Geom.Grid.create ~range:(Radio.Pathloss.max_range pl) positions
       in
       let ok = ref true in
       for u = 0 to Array.length positions - 1 do
-        let g = Cbtc.Geo.candidates ~grid pl positions u in
-        let b = Cbtc.Geo.Brute.candidates pl positions u in
-        if not (List.equal neighbor_eq g b) then ok := false
+        List.iter
+          (fun env ->
+            let g = Spec_geo.candidates ~grid ?env pl positions u in
+            let b = Spec_geo.candidates ?env pl positions u in
+            if not (List.equal neighbor_eq g b) then ok := false)
+          [ None; Some env ]
       done;
       !ok)
 
