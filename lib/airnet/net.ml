@@ -14,10 +14,10 @@ type fault = Crashed of int | Recovered of int
 type 'msg t = {
   sim : Dsim.Sim.t;
   pathloss : Radio.Pathloss.t;
-  (* Non-trivial propagation environment, or [None] for the pure
-     pathloss model (a trivial env is collapsed to [None] at [create],
-     so the sigma = 0 pipeline is bit-identical to the pre-env one). *)
-  env : Radio.Env.t option;
+  (* Propagation environment: every reachability test, probe radius and
+     rx power goes through it.  Without [?env] at [create] it is the
+     trivial one, bit-identical to the pure pathloss model. *)
+  env : Radio.Env.t;
   channel : Dsim.Channel.t;
   prng : Prng.t;
   positions : Geom.Vec2.t array;
@@ -44,7 +44,7 @@ type 'msg t = {
 let create ?(obs = Obs.Recorder.nil) ?env ~sim ~pathloss ~channel ~prng
     ~positions () =
   let n = Array.length positions in
-  let env = Radio.Env.effective env in
+  let env = Radio.Env.resolve ?env pathloss in
   {
     sim;
     pathloss;
@@ -174,11 +174,8 @@ let deliver_to t ~src ~dst ~power payload =
   else begin
     let dist = distance t src dst in
     let rx_power =
-      match t.env with
-      | Some env ->
-          Radio.Env.rx_power env ~tx_power:power ~u:src ~v:dst
-            ~pu:t.positions.(src) ~pv:t.positions.(dst) ~dist
-      | None -> Radio.Pathloss.rx_power t.pathloss ~tx_power:power ~dist
+      Radio.Env.rx_power t.env ~tx_power:power ~u:src ~v:dst
+        ~pu:t.positions.(src) ~pv:t.positions.(dst) ~dist
     in
     let rx_dir =
       Geom.Vec2.direction ~from:t.positions.(dst) ~toward:t.positions.(src)
@@ -199,6 +196,10 @@ let deliver_to t ~src ~dst ~power payload =
     if copies = 0 then drop t dst
   end
 
+let reaches t ~power ~src ~dst =
+  Radio.Env.reaches t.env ~power ~u:src ~v:dst ~pu:t.positions.(src)
+    ~pv:t.positions.(dst) ~dist:(distance t src dst)
+
 let radiate t ~src ~power =
   t.transmissions <- t.transmissions + 1;
   Obs.Recorder.incr t.obs "net.transmissions";
@@ -214,26 +215,12 @@ let bcast t ~src ~power msg =
   if not t.alive.(src) then 0
   else begin
     radiate t ~src ~power;
-    let reach =
-      match t.env with
-      | Some env -> Radio.Env.probe_radius env ~power
-      | None -> Radio.Pathloss.reach_distance t.pathloss ~power
-    in
+    let reach = Radio.Env.probe_radius t.env ~power in
     let audience =
       Geom.Grid.fold_in_range t.grid t.positions.(src) ~dist:reach ~init:[]
         ~f:(fun acc dst ->
-          if
-            dst <> src && t.alive.(dst)
-            &&
-            match t.env with
-            | Some env ->
-                Radio.Env.reaches env ~power ~u:src ~v:dst
-                  ~pu:t.positions.(src) ~pv:t.positions.(dst)
-                  ~dist:(distance t src dst)
-            | None ->
-                Radio.Pathloss.reaches t.pathloss ~power
-                  ~dist:(distance t src dst)
-          then dst :: acc
+          if dst <> src && t.alive.(dst) && reaches t ~power ~src ~dst then
+            dst :: acc
           else acc)
     in
     let audience = List.sort Int.compare audience in
@@ -249,16 +236,7 @@ let send t ~src ~dst ~power msg =
   if not t.alive.(src) then false
   else begin
     radiate t ~src ~power;
-    if
-      t.alive.(dst)
-      &&
-      match t.env with
-      | Some env ->
-          Radio.Env.reaches env ~power ~u:src ~v:dst ~pu:t.positions.(src)
-            ~pv:t.positions.(dst) ~dist:(distance t src dst)
-      | None ->
-          Radio.Pathloss.reaches t.pathloss ~power ~dist:(distance t src dst)
-    then begin
+    if t.alive.(dst) && reaches t ~power ~src ~dst then begin
       deliver_to t ~src ~dst ~power msg;
       true
     end

@@ -46,8 +46,10 @@ type 'msg handler = 'msg recv -> unit
     link power (audience prefilters probe the sigma-aware inflated
     radius), and [rx_power] carries the environment's excess loss, so
     receivers estimating link powers from it recover the {e realized}
-    link power.  A trivial or omitted [env] is bit-identical to the
-    pure pathloss model. *)
+    link power.  [?env] is resolved once here ([Radio.Env.resolve]); an
+    omitted one is the trivial env, bit-identical to the pure pathloss
+    model.
+    @raise Invalid_argument when [env] was built over another pathloss. *)
 val create :
   ?obs:Obs.Recorder.t ->
   ?env:Radio.Env.t ->

@@ -1,22 +1,13 @@
-let in_range pathloss positions u v =
-  Radio.Pathloss.in_range pathloss
-    ~dist:(Geom.Vec2.dist positions.(u) positions.(v))
-
-(* Non-trivial environments swap the membership predicate (env link
-   power against the max-power cap) and inflate the grid probe radius
-   to the env's sigma-aware [max_reach]; a trivial/absent env
-   ([Radio.Env.effective] gives [None]) keeps the pre-env spellings bit
-   for bit. *)
-let env_in_range env positions u v =
+(* The one G_R link test: [u -- v] is an edge of [G_R^env] when the env
+   link power fits the maximum power.  Every builder below resolves its
+   [?env] once ([Radio.Env.resolve]); without one it runs under the
+   trivial env, whose link power is the pathloss's bit for bit. *)
+let in_range env positions u v =
   let pu = positions.(u) and pv = positions.(v) in
   Radio.Env.in_range env ~u ~v ~pu ~pv ~dist:(Geom.Vec2.dist pu pv)
 
 let make_grid pathloss positions =
   Geom.Grid.create ~range:(Radio.Pathloss.max_range pathloss) positions
-
-let max_reach pathloss =
-  Radio.Pathloss.reach_distance pathloss
-    ~power:(Radio.Pathloss.max_power pathloss)
 
 (* Chunked parallel-for over node indices (inline without a pool).  Every
    builder below computes a per-node list into its own slot of a
@@ -28,32 +19,26 @@ let for_nodes ?pool n body =
   | Some pool -> Parallel.Pool.iter_chunks pool n body
   | None -> body 0 n
 
-(* [G_R] edges via the spatial index: probe each node's neighborhood and
-   keep [v > u] so every pair is examined once, as the brute-force
-   triangular loop does. *)
-let filter_gr ?pool ?grid ?env pathloss positions ~keep =
-  let env = Radio.Env.effective env in
+(* [G_R] edges via the spatial index: probe each node's neighborhood
+   (the env's probe radius bounds the support of [in_range]) and keep
+   [v > u] so every pair is examined once, as the triangular scan of
+   [scan_gr] does. *)
+let filter_gr ?pool ?grid env positions ~keep =
   let n = Array.length positions in
   let grid =
-    match grid with Some g -> g | None -> make_grid pathloss positions
+    match grid with
+    | Some g -> g
+    | None -> make_grid (Radio.Env.pathloss env) positions
   in
-  let reach =
-    match env with
-    | Some env -> Radio.Env.max_reach env
-    | None -> max_reach pathloss
-  in
-  let member u v =
-    match env with
-    | Some env -> env_in_range env positions u v
-    | None -> in_range pathloss positions u v
-  in
+  let reach = Radio.Env.max_reach env in
   let nbrs = Array.make n [] in
   for_nodes ?pool n (fun lo hi ->
       for u = lo to hi - 1 do
         nbrs.(u) <-
           Geom.Grid.fold_in_range grid positions.(u) ~dist:reach ~init:[]
             ~f:(fun acc v ->
-              if v > u && member u v && keep u v then v :: acc else acc)
+              if v > u && in_range env positions u v && keep u v then v :: acc
+              else acc)
       done);
   let g = Graphkit.Ugraph.create n in
   Array.iteri
@@ -61,22 +46,43 @@ let filter_gr ?pool ?grid ?env pathloss positions ~keep =
     nbrs;
   g
 
-let brute_max_power pathloss positions =
+(* The brute-force counterpart of [filter_gr]: the triangular pair scan. *)
+let scan_gr env positions ~keep =
   let n = Array.length positions in
   let g = Graphkit.Ugraph.create n in
   for u = 0 to n - 1 do
     for v = u + 1 to n - 1 do
-      if in_range pathloss positions u v then Graphkit.Ugraph.add_edge g u v
+      if in_range env positions u v && keep u v then
+        Graphkit.Ugraph.add_edge g u v
     done
   done;
   g
 
+let all _ _ = true
+
 let max_power ?pool ?(cutoff = Geom.Grid.default_brute_cutoff) ?env pathloss
     positions =
-  match (Radio.Env.effective env, pool) with
-  | None, None when Array.length positions < cutoff ->
-      brute_max_power pathloss positions
-  | env, pool -> filter_gr ?pool ?env pathloss positions ~keep:(fun _ _ -> true)
+  let env = Radio.Env.resolve ?env pathloss in
+  match pool with
+  | None when Array.length positions < cutoff -> scan_gr env positions ~keep:all
+  | pool -> filter_gr ?pool env positions ~keep:all
+
+let max_power_partition ?env ~alive pathloss positions =
+  let env = Radio.Env.resolve ?env pathloss in
+  let n = Array.length positions in
+  if Array.length alive <> n then
+    invalid_arg
+      "Proximity.max_power_partition: alive/positions length mismatch";
+  let grid = make_grid pathloss positions in
+  let reach = Radio.Env.max_reach env in
+  let uf = Graphkit.Unionfind.create n in
+  for u = 0 to n - 1 do
+    if alive.(u) then
+      Geom.Grid.iter_in_range grid positions.(u) ~dist:reach (fun v ->
+          if v > u && alive.(v) && in_range env positions u v then
+            ignore (Graphkit.Unionfind.union uf u v : bool))
+  done;
+  Graphkit.Unionfind.labels uf
 
 let rng ?pool ?env pathloss positions =
   let grid = make_grid pathloss positions in
@@ -89,7 +95,7 @@ let rng ?pool ?env pathloss positions =
       (Geom.Grid.exists_in_range grid positions.(u) ~dist:duv (fun w ->
            w <> u && w <> v && Float.max (dist u w) (dist v w) < duv))
   in
-  filter_gr ?pool ~grid ?env pathloss positions ~keep
+  filter_gr ?pool ~grid (Radio.Env.resolve ?env pathloss) positions ~keep
 
 let gabriel ?pool ?env pathloss positions =
   let grid = make_grid pathloss positions in
@@ -102,7 +108,7 @@ let gabriel ?pool ?env pathloss positions =
          ~dist:(Float.sqrt d2uv)
          (fun w -> w <> u && w <> v && dist2 u w +. dist2 v w < d2uv))
   in
-  filter_gr ?pool ~grid ?env pathloss positions ~keep
+  filter_gr ?pool ~grid (Radio.Env.resolve ?env pathloss) positions ~keep
 
 let euclidean_mst ?env pathloss positions =
   let gr = max_power ?env pathloss positions in
@@ -111,26 +117,17 @@ let euclidean_mst ?env pathloss positions =
 
 let knn ?pool ?env pathloss positions ~k =
   if k <= 0 then invalid_arg "Proximity.knn: non-positive k";
-  let env = Radio.Env.effective env in
+  let env = Radio.Env.resolve ?env pathloss in
   let n = Array.length positions in
   let grid = make_grid pathloss positions in
-  let reach =
-    match env with
-    | Some env -> Radio.Env.max_reach env
-    | None -> max_reach pathloss
-  in
-  let member u v =
-    match env with
-    | Some env -> env_in_range env positions u v
-    | None -> in_range pathloss positions u v
-  in
+  let reach = Radio.Env.max_reach env in
   let chosen = Array.make n [] in
   for_nodes ?pool n (fun lo hi ->
       for u = lo to hi - 1 do
         let in_reach =
           Geom.Grid.fold_in_range grid positions.(u) ~dist:reach ~init:[]
             ~f:(fun acc v ->
-              if v <> u && member u v then
+              if v <> u && in_range env positions u v then
                 (Geom.Vec2.dist positions.(u) positions.(v), v) :: acc
               else acc)
         in
@@ -158,17 +155,9 @@ let radius_of ?(full_power = false) pathloss positions g =
 
 module Brute = struct
   let filter_gr pathloss positions ~keep =
-    let n = Array.length positions in
-    let g = Graphkit.Ugraph.create n in
-    for u = 0 to n - 1 do
-      for v = u + 1 to n - 1 do
-        if in_range pathloss positions u v && keep u v then
-          Graphkit.Ugraph.add_edge g u v
-      done
-    done;
-    g
+    scan_gr (Radio.Env.trivial pathloss) positions ~keep
 
-  let max_power = brute_max_power
+  let max_power pathloss positions = filter_gr pathloss positions ~keep:all
 
   let rng pathloss positions =
     let n = Array.length positions in
@@ -202,12 +191,13 @@ module Brute = struct
 
   let knn pathloss positions ~k =
     if k <= 0 then invalid_arg "Proximity.knn: non-positive k";
+    let env = Radio.Env.trivial pathloss in
     let n = Array.length positions in
     let g = Graphkit.Ugraph.create n in
     for u = 0 to n - 1 do
       let in_reach = ref [] in
       for v = 0 to n - 1 do
-        if v <> u && in_range pathloss positions u v then
+        if v <> u && in_range env positions u v then
           in_reach :=
             (Geom.Vec2.dist positions.(u) positions.(v), v) :: !in_reach
       done;

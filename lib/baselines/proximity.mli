@@ -19,22 +19,38 @@
     adjacency yields a graph bit-identical to the sequential pass for
     any pool size.
 
-    All builders accept [?env] ({!Radio.Env}): with a non-trivial
-    environment the underlying edge set becomes [G_R^env] (grid probes
-    use the sigma-aware inflated radius, the exact env link-power
-    predicate decides membership) while the geometric witness criteria
-    (lune, diametral circle, nearest-k) stay distance-based.  Omitted
-    or trivial, the pre-env code path runs bit-identically. *)
+    All builders accept [?env] ({!Radio.Env}), resolved once with
+    [Radio.Env.resolve] (absent = [Radio.Env.trivial pathloss]): the
+    underlying edge set is [G_R^env] (grid probes use the env's probe
+    radius, its link power decides membership) while the geometric
+    witness criteria (lune, diametral circle, nearest-k) stay
+    distance-based.  Under the trivial env [G_R^env] is [G_R], bit for
+    bit.
+    @raise Invalid_argument when [env] was built over another pathloss. *)
 
-(** [max_power ?pool ?cutoff pathloss positions] is [G_R].  Below
-    [cutoff] nodes (default [Geom.Grid.default_brute_cutoff]) and
-    without a pool, the brute triangular scan is used — faster at small
-    [n], identical output.  [~cutoff:0] forces the grid path. *)
+(** [max_power ?pool ?cutoff pathloss positions] is [G_R] (or
+    [G_R^env]) — the library's one G_R builder; [Cbtc.Geo.max_power_graph]
+    is this function.  Below [cutoff] nodes (default
+    [Geom.Grid.default_brute_cutoff]) and without a pool, the brute
+    triangular scan is used — faster at small [n], identical output.
+    [~cutoff:0] forces the grid path. *)
 val max_power :
   ?pool:Parallel.Pool.t ->
   ?cutoff:int ->
   ?env:Radio.Env.t ->
   Radio.Pathloss.t -> Geom.Vec2.t array -> Graphkit.Ugraph.t
+
+(** [max_power_partition ?env ~alive pathloss positions] is the
+    component partition of {!max_power}'s graph restricted to the nodes
+    with [alive.(u)], as {!Graphkit.Unionfind.labels}: dead nodes are
+    singletons.  Same grid probe and link test as {!max_power}, but
+    each admitted pair goes to a union-find instead of a graph.
+    @raise Invalid_argument when [alive] and [positions] differ in
+    length. *)
+val max_power_partition :
+  ?env:Radio.Env.t ->
+  alive:bool array ->
+  Radio.Pathloss.t -> Geom.Vec2.t array -> int array
 
 (** [rng ?pool pathloss positions]: keep [(u,v)] of [G_R] unless some
     witness [w] satisfies [max(d(u,w), d(v,w)) < d(u,v)] (lune

@@ -1,7 +1,6 @@
 let smecn ?env (energy : Radio.Energy.t) positions =
-  let env = Radio.Env.effective env in
+  let env = Radio.Env.resolve ?env energy.Radio.Energy.pathloss in
   let n = Array.length positions in
-  let pathloss = energy.Radio.Energy.pathloss in
   let cost u v =
     Radio.Energy.link_cost energy (Geom.Vec2.dist positions.(u) positions.(v))
   in
@@ -9,14 +8,9 @@ let smecn ?env (energy : Radio.Energy.t) positions =
   for u = 0 to n - 1 do
     for v = u + 1 to n - 1 do
       let dist = Geom.Vec2.dist positions.(u) positions.(v) in
-      let member =
-        match env with
-        | Some env ->
-            Radio.Env.in_range env ~u ~v ~pu:positions.(u) ~pv:positions.(v)
-              ~dist
-        | None -> Radio.Pathloss.in_range pathloss ~dist
-      in
-      if member then begin
+      if
+        Radio.Env.in_range env ~u ~v ~pu:positions.(u) ~pv:positions.(v) ~dist
+      then begin
         let direct = cost u v in
         let blocked = ref false in
         for w = 0 to n - 1 do

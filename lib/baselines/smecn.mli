@@ -11,7 +11,7 @@
     contrasts with CBTC's per-node power minimization. *)
 
 (** [smecn ?env energy positions] builds the minimum-energy subgraph of
-    [G_R] — of [G_R^env] with a non-trivial [?env] ({!Radio.Env}); the
+    [G_R] — of [G_R^env] with [?env] ({!Radio.Env}); the
     relay-cost witness stays under the distance-based energy model. *)
 val smecn :
   ?env:Radio.Env.t -> Radio.Energy.t -> Geom.Vec2.t array -> Graphkit.Ugraph.t

@@ -3,19 +3,15 @@ let yao_out_degree_bound ~k = k
 (* Per-sector selection for one node over a candidate id list.  Ties on
    distance keep the lowest-id node: candidates are examined in
    increasing id, matching the brute-force scan's order. *)
-let select_sectors ?env pathloss positions u ~k ~sector_width best candidates =
+let select_sectors env positions u ~k ~sector_width best candidates =
   List.iter
     (fun v ->
       if v <> u then begin
         let dist = Geom.Vec2.dist positions.(u) positions.(v) in
-        let member =
-          match env with
-          | Some env ->
-              Radio.Env.in_range env ~u ~v ~pu:positions.(u)
-                ~pv:positions.(v) ~dist
-          | None -> Radio.Pathloss.in_range pathloss ~dist
-        in
-        if member then begin
+        if
+          Radio.Env.in_range env ~u ~v ~pu:positions.(u) ~pv:positions.(v)
+            ~dist
+        then begin
           let dir =
             Geom.Vec2.direction ~from:positions.(u) ~toward:positions.(v)
           in
@@ -29,7 +25,7 @@ let select_sectors ?env pathloss positions u ~k ~sector_width best candidates =
       end)
     candidates
 
-let build ?pool ?env pathloss positions ~k ~candidates_of =
+let build ?pool env positions ~k ~candidates_of =
   if k < 3 then invalid_arg "Yao.yao: k < 3";
   let n = Array.length positions in
   let sector_width = Geom.Angle.two_pi /. Stdlib.float_of_int k in
@@ -40,7 +36,7 @@ let build ?pool ?env pathloss positions ~k ~candidates_of =
   let body lo hi =
     for u = lo to hi - 1 do
       let best = Array.make k None in
-      select_sectors ?env pathloss positions u ~k ~sector_width best
+      select_sectors env positions u ~k ~sector_width best
         (candidates_of u);
       selected.(u) <-
         Array.fold_left
@@ -59,24 +55,18 @@ let build ?pool ?env pathloss positions ~k ~candidates_of =
 
 let yao ?pool ?(cutoff = Geom.Grid.default_brute_cutoff) ?env pathloss
     positions ~k =
-  let env = Radio.Env.effective env in
+  let env = Radio.Env.resolve ?env pathloss in
   let n = Array.length positions in
   let inline = match pool with None -> true | Some _ -> false in
   if n < cutoff && inline then
     let all = List.init n Fun.id in
-    build ?env pathloss positions ~k ~candidates_of:(fun _ -> all)
+    build env positions ~k ~candidates_of:(fun _ -> all)
   else begin
     let grid =
       Geom.Grid.create ~range:(Radio.Pathloss.max_range pathloss) positions
     in
-    let reach =
-      match env with
-      | Some env -> Radio.Env.max_reach env
-      | None ->
-          Radio.Pathloss.reach_distance pathloss
-            ~power:(Radio.Pathloss.max_power pathloss)
-    in
-    build ?pool ?env pathloss positions ~k ~candidates_of:(fun u ->
+    let reach = Radio.Env.max_reach env in
+    build ?pool env positions ~k ~candidates_of:(fun u ->
         List.sort Int.compare
           (Geom.Grid.fold_in_range grid positions.(u) ~dist:reach ~init:[]
              ~f:(fun acc v -> if v = u then acc else v :: acc)))
@@ -85,5 +75,6 @@ let yao ?pool ?(cutoff = Geom.Grid.default_brute_cutoff) ?env pathloss
 module Brute = struct
   let yao pathloss positions ~k =
     let all = List.init (Array.length positions) Fun.id in
-    build pathloss positions ~k ~candidates_of:(fun _ -> all)
+    build (Radio.Env.trivial pathloss) positions ~k
+      ~candidates_of:(fun _ -> all)
 end

@@ -17,9 +17,10 @@
     at small [n] and yields the identical graph; [~cutoff:0] forces the
     grid path.  With [?pool] the per-node sector selections run chunked
     over the pool (bit-identical output for any pool size).
-    With a non-trivial [?env] ({!Radio.Env}) the graph is restricted to
-    [G_R^env] edges instead (nearest-in-sector stays distance-ordered).
-    @raise Invalid_argument when [k < 3]. *)
+    With [?env] ({!Radio.Env}) the graph is restricted to [G_R^env]
+    edges instead (nearest-in-sector stays distance-ordered).
+    @raise Invalid_argument when [k < 3], or when [env] was built over
+    another pathloss. *)
 val yao :
   ?pool:Parallel.Pool.t ->
   ?cutoff:int ->

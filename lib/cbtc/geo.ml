@@ -2,10 +2,6 @@ let check_node positions u =
   if u < 0 || u >= Array.length positions then
     invalid_arg "Geo.grow_into: node out of range"
 
-let max_reach pathloss =
-  Radio.Pathloss.reach_distance pathloss
-    ~power:(Radio.Pathloss.max_power pathloss)
-
 let make_grid pathloss positions =
   Geom.Grid.create ~range:(Radio.Pathloss.max_range pathloss) positions
 
@@ -19,108 +15,10 @@ let for_nodes ?pool ?chunk n body =
   | Some pool -> Parallel.Pool.iter_chunks pool ?chunk n body
   | None -> if n > 0 then body 0 n
 
-let brute_max_power_graph pathloss positions =
-  let n = Array.length positions in
-  let g = Graphkit.Ugraph.create n in
-  for u = 0 to n - 1 do
-    for v = u + 1 to n - 1 do
-      let dist = Geom.Vec2.dist positions.(u) positions.(v) in
-      if Radio.Pathloss.in_range pathloss ~dist then
-        Graphkit.Ugraph.add_edge g u v
-    done
-  done;
-  g
-
-(* G_R^env: edges are pairs whose env link power fits the maximum
-   power — the realized reachability graph guarantees are stated
-   against when an environment is in play. *)
-let env_in_range env positions u v =
-  let pu = positions.(u) and pv = positions.(v) in
-  let dist = Geom.Vec2.dist pu pv in
-  Radio.Env.in_range env ~u ~v ~pu ~pv ~dist
-
-let brute_max_power_graph_env env positions =
-  let n = Array.length positions in
-  let g = Graphkit.Ugraph.create n in
-  for u = 0 to n - 1 do
-    for v = u + 1 to n - 1 do
-      if env_in_range env positions u v then Graphkit.Ugraph.add_edge g u v
-    done
-  done;
-  g
-
-let max_power_graph ?pool ?(cutoff = Geom.Grid.default_brute_cutoff) ?env
-    pathloss positions =
-  let env = Radio.Env.effective env in
-  let n = Array.length positions in
-  let inline = match pool with None -> true | Some _ -> false in
-  if n < cutoff && inline then
-    match env with
-    | Some env -> brute_max_power_graph_env env positions
-    | None -> brute_max_power_graph pathloss positions
-  else begin
-    let grid = make_grid pathloss positions in
-    let reach =
-      match env with
-      | Some env -> Radio.Env.max_reach env
-      | None -> max_reach pathloss
-    in
-    (* per-node upper adjacency, then a sequential merge: adjacency sets
-       make insertion order irrelevant, and the per-u lists are written
-       to disjoint slots, so grid, pool and brute paths all build equal
-       graphs *)
-    let nbrs = Array.make n [] in
-    for_nodes ?pool n (fun lo hi ->
-        for u = lo to hi - 1 do
-          nbrs.(u) <-
-            Geom.Grid.fold_in_range grid positions.(u) ~dist:reach ~init:[]
-              ~f:(fun acc v ->
-                if
-                  v > u
-                  &&
-                  match env with
-                  | Some env -> env_in_range env positions u v
-                  | None ->
-                      Radio.Pathloss.in_range pathloss
-                        ~dist:(Geom.Vec2.dist positions.(u) positions.(v))
-                then v :: acc
-                else acc)
-        done);
-    let g = Graphkit.Ugraph.create n in
-    Array.iteri
-      (fun u vs -> List.iter (fun v -> Graphkit.Ugraph.add_edge g u v) vs)
-      nbrs;
-    g
-  end
-
-(* The grid probe and pair predicate of [max_power_graph], but each
-   admitted pair goes straight into a union-find: no adjacency sets and
-   no per-node lists, only the forest and the label array. *)
-let max_power_partition ?env ~alive pathloss positions =
-  let env = Radio.Env.effective env in
-  let n = Array.length positions in
-  if Array.length alive <> n then
-    invalid_arg "Geo.max_power_partition: alive/positions length mismatch";
-  let grid = make_grid pathloss positions in
-  let reach =
-    match env with
-    | Some env -> Radio.Env.max_reach env
-    | None -> max_reach pathloss
-  in
-  let uf = Graphkit.Unionfind.create n in
-  for u = 0 to n - 1 do
-    if alive.(u) then
-      Geom.Grid.iter_in_range grid positions.(u) ~dist:reach (fun v ->
-          if
-            v > u && alive.(v)
-            && (match env with
-               | Some env -> env_in_range env positions u v
-               | None ->
-                   Radio.Pathloss.in_range pathloss
-                     ~dist:(Geom.Vec2.dist positions.(u) positions.(v)))
-          then ignore (Graphkit.Unionfind.union uf u v : bool))
-  done;
-  Graphkit.Unionfind.labels uf
+(* G_R and its survivor partition have one implementation, shared with
+   the max-power baseline. *)
+let max_power_graph = Baselines.Proximity.max_power
+let max_power_partition = Baselines.Proximity.max_power_partition
 
 (* ------------------------------------------------------------------ *)
 (* Struct-of-arrays discovery kernel: the only implementation of the   *)
@@ -190,78 +88,35 @@ let scratch_grow s needed =
   s.sdirs <- grow_f s.sdirs;
   s.cap <- cap
 
-(* [collect u] fills the scratch with u's G_R candidates and returns
-   their count, unsorted.
+(* [collect u] fills the scratch with u's G_R^env candidates and
+   returns their count, unsorted.
 
    This is the innermost loop of the whole pipeline (every grid-probed
    pair passes through it), so without flambda it cannot afford the
-   boxed floats and intermediate records of the [Vec2.dist] /
-   [Pathloss.in_range] / [Vec2.direction] calls the spec makes.
-   The math is inlined with identical operations in identical order —
-   [dist] is [sqrt (dx*dx + dy*dy)] exactly as [Vec2.dist] computes it,
-   and the link test is [Pathloss.reaches] with its cap hoisted
-   ([Pathloss.reach_cap]) — so results stay bit-identical to the
-   spec's candidates (pinned by the differential properties in
-   test/test_grid.ml and test/test_csr.ml).  The [dist <= pre] guard
-   skips the pow call for the ~2/3 of probed candidates outside range:
-   [max_reach] bounds the support of [reaches] from above (the grid
-   probe already relies on that), and the same relative+absolute slack
-   as [Grid.probe_slack] absorbs its last-ulp rounding, so the guard
-   only ever admits extra candidates for the exact test to reject.
-   Directions are NOT computed here: most candidates are never absorbed
-   (growth stops at the first gap-free power), so [grow_scratch]
-   computes each direction on absorption via [norm_dir_between]. *)
-let collect ?grid ?alive pathloss positions s u =
-  check_node positions u;
-  let pc = Radio.Pathloss.coeff pathloss in
-  let pe = Radio.Pathloss.exponent pathloss in
-  let cap = Radio.Pathloss.reach_cap ~power:(Radio.Pathloss.max_power pathloss) in
-  let reach = max_reach pathloss in
-  let pre = (reach *. (1. +. 1e-9)) +. 1e-9 in
-  (* squared so the reject path (most probed candidates) skips the sqrt;
-     an in-range [dist] is within a ~1e-15 relative error of [reach], so
-     its square sits far inside [pre]'s 1e-9 relative slack *)
-  let pre2 = pre *. pre in
-  let pu = positions.(u) in
-  let m = ref 0 in
-  let consider v =
-    if v <> u && (match alive with None -> true | Some a -> a v) then begin
-      let pv = positions.(v) in
-      let dx = pv.Geom.Vec2.x -. pu.Geom.Vec2.x
-      and dy = pv.Geom.Vec2.y -. pu.Geom.Vec2.y in
-      let d2 = (dx *. dx) +. (dy *. dy) in
-      if d2 <= pre2 then begin
-        let dist = sqrt d2 in
-        let link = pc *. (dist ** pe) in
-        if link <= cap then begin
-          let i = !m in
-          if i >= s.cap then scratch_grow s (i + 1);
-          s.cand.(i) <- v;
-          fset s.link i link;
-          m := i + 1
-        end
-      end
-    end
-  in
-  (match grid with
-  | Some grid ->
-      Geom.Grid.iter_in_range grid positions.(u) ~dist:reach consider
-  | None ->
-      for v = 0 to Array.length positions - 1 do
-        consider v
-      done);
-  !m
-
-(* Env counterpart of [collect]: the probe radius is the env's inflated
-   [max_reach] and the exact test is the env link power against the
-   hoisted cap.  Kept separate from [collect] so the hot sigma = 0 path
-   keeps its exact float spellings (and pays no per-candidate env
-   dispatch). *)
-let collect_env ?grid ?alive env positions s u =
+   boxed intermediate records of the [Vec2.dist] / [Vec2.direction]
+   calls the spec makes.  The distance is inlined with identical
+   operations in identical order — [dist] is [sqrt (dx*dx + dy*dy)]
+   exactly as [Vec2.dist] computes it — and the link test is
+   [Env.in_range] with its cap hoisted ([Env.max_link_cap]), so results
+   stay bit-identical to the spec's candidates (pinned by the
+   differential properties in test/test_grid.ml, test/test_csr.ml and
+   test/test_env.ml).  The [dist <= pre] guard skips the link power for
+   the ~2/3 of probed candidates outside range: [Env.max_reach] bounds
+   the support of [in_range] from above (the grid probe already relies
+   on that), and the same relative+absolute slack as [Grid.probe_slack]
+   absorbs its last-ulp rounding, so the guard only ever admits extra
+   candidates for the exact test to reject.  Directions are NOT
+   computed here: most candidates are never absorbed (growth stops at
+   the first gap-free power), so [grow_scratch] computes each direction
+   on absorption via [norm_dir_between]. *)
+let collect ?grid ?alive env positions s u =
   check_node positions u;
   let cap = Radio.Env.max_link_cap env in
   let reach = Radio.Env.max_reach env in
   let pre = (reach *. (1. +. 1e-9)) +. 1e-9 in
+  (* squared so the reject path (most probed candidates) skips the sqrt;
+     an in-range [dist] is within a ~1e-15 relative error of [reach], so
+     its square sits far inside [pre]'s 1e-9 relative slack *)
   let pre2 = pre *. pre in
   let pu = positions.(u) in
   let m = ref 0 in
@@ -449,22 +304,13 @@ let schedule_final = function
   | None -> Float.infinity
   | Some steps -> List.fold_left (fun _ s -> s) Float.infinity steps
 
-(* The one collect dispatch of the kernel.  [env] must already have
-   gone through [Radio.Env.effective], so [None] is the sigma = 0 path
-   with its exact pre-env float spellings. *)
-let collect_any ?grid ?alive ~env pathloss positions s u =
-  match env with
-  | Some env -> collect_env ?grid ?alive env positions s u
-  | None -> collect ?grid ?alive pathloss positions s u
-
 (* One node's discovery: collect + sort + power walk entirely in the
    scratch.  The discovered rows stay resident in the scratch for the
    caller to read through [row_id] & co, so an incremental engine can
    re-grow one node with zero list allocation. *)
 let grow_into ?grid ?alive ?env ~schedule s config pathloss positions u =
   let m =
-    collect_any ?grid ?alive ~env:(Radio.Env.effective env) pathloss
-      positions s u
+    collect ?grid ?alive (Radio.Env.resolve ?env pathloss) positions s u
   in
   let k, power, boundary, _nsteps =
     grow_scratch s ~positions ~u ~alpha:config.Config.alpha
@@ -519,7 +365,7 @@ let rowbuf_append b s k =
    probing the grid. *)
 let run_soa ?pool ?(obs = Obs.Recorder.nil) ?env ~scan config pathloss
     positions =
-  let env = Radio.Env.effective env in
+  let env = Radio.Env.resolve ?env pathloss in
   let n = Array.length positions in
   let grid = if scan then None else Some (make_grid pathloss positions) in
   if Obs.Recorder.enabled obs then
@@ -558,7 +404,7 @@ let run_soa ?pool ?(obs = Obs.Recorder.nil) ?env ~scan config pathloss
       let s = scratch_create () in
       let b = bufs.(lo / chunk) in
       for u = lo to hi - 1 do
-        let m = collect_any ?grid ~env pathloss positions s u in
+        let m = collect ?grid env positions s u in
         let k, pw, bd, ns =
           grow_scratch s ~positions ~u ~alpha ~max_power ~stepped:schedule m
         in
@@ -619,7 +465,7 @@ let run ?pool ?obs ?env config pathloss positions =
   Soa.to_discovery (run_flat ?pool ?obs ?env config pathloss positions)
 
 module Brute = struct
-  let max_power_graph = brute_max_power_graph
+  let max_power_graph = Baselines.Proximity.Brute.max_power
 
   let run config pathloss positions =
     Soa.to_discovery (run_soa ~scan:true config pathloss positions)

@@ -40,13 +40,15 @@
     are folded in node order after the parallel loop, so they are
     identical for every pool size.
 
-    [?env] (here and on every function below) switches discovery to the
-    per-link propagation environment of {!Radio.Env}: grid prefilters
-    probe the sigma-aware inflated [Env.max_reach] radius while the
-    exact env link-power predicate decides membership.  Omitting it, or
-    passing a trivial environment ([Radio.Env.is_trivial]), takes the
-    pre-env code path and is bit-identical to it (pinned by the
-    differential suite in test/test_env.ml). *)
+    [?env] (here and on every function below) is the per-link
+    propagation environment of {!Radio.Env} discovery runs under,
+    resolved once per call ([Radio.Env.resolve]): grid prefilters probe
+    the env's [max_reach] radius while its exact link power decides
+    membership.  Omitting it means the trivial environment, whose link
+    powers and radii are the pure pathloss's bit for bit (pinned against
+    pure-pathloss oracles in test/test_env.ml).
+    @raise Invalid_argument when [env] was built over a pathloss other
+    than [pathloss]. *)
 val run :
   ?pool:Parallel.Pool.t ->
   ?obs:Obs.Recorder.t ->
@@ -132,14 +134,15 @@ val row_dir : scratch -> int -> float
 val row_tag : scratch -> int -> float
 
 (** [max_power_graph ?pool ?cutoff pathloss positions] is [G_R]: the
-    graph induced by every node transmitting at maximum power.
+    graph induced by every node transmitting at maximum power.  It is
+    [Baselines.Proximity.max_power], the library's one G_R builder.
     Grid-accelerated for [n >= cutoff] (default
     [Geom.Grid.default_brute_cutoff]); below that, and with no pool, the
     triangular brute scan is used — it is faster at small [n] and
     produces the identical graph.  [~cutoff:0] forces the grid path
-    (the differential tests pin grid = brute this way).  With a
-    non-trivial [?env] the result is [G_R^env] — the realized
-    reachability graph under the environment. *)
+    (the differential tests pin grid = brute this way).  Under [?env]
+    the result is [G_R^env] — the realized reachability graph under the
+    environment. *)
 val max_power_graph :
   ?pool:Parallel.Pool.t ->
   ?cutoff:int ->
@@ -149,11 +152,11 @@ val max_power_graph :
 (** [max_power_partition ?env ~alive pathloss positions] is the
     component partition of [G_R] (or [G_R^env]) restricted to the nodes
     with [alive.(u)], as {!Graphkit.Unionfind.labels}: dead nodes are
-    singletons.  It runs the grid probe and pair predicate of
-    {!max_power_graph} but feeds each admitted pair to a union-find
-    instead of materialising the graph, so it equals
-    [Graphkit.Traversal.components] of [max_power_graph] with the edges
-    at dead endpoints removed.
+    singletons.  It is [Baselines.Proximity.max_power_partition]: the
+    grid probe and pair predicate of {!max_power_graph}, each admitted
+    pair fed to a union-find instead of materialising the graph, so it
+    equals [Graphkit.Traversal.components] of [max_power_graph] with the
+    edges at dead endpoints removed.
     @raise Invalid_argument when [alive] and [positions] differ in
     length. *)
 val max_power_partition :
@@ -163,9 +166,10 @@ val max_power_partition :
 
 (** Brute-force O(n²) baselines, producing identical results to the
     grid-backed functions above: [max_power_graph] is the triangular
-    pair scan, and [run] is the discovery kernel with every node
-    scanning all positions instead of probing the grid.  Used by the
-    property tests and as the baseline of the [perf] benchmark. *)
+    pair scan ([Baselines.Proximity.Brute.max_power]), and [run] is the
+    discovery kernel with every node scanning all positions instead of
+    probing the grid.  Used by the property tests and as the baseline
+    of the [perf] benchmark. *)
 module Brute : sig
   val max_power_graph :
     Radio.Pathloss.t -> Geom.Vec2.t array -> Graphkit.Ugraph.t

@@ -1,35 +1,24 @@
-(* With a non-trivial environment the guarantees are stated against the
-   realized reachability graph G_R^env: range, reach and minimality are
-   all judged by the env's per-link power instead of the pure
-   distance-monotone pathloss.  A trivial or absent [env] collapses to
-   the exact pre-env predicates, bit for bit. *)
+(* The guarantees are stated against the realized reachability graph
+   G_R^env: range, reach and minimality are all judged by the env's
+   per-link power.  An absent [env] is the trivial one, whose link power
+   is the pure distance-monotone pathloss, bit for bit. *)
 let check ?(obs = Obs.Recorder.nil) ?(complete = false) ?(minimal = false)
     ?env ~alive (d : Discovery.t) =
   Obs.Recorder.span obs "verify" @@ fun () ->
   let n = Discovery.nb_nodes d in
   let alpha = d.config.Config.alpha in
   let pathloss = d.pathloss in
-  let env = Radio.Env.effective env in
+  let env = Radio.Env.resolve ?env pathloss in
   let in_range_uv ~u ~v ~dist =
-    match env with
-    | Some e ->
-        Radio.Env.in_range e ~u ~v ~pu:d.positions.(u) ~pv:d.positions.(v)
-          ~dist
-    | None -> Radio.Pathloss.in_range pathloss ~dist
+    Radio.Env.in_range env ~u ~v ~pu:d.positions.(u) ~pv:d.positions.(v) ~dist
   in
   let reaches_uv ~power ~u ~v ~dist =
-    match env with
-    | Some e ->
-        Radio.Env.reaches e ~power ~u ~v ~pu:d.positions.(u)
-          ~pv:d.positions.(v) ~dist
-    | None -> Radio.Pathloss.reaches pathloss ~power ~dist
+    Radio.Env.reaches env ~power ~u ~v ~pu:d.positions.(u) ~pv:d.positions.(v)
+      ~dist
   in
   let link_power_uv ~u ~v ~dist =
-    match env with
-    | Some e ->
-        Radio.Env.link_power e ~u ~v ~pu:d.positions.(u) ~pv:d.positions.(v)
-          ~dist
-    | None -> Radio.Pathloss.power_for_distance pathloss dist
+    Radio.Env.link_power env ~u ~v ~pu:d.positions.(u) ~pv:d.positions.(v)
+      ~dist
   in
   let max_power = Radio.Pathloss.max_power pathloss in
   let fail fmt = Fmt.kstr failwith fmt in
@@ -105,40 +94,6 @@ let surviving ?complete ?env ~alive (d : Discovery.t) =
     invalid_arg "Verify.surviving: alive array size mismatch";
   check ?complete ~minimal:false ?env ~alive:(fun u -> alive.(u)) d
 
-(* Survivor-induced max-power reachability graph: the fair baseline for
-   post-fault connectivity — edges through crashed nodes are gone for any
-   algorithm. *)
-let reachability_of_survivors ?env (d : Discovery.t) ~alive =
-  let env = Radio.Env.effective env in
-  let n = Discovery.nb_nodes d in
-  let g = Graphkit.Ugraph.create n in
-  for u = 0 to n - 1 do
-    if alive.(u) then
-      for v = u + 1 to n - 1 do
-        if
-          alive.(v)
-          &&
-          match env with
-          | Some e ->
-              Radio.Env.in_range e ~u ~v ~pu:d.positions.(u)
-                ~pv:d.positions.(v)
-                ~dist:(Geom.Vec2.dist d.positions.(u) d.positions.(v))
-          | None ->
-              Radio.Pathloss.in_range d.pathloss
-                ~dist:(Geom.Vec2.dist d.positions.(u) d.positions.(v))
-        then Graphkit.Ugraph.add_edge g u v
-      done
-  done;
-  g
-
-let restrict_to_survivors g ~alive =
-  let n = Graphkit.Ugraph.nb_nodes g in
-  let r = Graphkit.Ugraph.create n in
-  Graphkit.Ugraph.iter_edges
-    (fun u v -> if alive.(u) && alive.(v) then Graphkit.Ugraph.add_edge r u v)
-    g;
-  r
-
 type degradation = {
   survivors : int;
   crashed : int;
@@ -173,12 +128,24 @@ let degradation ?reference ?env (o : Distributed.outcome) =
   Array.iteri
     (fun u a -> if a && d.boundary.(u) then incr boundary_survivors)
     alive;
-  let reference_graph = reachability_of_survivors ?env d ~alive in
-  let closure = restrict_to_survivors (Discovery.closure d) ~alive in
-  (* both graphs hold survivor edges only, so dead nodes are the same
-     singletons in each and the whole partitions can be compared *)
+  (* components of the symmetric closure among survivors: uniting u with
+     every listed neighbor covers both directions of each closure edge *)
+  let closure = Graphkit.Unionfind.create n in
+  for u = 0 to n - 1 do
+    if alive.(u) then
+      List.iter
+        (fun (nb : Neighbor.t) ->
+          if alive.(nb.id) then
+            ignore (Graphkit.Unionfind.union closure u nb.id : bool))
+        d.neighbors.(u)
+  done;
+  (* the fair post-fault baseline is the survivors' G_R partition: edges
+     through crashed nodes are gone for any algorithm.  Both number
+     components by smallest member with dead nodes as singletons, so
+     equal partitions are equal arrays *)
   let connectivity_preserved =
-    Graphkit.Traversal.same_partition reference_graph closure
+    Geo.max_power_partition ?env ~alive d.pathloss d.positions
+    = Graphkit.Unionfind.labels closure
   in
   let s = o.Distributed.stats in
   let attempted = s.Distributed.deliveries + s.Distributed.drops in

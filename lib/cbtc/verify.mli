@@ -22,11 +22,11 @@
       minimal — the neighbors strictly below the final power do not by
       themselves cover the circle for non-boundary nodes.
 
-    With a non-trivial [?env] ({!Radio.Env}) every range/reach/power
-    predicate is judged by the environment's per-link power — the
-    guarantees are restricted to the realized reachability graph
-    [G_R^env].  Omitted or trivial, the pre-env predicates apply
-    bit-identically. *)
+    Every range/reach/power predicate is judged by the per-link power of
+    [?env] ({!Radio.Env}) — the guarantees are restricted to the
+    realized reachability graph [G_R^env].  Omitted, the env is the
+    trivial one, whose predicates are the pure pathloss ones bit for
+    bit. *)
 val run :
   ?obs:Obs.Recorder.t -> ?complete:bool -> ?minimal:bool ->
   ?env:Radio.Env.t -> Discovery.t -> unit

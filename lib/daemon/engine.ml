@@ -61,10 +61,9 @@ let default_watchdog_frac = 1.0
 type t = {
   config : Cbtc.Config.t;
   pathloss : Radio.Pathloss.t;
-  (* non-trivial propagation environment, or [None] for the pure
-     pathloss model (trivial envs are collapsed at [create], so sigma=0
-     streams run the pre-env code bit for bit) *)
-  env : Radio.Env.t option;
+  (* propagation environment, resolved once at [create] (the trivial
+     one without [?env], bit-identical to the pure pathloss model) *)
+  env : Radio.Env.t;
   schedule : Cbtc.Geo.schedule;
   positions : Geom.Vec2.t array;
   alive : bool array;
@@ -76,11 +75,6 @@ type t = {
   boundary : bool array;
   grid : Geom.Grid.t;
   reach : float;  (* conservative probe radius for range R *)
-  (* hoisted path-loss constants, spelled as the kernel spells them so
-     the dirty-propagation link test below is float-identical to the
-     kernel's absorption test *)
-  pl_coeff : float;
-  pl_exponent : float;
   reach_cap : float;  (* candidate admission cap at max power *)
   final_step : float;  (* stepped schedules' drain step; inf for Exact *)
   watchdog_frac : float;
@@ -112,7 +106,7 @@ let grid_health t = Geom.Grid.health t.grid
 let grow_node t s u =
   let alive_fn v = t.alive.(v) in
   let k, p, b =
-    Cbtc.Geo.grow_into ~grid:t.grid ~alive:alive_fn ?env:t.env
+    Cbtc.Geo.grow_into ~grid:t.grid ~alive:alive_fn ~env:t.env
       ~schedule:t.schedule s t.config t.pathloss t.positions u
   in
   let ids = Array.make k 0 in
@@ -180,7 +174,7 @@ let create ?pool ?alive ?env ?(shards = 0) ~watchdog_frac config pathloss
     invalid_arg "Daemon.Engine.create: watchdog_frac must be >= 0";
   if shards < 0 then
     invalid_arg "Daemon.Engine.create: shards must be >= 0";
-  let env = Radio.Env.effective env in
+  let env = Radio.Env.resolve ?env pathloss in
   let n = Array.length positions in
   let alive =
     match alive with
@@ -207,18 +201,9 @@ let create ?pool ?alive ?env ?(shards = 0) ~watchdog_frac config pathloss
       power;
       boundary = Array.make n false;
       grid = Geom.Grid.create ~range:(Radio.Pathloss.max_range pathloss) positions;
-      reach =
-        (* with an env, the probe radius is the sigma-aware inflated
-           one bounding the support of G_R^env *)
-        (match env with
-        | Some env -> Radio.Env.max_reach env
-        | None ->
-            Radio.Pathloss.reach_distance pathloss
-              ~power:(Radio.Pathloss.max_power pathloss));
-      pl_coeff = Radio.Pathloss.coeff pathloss;
-      pl_exponent = Radio.Pathloss.exponent pathloss;
-      reach_cap =
-        Radio.Pathloss.reach_cap ~power:(Radio.Pathloss.max_power pathloss);
+      (* the env's probe radius bounds the support of G_R^env *)
+      reach = Radio.Env.max_reach env;
+      reach_cap = Radio.Env.max_link_cap env;
       final_step = Cbtc.Geo.schedule_final (Cbtc.Geo.schedule_of config pathloss);
       watchdog_frac;
       shards;
@@ -273,28 +258,31 @@ let mark t u =
    but the dirty set is monotone within an epoch, so the induction
    above only ever consults clean nodes' powers). *)
 (* [u] is the disturbed node and [p] the position of its disturbance
-   (old or new); under an env the link power is the env's — computed
-   with the kernel's own spelling (collect_env's sqrt-of-squares dist
-   into [Radio.Env.link_power], whose excess is symmetric in the pair),
-   so the cut stays exact, not tolerance-based, in both models. *)
+   (old or new); the link power is computed with the kernel's own
+   spelling ([Geo.collect]'s sqrt-of-squares dist into
+   [Radio.Env.link_power], whose excess is symmetric in the pair), so
+   the cut stays exact, not tolerance-based. *)
 let mark_around t u p =
-  let pc = t.pl_coeff and pe = t.pl_exponent in
   let px = p.Geom.Vec2.x and py = p.Geom.Vec2.y in
+  (* [Geo.collect]'s guard: past [t.reach] (plus the grid's probe slack)
+     the link power exceeds [t.reach_cap] >= every cut, so the corners
+     of the probed cells skip the link power *)
+  let pre = (t.reach *. (1. +. 1e-9)) +. 1e-9 in
+  let pre2 = pre *. pre in
   Geom.Grid.iter_in_range t.grid p ~dist:t.reach (fun v ->
       if t.alive.(v) && not t.dirty.(v) then begin
         let pv = t.positions.(v) in
         let dx = px -. pv.Geom.Vec2.x and dy = py -. pv.Geom.Vec2.y in
-        let dist = sqrt ((dx *. dx) +. (dy *. dy)) in
-        let link =
-          match t.env with
-          | Some env -> Radio.Env.link_power env ~u ~v ~pu:p ~pv ~dist
-          | None -> pc *. (dist ** pe)
-        in
-        let pw = fget t.power v in
-        let cut =
-          if t.boundary.(v) || pw >= t.final_step then t.reach_cap else pw
-        in
-        if link <= cut then mark t v
+        let d2 = (dx *. dx) +. (dy *. dy) in
+        if d2 <= pre2 then begin
+          let dist = sqrt d2 in
+          let link = Radio.Env.link_power t.env ~u ~v ~pu:p ~pv ~dist in
+          let pw = fget t.power v in
+          let cut =
+            if t.boundary.(v) || pw >= t.final_step then t.reach_cap else pw
+          in
+          if link <= cut then mark t v
+        end
       end)
 
 let clear_node t u =
@@ -451,7 +439,7 @@ let check_full_equivalence ?pool t =
   let check s u =
     if t.alive.(u) then begin
       let k, p, b =
-        Cbtc.Geo.grow_into ~grid ~alive:alive_fn ?env:t.env ~schedule s
+        Cbtc.Geo.grow_into ~grid ~alive:alive_fn ~env:t.env ~schedule s
           t.config t.pathloss t.positions u
       in
       let ids = t.nbr_ids.(u) and data = t.nbr_data.(u) in

@@ -40,12 +40,13 @@ val default_watchdog_frac : float
     [> 1.] = never).  [shards] is the number of spatial shards a
     pooled commit partitions its targets into (0, the default, derives
     one shard per pool chunk); results are bit-identical for every
-    value.  [env] ({!Radio.Env}) switches per-node discovery and the
-    dirty-propagation cut to the per-link propagation environment;
-    trivial environments ([Radio.Env.is_trivial]) are collapsed away,
-    so sigma = 0 runs the pure pathloss code bit for bit.
+    value.  [env] ({!Radio.Env}) is the per-link propagation
+    environment per-node discovery and the dirty-propagation cut run
+    under, resolved once here ([Radio.Env.resolve]); omitted, it is the
+    trivial env, whose link powers are the pure pathloss's bit for bit.
     @raise Invalid_argument on a negative [watchdog_frac] or [shards],
-    or an [alive] mask of the wrong length. *)
+    an [alive] mask of the wrong length, or an [env] built over another
+    pathloss. *)
 val create :
   ?pool:Parallel.Pool.t ->
   ?alive:bool array ->

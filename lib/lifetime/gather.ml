@@ -29,25 +29,21 @@ let induce ~alive positions build =
   Array.iteri (fun local r -> radius.(to_global.(local)) <- r) local_radius;
   { graph; radius }
 
-let relabeled env to_global =
-  match env with
-  | None -> None
-  | Some e ->
-      if Radio.Env.is_trivial e then Some e
-      else Some (Radio.Env.relabel ~labels:to_global e)
+let local_env ?env pathloss to_global =
+  Radio.Env.relabel ~labels:to_global (Radio.Env.resolve ?env pathloss)
 
 let cbtc_builder ?pool ?env plan pathloss ~alive positions =
   induce ~alive positions (fun to_global local ->
       if Array.length local = 0 then (Graphkit.Ugraph.create 0, [||])
       else
-        let env = relabeled env to_global in
-        let r = Cbtc.Pipeline.run_oracle ?pool ?env pathloss local plan in
+        let env = local_env ?env pathloss to_global in
+        let r = Cbtc.Pipeline.run_oracle ?pool ~env pathloss local plan in
         (r.Cbtc.Pipeline.graph, r.Cbtc.Pipeline.radius))
 
 let max_power_builder ?pool ?env pathloss ~alive positions =
   induce ~alive positions (fun to_global local ->
-      let env = relabeled env to_global in
-      let g = Baselines.Proximity.max_power ?pool ?env pathloss local in
+      let env = local_env ?env pathloss to_global in
+      let g = Baselines.Proximity.max_power ?pool ~env pathloss local in
       (g, Array.make (Array.length local) (Radio.Pathloss.max_range pathloss)))
 
 type params = {

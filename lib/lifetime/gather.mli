@@ -30,19 +30,24 @@ type topology_builder = alive:bool array -> Geom.Vec2.t array -> control
     local ids, runs [build to_global local_positions] on the subset, and
     translates the resulting (graph, radius) pair back to global ids —
     dead nodes end up isolated at radius 0.  [to_global] maps local ids
-    back to original ones so env-aware builders can
-    [Radio.Env.relabel] the survivor subset ({!Schedule.family_builder}
-    uses this for every proximity family). *)
+    back to original ones so builders can present the environment under
+    the local ids with {!local_env} ({!Schedule.family_builder} uses
+    this for every proximity family). *)
 val induce :
   alive:bool array ->
   Geom.Vec2.t array ->
   (int array -> Geom.Vec2.t array -> Graphkit.Ugraph.t * float array) ->
   control
 
+(** [local_env ?env pathloss to_global] is [Radio.Env.resolve ?env
+    pathloss] relabeled ([Radio.Env.relabel]) to the local ids of an
+    {!induce} subset: shadowing and heights are keyed by original id, so
+    survivor rebuilds keep the fading of the original links.
+    @raise Invalid_argument when [env] was built over another pathloss. *)
+val local_env : ?env:Radio.Env.t -> Radio.Pathloss.t -> int array -> Radio.Env.t
+
 (** [cbtc_builder plan pathloss] reruns the CBTC pipeline over the live
-    nodes.  A non-trivial [?env] is relabeled to original ids before
-    each rebuild so survivor topologies keep the fading of the original
-    links. *)
+    nodes, under {!local_env} on every rebuild. *)
 val cbtc_builder :
   ?pool:Parallel.Pool.t -> ?env:Radio.Env.t ->
   Cbtc.Pipeline.plan -> Radio.Pathloss.t -> topology_builder

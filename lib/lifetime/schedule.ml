@@ -534,18 +534,15 @@ let family_of_string s =
   | "mst" -> Ok Mst
   | _ -> Error (Fmt.str "unknown topology family %S" s)
 
-let proximity_builder ?pool ?env build pathloss ~alive positions =
+let proximity_builder ?pool ?env
+    (build :
+      ?pool:Parallel.Pool.t -> ?env:Radio.Env.t -> Radio.Pathloss.t ->
+      Geom.Vec2.t array -> Graphkit.Ugraph.t) pathloss ~alive positions =
   Gather.induce ~alive positions (fun to_global local ->
       if Array.length local = 0 then (Graphkit.Ugraph.create 0, [||])
       else begin
-        let env =
-          match env with
-          | None -> None
-          | Some e ->
-              if Radio.Env.is_trivial e then Some e
-              else Some (Radio.Env.relabel ~labels:to_global e)
-        in
-        let g = build ?pool ?env pathloss local in
+        let env = Gather.local_env ?env pathloss to_global in
+        let g = build ?pool ~env pathloss local in
         (g, Baselines.Proximity.radius_of pathloss local g)
       end)
 

@@ -172,9 +172,9 @@ val family_label : family -> string
 val family_of_string : string -> (family, string) result
 
 (** [family_builder family pathloss] rebuilds the family's topology over
-    the survivors on every death.  Non-trivial [?env]s are relabeled to
-    original node ids per rebuild (see {!Gather.induce}), so shadowing
-    stays attached to physical links across survivor subsets. *)
+    the survivors on every death, under {!Gather.local_env} (the env
+    relabeled to original node ids per rebuild), so shadowing stays
+    attached to physical links across survivor subsets. *)
 val family_builder :
   ?pool:Parallel.Pool.t ->
   ?env:Radio.Env.t ->

@@ -23,6 +23,10 @@ type t = {
   (* hoisted for the hot membership test: the largest env link power an
      edge of G_R^env may have *)
   max_link_cap : float;
+  (* [X_uv = 0] for every pair: the link functions skip the excess and
+     its [10 ** 0.] gain, which is exactly [1.], so the shortcut is
+     bit-identical to the general spelling *)
+  trivial : bool;
   (* local-to-original id translation installed by [relabel]; [||] is
      the identity.  Shadowing and heights are keyed by node id, so a
      caller running discovery over a renumbered subset (e.g. the
@@ -67,6 +71,10 @@ let make ?(sigma_db = 0.) ?(shadow_seed = 0) ?clamp_db ?(obstacles = [||])
     heights;
     height_loss_db;
     max_link_cap = Pathloss.reach_cap ~power:(Pathloss.max_power pathloss);
+    trivial =
+      sigma_db = 0.
+      && Array.length obstacles = 0
+      && (height_loss_db = 0. || Array.length heights = 0);
     labels = [||];
   }
 
@@ -85,14 +93,15 @@ let relabel ~labels t =
      relabeled env still resolves to original ids *)
   { t with labels = Array.map (fun l -> node_id t l) labels }
 
-let is_trivial t =
-  t.sigma_db = 0.
-  && Array.length t.obstacles = 0
-  && (t.height_loss_db = 0. || Array.length t.heights = 0)
+let is_trivial t = t.trivial
 
-let effective = function
-  | Some t when not (is_trivial t) -> Some t
-  | _ -> None
+let resolve ?env pathloss =
+  match env with
+  | None -> trivial pathloss
+  | Some t ->
+      if t.pathloss <> pathloss then
+        invalid_arg "Env.resolve: environment built over another pathloss";
+      t
 
 let pathloss t = t.pathloss
 let sigma_db t = t.sigma_db
@@ -184,8 +193,8 @@ let excess_db t ~u ~v ~pu ~pv =
   x +. height_db t ~u ~v
 
 let link_power t ~u ~v ~pu ~pv ~dist =
-  Pathloss.power_for_distance t.pathloss dist
-  *. (10. ** (excess_db t ~u ~v ~pu ~pv /. 10.))
+  let p = Pathloss.power_for_distance t.pathloss dist in
+  if t.trivial then p else p *. (10. ** (excess_db t ~u ~v ~pu ~pv /. 10.))
 
 let reaches t ~power ~u ~v ~pu ~pv ~dist =
   link_power t ~u ~v ~pu ~pv ~dist <= Pathloss.reach_cap ~power
@@ -194,14 +203,16 @@ let in_range t ~u ~v ~pu ~pv ~dist =
   link_power t ~u ~v ~pu ~pv ~dist <= t.max_link_cap
 
 let rx_power t ~tx_power ~u ~v ~pu ~pv ~dist =
-  Pathloss.rx_power t.pathloss ~tx_power ~dist
-  /. (10. ** (excess_db t ~u ~v ~pu ~pv /. 10.))
+  let rx = Pathloss.rx_power t.pathloss ~tx_power ~dist in
+  if t.trivial then rx else rx /. (10. ** (excess_db t ~u ~v ~pu ~pv /. 10.))
 
 (* Shadowing can lower the required link power by at most clamp_db (all
    the other terms only add loss), so every pair [reaches] accepts at
    [power] sits within this radius — the sigma-aware inflation the grid
-   prefilters probe. *)
-let headroom t = 10. ** (t.clamp_db /. 10.)
+   prefilters probe.  Without shadowing nothing lowers it: the factor
+   is exactly [1.], so the probe radius is the pathloss reach bit for
+   bit whatever [clamp_db] says. *)
+let headroom t = if t.sigma_db = 0. then 1. else 10. ** (t.clamp_db /. 10.)
 
 let probe_radius t ~power =
   Pathloss.distance_for_power t.pathloss

@@ -26,11 +26,14 @@
     pure function of (positions, env): symmetric links, deterministic
     across runs and [-j], and safe for the incremental daemon engine.
 
-    With [sigma_db = 0], no obstacles and no height loss, [X = 0] and
-    every predicate below degrades to its {!Pathloss} counterpart;
-    wired call sites additionally branch on {!is_trivial} so the
-    trivial environment is {e bit-identical} to the env-free pipeline
-    (pinned by the differential suite in [test/test_env.ml]). *)
+    An [Env] is the only link model below the library's entry points:
+    each function taking [?env] turns it into an [Env.t] once, with
+    {!resolve}, and every membership test, probe radius, link power and
+    rx power after that goes through this module.  Omitting [?env] means
+    {!trivial}: with [sigma_db = 0], no obstacles and no height loss,
+    [X = 0], the gain [10^(0/10)] is exactly [1.], and every function
+    below equals its {!Pathloss} counterpart {e bit for bit} (pinned
+    against pure-[Pathloss] oracles in [test/test_env.ml]). *)
 
 (** An attenuating disc: any link whose segment crosses it pays
     [loss_db] extra decibels. *)
@@ -79,15 +82,18 @@ val trivial : Pathloss.t -> t
     negative label or a queried id outside [labels]. *)
 val relabel : labels:int array -> t -> t
 
-(** [is_trivial t] holds when [X_uv = 0] for every pair — call sites use
-    it to fall back to the bit-identical {!Pathloss}-only code path. *)
+(** [is_trivial t] holds when [X_uv = 0] for every pair.  The link
+    functions below then skip the excess computation; their results are
+    the same as the general path's either way. *)
 val is_trivial : t -> bool
 
-(** [effective env] is [env] unless it is absent or trivial, then
-    [None].  Wired functions apply it once at entry, so their [None]
-    branch is the env-free code byte for byte and a trivial
-    environment stays bit-identical to passing none. *)
-val effective : t option -> t option
+(** [resolve ?env pathloss] is the environment a function taking
+    [?env] and [pathloss] runs under: [env] itself, or [trivial
+    pathloss] when it is absent.
+    @raise Invalid_argument when [env] was built over a pathloss other
+    than [pathloss] (the grid and the power walk follow the argument,
+    membership the env, so the two must agree). *)
+val resolve : ?env:t -> Pathloss.t -> t
 
 val pathloss : t -> Pathloss.t
 val sigma_db : t -> float
@@ -145,9 +151,10 @@ val rx_power :
   dist:float ->
   float
 
-(** [headroom t] is [10^(clamp_db / 10)]: the largest factor by which
-    the environment can {e lower} a required link power (obstacles and
-    heights only add loss). *)
+(** [headroom t] is the largest factor by which the environment can
+    {e lower} a required link power: [10^(clamp_db / 10)] under
+    shadowing, exactly [1.] when [sigma_db = 0] (obstacles and heights
+    only add loss). *)
 val headroom : t -> float
 
 (** [probe_radius t ~power] bounds the distances {!reaches} accepts at

@@ -59,8 +59,8 @@ let candidates ?grid ?(alive = fun _ -> true) ?env pathloss positions u =
   if u < 0 || u >= Array.length positions then
     invalid_arg "Spec_geo.candidates: node out of range";
   let acc =
-    match Radio.Env.effective env with
-    | Some env -> begin
+    match env with
+    | Some env when not (Radio.Env.is_trivial env) -> begin
         (* the grid probe inflates the radius to the env's headroom
            (shadowing may admit pairs beyond the pathloss reach); the
            exact env predicate decides membership *)
@@ -77,7 +77,7 @@ let candidates ?grid ?(alive = fun _ -> true) ?env pathloss positions u =
             done;
             !acc
       end
-    | None -> (
+    | Some _ | None -> (
         match grid with
         | Some grid ->
             Geom.Grid.fold_in_range grid positions.(u)
@@ -146,3 +146,110 @@ let run ?env config pathloss positions =
   done;
   { Discovery.config; pathloss; positions = Array.copy positions; neighbors;
     power; boundary }
+
+(* ---------- G_R, its partition and the baselines, pure Pathloss ---------- *)
+
+(* The library builds G_R, its survivor partition and every baseline
+   through Radio.Env — the trivial env when none is given.  These
+   triangular scans keep the paper's own test [p(d) <= P] and never
+   touch Radio.Env, so the sigma = 0 properties in test/test_env.ml
+   compare the env path against a spelling independent of it. *)
+
+let in_range pathloss positions u v =
+  Radio.Pathloss.in_range pathloss
+    ~dist:(Geom.Vec2.dist positions.(u) positions.(v))
+
+let filter_gr pathloss positions ~keep =
+  let n = Array.length positions in
+  let g = Graphkit.Ugraph.create n in
+  for u = 0 to n - 1 do
+    for v = u + 1 to n - 1 do
+      if in_range pathloss positions u v && keep u v then
+        Graphkit.Ugraph.add_edge g u v
+    done
+  done;
+  g
+
+let max_power_graph pathloss positions =
+  filter_gr pathloss positions ~keep:(fun _ _ -> true)
+
+(* Components of G_R restricted to [alive], numbered by smallest
+   member: the [Unionfind.labels] convention. *)
+let max_power_partition ~alive pathloss positions =
+  let uf = Graphkit.Unionfind.create (Array.length positions) in
+  Graphkit.Ugraph.iter_edges
+    (fun u v ->
+      if alive.(u) && alive.(v) then
+        ignore (Graphkit.Unionfind.union uf u v : bool))
+    (max_power_graph pathloss positions);
+  Graphkit.Unionfind.labels uf
+
+(* [u -- v] survives unless some third node [w] is a [witness]. *)
+let unwitnessed positions u v ~witness =
+  let blocked = ref false in
+  for w = 0 to Array.length positions - 1 do
+    if w <> u && w <> v && witness w then blocked := true
+  done;
+  not !blocked
+
+let rng pathloss positions =
+  let dist u v = Geom.Vec2.dist positions.(u) positions.(v) in
+  filter_gr pathloss positions ~keep:(fun u v ->
+      unwitnessed positions u v ~witness:(fun w ->
+          Float.max (dist u w) (dist v w) < dist u v))
+
+let gabriel pathloss positions =
+  let dist2 u v = Geom.Vec2.dist2 positions.(u) positions.(v) in
+  filter_gr pathloss positions ~keep:(fun u v ->
+      unwitnessed positions u v ~witness:(fun w ->
+          dist2 u w +. dist2 v w < dist2 u v))
+
+let euclidean_mst pathloss positions =
+  Graphkit.Mst.forest_graph (max_power_graph pathloss positions)
+    ~weight:(fun u v -> Geom.Vec2.dist positions.(u) positions.(v))
+
+let knn pathloss positions ~k =
+  let n = Array.length positions in
+  let g = Graphkit.Ugraph.create n in
+  for u = 0 to n - 1 do
+    List.init n Fun.id
+    |> List.filter (fun v -> v <> u && in_range pathloss positions u v)
+    |> List.map (fun v -> (Geom.Vec2.dist positions.(u) positions.(v), v))
+    |> List.sort Stdlib.compare
+    |> List.iteri (fun i (_, v) -> if i < k then Graphkit.Ugraph.add_edge g u v)
+  done;
+  g
+
+(* Nearest in-range node per sector of width 2pi/k, the lowest id
+   winning distance ties. *)
+let yao pathloss positions ~k =
+  let n = Array.length positions in
+  let width = Geom.Angle.two_pi /. Stdlib.float_of_int k in
+  let g = Graphkit.Ugraph.create n in
+  for u = 0 to n - 1 do
+    let best = Array.make k None in
+    for v = 0 to n - 1 do
+      if v <> u && in_range pathloss positions u v then begin
+        let dist = Geom.Vec2.dist positions.(u) positions.(v) in
+        let dir =
+          Geom.Vec2.direction ~from:positions.(u) ~toward:positions.(v)
+        in
+        let s = Stdlib.min (k - 1) (Stdlib.int_of_float (dir /. width)) in
+        match best.(s) with
+        | Some (d, _) when d <= dist -> ()
+        | Some _ | None -> best.(s) <- Some (dist, v)
+      end
+    done;
+    Array.iter
+      (function Some (_, v) -> Graphkit.Ugraph.add_edge g u v | None -> ())
+      best
+  done;
+  g
+
+let smecn (energy : Radio.Energy.t) positions =
+  let cost u v =
+    Radio.Energy.link_cost energy (Geom.Vec2.dist positions.(u) positions.(v))
+  in
+  filter_gr energy.Radio.Energy.pathloss positions ~keep:(fun u v ->
+      unwitnessed positions u v ~witness:(fun w ->
+          cost u w +. cost w v < cost u v))

@@ -1,14 +1,16 @@
 (* Differential suite for the per-link propagation environment
    (Radio.Env).
 
-   The load-bearing contract is bit-identity: a trivial environment
-   (sigma = 0, no obstacles, no height loss) must take the exact
-   pre-env code path at every wired site — Geo.run / Geo.run_flat, the
-   proximity/Yao/SMECN baselines, and the daemon engine — at every pool
-   size.  On top of that, the shadowing hash itself must be symmetric,
-   deterministic in (shadow_seed, {u, v}), clamped, and the full env
-   link power float-exactly symmetric (including obstacle crossings,
-   whose segment-distance computation is canonicalized by node id). *)
+   The load-bearing contract is bit-identity: under a trivial
+   environment (sigma = 0, no obstacles, no height loss) every wired
+   site — Geo.run / Geo.run_flat, G_R and its partition, the
+   proximity/Yao/SMECN baselines, and the daemon engine — must equal a
+   pure-Pathloss oracle at every pool size, and every Env link function
+   its Pathloss counterpart at the reach boundary.  On top of that, the
+   shadowing hash itself must be symmetric, deterministic in
+   (shadow_seed, {u, v}), clamped, and the full env link power
+   float-exactly symmetric (including obstacle crossings, whose
+   segment-distance computation is canonicalized by node id). *)
 
 let v2 = Geom.Vec2.make
 
@@ -58,7 +60,22 @@ let graph_eq a b =
 
 (* ---------- sigma = 0 bit-identity at every wired site ---------- *)
 
+(* Every wired site runs under Radio.Env, the trivial env when none is
+   given, so "trivial env = no env" is one path compared with itself.
+   The properties below pin that path against oracles that keep the
+   pure-Pathloss spelling instead: Spec_geo.run (whose trivial branch
+   never calls Radio.Env) and the pure pair scans of test/spec_geo.ml.
+   Two trivial envs are exercised: [Env.trivial], and heights without a
+   height-loss coefficient under a clamp with no shadowing to clamp. *)
+
 let trivial_env = Radio.Env.trivial pl
+
+let heights_env =
+  Radio.Env.make ~clamp_db:6.
+    ~heights:(Array.init 64 (fun i -> Stdlib.float_of_int (i mod 7)))
+    pl
+
+let trivial_envs = [ None; Some trivial_env; Some heights_env ]
 
 let prop_trivial_run_identical =
   QCheck.Test.make ~count:80
@@ -66,14 +83,17 @@ let prop_trivial_run_identical =
     (QCheck.make QCheck.Gen.(pair positions_gen growth_gen))
     (fun (positions, growth) ->
       let config = Cbtc.Config.make ~growth alpha56 in
-      let plain = Cbtc.Geo.run config pl positions in
-      discovery_eq plain (Cbtc.Geo.run ~env:trivial_env config pl positions)
-      && List.for_all
-           (fun jobs ->
-             Parallel.Pool.with_pool ~jobs (fun pool ->
-                 discovery_eq plain
-                   (Cbtc.Geo.run ~pool ~env:trivial_env config pl positions)))
-           [ 2; 4 ])
+      let spec = Spec_geo.run config pl positions in
+      List.for_all
+        (fun env ->
+          discovery_eq spec (Cbtc.Geo.run ?env config pl positions)
+          && List.for_all
+               (fun jobs ->
+                 Parallel.Pool.with_pool ~jobs (fun pool ->
+                     discovery_eq spec
+                       (Cbtc.Geo.run ~pool ?env config pl positions)))
+               [ 2; 4 ])
+        trivial_envs)
 
 let prop_trivial_run_flat_identical =
   QCheck.Test.make ~count:80
@@ -81,43 +101,55 @@ let prop_trivial_run_flat_identical =
     (QCheck.make QCheck.Gen.(pair positions_gen growth_gen))
     (fun (positions, growth) ->
       let config = Cbtc.Config.make ~growth alpha56 in
-      soa_eq
-        (Cbtc.Geo.run_flat config pl positions)
-        (Cbtc.Geo.run_flat ~env:trivial_env config pl positions))
+      let spec = Spec_geo.run config pl positions in
+      let plain = Cbtc.Geo.run_flat config pl positions in
+      discovery_eq spec (Cbtc.Soa.to_discovery plain)
+      && List.for_all
+           (fun env ->
+             soa_eq plain (Cbtc.Geo.run_flat ?env config pl positions))
+           trivial_envs)
 
 let prop_trivial_baselines_identical =
   QCheck.Test.make ~count:60
     ~name:"baselines (GR/RNG/Gabriel/MST/kNN/Yao/SMECN): trivial env = no env"
     (QCheck.make positions_gen)
     (fun positions ->
-      let e = trivial_env in
-      graph_eq
-        (Baselines.Proximity.max_power pl positions)
-        (Baselines.Proximity.max_power ~env:e pl positions)
-      && graph_eq
-           (Baselines.Proximity.rng pl positions)
-           (Baselines.Proximity.rng ~env:e pl positions)
-      && graph_eq
-           (Baselines.Proximity.gabriel pl positions)
-           (Baselines.Proximity.gabriel ~env:e pl positions)
-      && graph_eq
-           (Baselines.Proximity.euclidean_mst pl positions)
-           (Baselines.Proximity.euclidean_mst ~env:e pl positions)
-      && graph_eq
-           (Baselines.Proximity.knn pl positions ~k:4)
-           (Baselines.Proximity.knn ~env:e pl positions ~k:4)
-      && graph_eq
-           (Baselines.Yao.yao pl positions ~k:6)
-           (Baselines.Yao.yao ~env:e pl positions ~k:6)
-      &&
+      let alive = Array.mapi (fun u _ -> u mod 3 <> 1) positions in
       let energy = Radio.Energy.make pl in
-      graph_eq
-        (Baselines.Smecn.smecn energy positions)
-        (Baselines.Smecn.smecn ~env:e energy positions))
+      List.for_all
+        (fun env ->
+          graph_eq
+            (Spec_geo.max_power_graph pl positions)
+            (Baselines.Proximity.max_power ?env pl positions)
+          && graph_eq
+               (Spec_geo.max_power_graph pl positions)
+               (Cbtc.Geo.max_power_graph ?env ~cutoff:0 pl positions)
+          && Spec_geo.max_power_partition ~alive pl positions
+             = Cbtc.Geo.max_power_partition ?env ~alive pl positions
+          && graph_eq
+               (Spec_geo.rng pl positions)
+               (Baselines.Proximity.rng ?env pl positions)
+          && graph_eq
+               (Spec_geo.gabriel pl positions)
+               (Baselines.Proximity.gabriel ?env pl positions)
+          && graph_eq
+               (Spec_geo.euclidean_mst pl positions)
+               (Baselines.Proximity.euclidean_mst ?env pl positions)
+          && graph_eq
+               (Spec_geo.knn pl positions ~k:4)
+               (Baselines.Proximity.knn ?env pl positions ~k:4)
+          && graph_eq
+               (Spec_geo.yao pl positions ~k:6)
+               (Baselines.Yao.yao ?env pl positions ~k:6)
+          && graph_eq
+               (Spec_geo.smecn energy positions)
+               (Baselines.Smecn.smecn ?env energy positions))
+        trivial_envs)
 
-(* The daemon engine: a trivial env must leave the digest (full tracked
-   state: positions, liveness, powers, boundary flags, neighbor rows)
-   byte-identical through a little event history, at every pool size. *)
+(* The daemon engine: after a little event history (every node alive
+   again at the end), its tracked discovery must equal the pure spec
+   over the final positions, and the digest (full tracked state) must
+   be the same under every trivial env and pool size. *)
 let prop_trivial_engine_identical =
   QCheck.Test.make ~count:30
     ~name:"daemon engine: trivial env = no env, digest-exact, -j 1/2/4"
@@ -137,21 +169,88 @@ let prop_trivial_engine_identical =
             kind = Daemon.Event.Join (v2 150. 150.) };
         ]
       in
-      let digest ?pool ?env () =
+      let engine ?pool ?env () =
         let eng =
           Daemon.Engine.create ?pool ?env ~watchdog_frac:1. config pl positions
         in
         List.iter (Daemon.Engine.apply eng) events;
         ignore (Daemon.Engine.commit ?pool eng);
-        Daemon.Engine.digest eng
+        eng
       in
-      let plain = digest () in
-      String.equal plain (digest ~env:trivial_env ())
+      let plain = engine () in
+      let final = Array.init n (Daemon.Engine.position plain) in
+      let digest = Daemon.Engine.digest plain in
+      discovery_eq
+        (Spec_geo.run config pl final)
+        (Daemon.Engine.discovery plain)
       && List.for_all
-           (fun jobs ->
-             Parallel.Pool.with_pool ~jobs (fun pool ->
-                 String.equal plain (digest ~pool ~env:trivial_env ())))
-           [ 2; 4 ])
+           (fun env ->
+             String.equal digest (Daemon.Engine.digest (engine ?env ()))
+             && List.for_all
+                  (fun jobs ->
+                    Parallel.Pool.with_pool ~jobs (fun pool ->
+                        String.equal digest
+                          (Daemon.Engine.digest (engine ~pool ?env ()))))
+                  [ 2; 4 ])
+        trivial_envs)
+
+(* At distances within a few ulps of the reach distance — where the
+   membership tests flip — every Env function must return its Pathloss
+   counterpart's float, bit for bit, under both trivial envs. *)
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let rec ulps d k =
+  if k = 0 then d
+  else if k > 0 then ulps (Float.succ d) (k - 1)
+  else ulps (Float.pred d) (k + 1)
+
+let prop_trivial_boundary_bit_exact =
+  QCheck.Test.make ~count:500
+    ~name:"Env at the reach boundary = Pathloss, bit-exact"
+    (QCheck.make
+       QCheck.Gen.(
+         quad
+           (triple (float_range 2. 4.) (float_range 0.5 2.)
+              (float_range 10. 1000.))
+           (float_range 0.01 1.) (int_range (-4) 4)
+           (pair (int_range 0 80) (int_range 0 80))))
+    (fun ((exponent, coeff, max_range), frac, k, (u, v)) ->
+      let pl = Radio.Pathloss.make ~exponent ~coeff ~max_range () in
+      let max_power = Radio.Pathloss.max_power pl in
+      let power = frac *. max_power in
+      let heights = Array.init 64 (fun i -> Stdlib.float_of_int (i mod 7)) in
+      let envs =
+        [ Radio.Env.trivial pl; Radio.Env.make ~clamp_db:6. ~heights pl ]
+      in
+      let dists =
+        [
+          ulps (Radio.Pathloss.reach_distance pl ~power) k;
+          ulps (Radio.Pathloss.reach_distance pl ~power:max_power) k;
+        ]
+      in
+      List.for_all
+        (fun e ->
+          same_bits
+            (Radio.Env.probe_radius e ~power)
+            (Radio.Pathloss.reach_distance pl ~power)
+          && same_bits (Radio.Env.max_reach e)
+               (Radio.Pathloss.reach_distance pl ~power:max_power)
+          && List.for_all
+               (fun dist ->
+                 let pu = v2 0. 0. and pv = v2 dist 0. in
+                 Radio.Env.in_range e ~u ~v ~pu ~pv ~dist
+                 = Radio.Pathloss.in_range pl ~dist
+                 && Radio.Env.reaches e ~power ~u ~v ~pu ~pv ~dist
+                    = Radio.Pathloss.reaches pl ~power ~dist
+                 && same_bits
+                      (Radio.Env.link_power e ~u ~v ~pu ~pv ~dist)
+                      (Radio.Pathloss.power_for_distance pl dist)
+                 && same_bits
+                      (Radio.Env.rx_power e ~tx_power:power ~u ~v ~pu ~pv
+                         ~dist)
+                      (Radio.Pathloss.rx_power pl ~tx_power:power ~dist))
+               dists)
+        envs)
 
 (* ---------- shadowing hash properties ---------- *)
 
@@ -329,6 +428,43 @@ let test_trivial_detection () =
   Alcotest.(check bool) "heights, zero coeff" true
     (Radio.Env.is_trivial (Radio.Env.make ~heights:[| 1.; 2. |] pl))
 
+let test_resolve () =
+  Alcotest.(check bool) "absent = trivial" true
+    (Radio.Env.is_trivial (Radio.Env.resolve pl));
+  let shadowed = Radio.Env.make ~sigma_db:4. pl in
+  Alcotest.(check bool) "matching env passes through" true
+    (Radio.Env.resolve ~env:shadowed pl == shadowed);
+  (* an env over another pathloss is rejected at the entry point, before
+     the grid (built from the argument) and membership (from the env)
+     could disagree *)
+  let other =
+    Radio.Env.make ~sigma_db:4. (Radio.Pathloss.make ~max_range:200. ())
+  in
+  let rejects name f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s: accepted a mismatched env" name
+  in
+  rejects "resolve" (fun () -> ignore (Radio.Env.resolve ~env:other pl));
+  let positions = [| v2 0. 0.; v2 50. 0.; v2 0. 50. |] in
+  rejects "Geo.run" (fun () ->
+      ignore (Cbtc.Geo.run ~env:other (Cbtc.Config.make alpha56) pl positions));
+  rejects "Proximity.max_power" (fun () ->
+      ignore (Baselines.Proximity.max_power ~env:other pl positions))
+
+(* Without shadowing nothing can lower a link power, so a clamp must not
+   inflate the probe radius: it is the pathloss reach, bit for bit. *)
+let test_headroom_without_shadowing () =
+  let e = Radio.Env.make ~clamp_db:6. pl in
+  Alcotest.(check (float 0.)) "headroom" 1. (Radio.Env.headroom e);
+  let reach =
+    Radio.Pathloss.reach_distance pl ~power:(Radio.Pathloss.max_power pl)
+  in
+  Alcotest.(check bool) "max_reach = reach_distance, bit-exact" true
+    (same_bits (Radio.Env.max_reach e) reach);
+  Alcotest.(check bool) "shadowing still inflates" true
+    (Radio.Env.max_reach (Radio.Env.make ~sigma_db:2. pl) > reach)
+
 let test_make_validation () =
   let rejects name f =
     match f () with
@@ -395,6 +531,7 @@ let () =
             prop_trivial_run_flat_identical;
             prop_trivial_baselines_identical;
             prop_trivial_engine_identical;
+            prop_trivial_boundary_bit_exact;
           ] );
       ( "shadowing hash",
         qsuite
@@ -419,5 +556,9 @@ let () =
           Alcotest.test_case "height loss" `Quick test_height_loss;
           Alcotest.test_case "rx-power round-trip" `Quick
             test_rx_power_roundtrip;
+          Alcotest.test_case "resolve rejects a mismatched env" `Quick
+            test_resolve;
+          Alcotest.test_case "headroom without shadowing" `Quick
+            test_headroom_without_shadowing;
         ] );
     ]
