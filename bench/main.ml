@@ -500,7 +500,10 @@ let run_extensions ~seeds =
   in
   let show = function None -> ">end" | Some r -> string_of_int r in
   let run name topology =
-    let o = Lifetime.Gather.run ~params pl positions ~sink:0 ~topology in
+    let o =
+      (Lifetime.Schedule.run ~params pl positions ~sink:0 ~topology)
+        .Lifetime.Schedule.outcome
+    in
     Metrics.Table.add_row table
       [
         name;
@@ -773,7 +776,8 @@ let run_series ~pool ~seeds ~out_dir =
 (* ------------------------------------------------------------------ *)
 
 (* Wall-clock comparison of the Geom.Grid-backed hot paths against the
-   brute-force O(n²) references, at constant density (the field scales
+   brute-force O(n²) references of test/spec_geo.ml (the differential
+   oracles the test suite pins them to), at constant density (the field scales
    with n so the average degree stays at the paper's ~25.6).  Results go
    to stdout and, machine-readable, to <out>/perf.json so successive PRs
    can track the perf trajectory. *)
@@ -825,25 +829,6 @@ type perf_row = {
   peak_rss_kb : int option;  (* process VmHWM after the bench; None off-Linux *)
   alloc_mb : float;  (* Gc.allocated_bytes over one dedicated run *)
 }
-
-let brute_coverage positions ~radius =
-  (* inline reference for Metrics.Interference.coverage; computes the same
-     per-node counts / max / total so both sides do equal work *)
-  let n = Array.length positions in
-  let covered = Array.make n 0 in
-  for u = 0 to n - 1 do
-    if radius.(u) > 0. then begin
-      let c = ref 0 in
-      for v = 0 to n - 1 do
-        if v <> u && Geom.Vec2.dist positions.(u) positions.(v) <= radius.(u)
-        then incr c
-      done;
-      covered.(u) <- !c
-    end
-  done;
-  let max_c = Array.fold_left Stdlib.max 0 covered in
-  let total = Array.fold_left ( + ) 0 covered in
-  (max_c, total)
 
 let perf_json_write path rows =
   let oc = open_out path in
@@ -941,26 +926,26 @@ let run_perf_scaling ~fast ~out_dir =
       let unless_huge f = if huge then None else Some f in
       record "discovery (oracle CBTC 5pi/6)" n ~reps
         ~grid:(fun () -> Cbtc.Geo.run c56 pl positions)
-        ~brute:(unless_huge (fun () -> Cbtc.Geo.Brute.run c56 pl positions));
+        ~brute:(unless_huge (fun () -> Spec_geo.run c56 pl positions));
       record "discovery flat (SoA, no list shim)" n ~reps
         ~grid:(fun () -> Cbtc.Geo.run_flat c56 pl positions)
         ~brute:None;
       record "max-power graph (G_R)" n ~reps
         ~grid:(fun () -> Cbtc.Geo.max_power_graph pl positions)
         ~brute:
-          (unless_huge (fun () -> Cbtc.Geo.Brute.max_power_graph pl positions));
+          (unless_huge (fun () -> Spec_geo.max_power_graph pl positions));
       record "Yao k=6" n ~reps
         ~grid:(fun () -> Baselines.Yao.yao pl positions ~k:6)
-        ~brute:(unless_huge (fun () -> Baselines.Yao.Brute.yao pl positions ~k:6));
+        ~brute:(unless_huge (fun () -> Spec_geo.yao pl positions ~k:6));
       record "RNG baseline" n ~reps
         ~grid:(fun () -> Baselines.Proximity.rng pl positions)
         ~brute:
           (if big then None
-           else Some (fun () -> Baselines.Proximity.Brute.rng pl positions));
+           else Some (fun () -> Spec_geo.rng pl positions));
       let radius = Array.make n (Radio.Pathloss.max_range pl) in
       record "interference coverage" n ~reps
         ~grid:(fun () -> Metrics.Interference.coverage positions ~radius)
-        ~brute:(unless_huge (fun () -> brute_coverage positions ~radius)))
+        ~brute:(unless_huge (fun () -> Spec_geo.coverage positions ~radius)))
     sizes;
   (* n = 1M: discovery only — the feasibility row for one machine.  The
      flat (SoA) pass is the headline; the list-shim run shows what the
@@ -1279,7 +1264,7 @@ let run_shadowing ~pool ~fast ~out_dir =
 
 (* The lifetime study the scheduler exists for: every topology family
    under identical many-to-one load, passive (every node listening,
-   per-round Dijkstra — exactly Gather.run) vs scheduled (the
+   per-round Dijkstra — Lifetime.Schedule.passive) vs scheduled (the
    energy-aware cover-set scheduler of Lifetime.Schedule).  The radio
    is parameterized realistically — listening comparable to receiving —
    because at the library default (rx_overhead = 2000 against
@@ -1299,7 +1284,8 @@ let lifetime_json_write path rows =
          lifetime_rounds is the service-rounds scalar (rounds in which \
          at least half the original non-sink population reaches the \
          sink); first_death is censored at the simulation horizon; \
-         mode = passive is Gather.run (rotation_period = 0), \
+         mode = passive is per-round Dijkstra routing with every node \
+         awake (rotation_period = 0), \
          mode = scheduled is the cover-set scheduler\",\n";
       output_string oc "  \"results\": [\n";
       List.iteri

@@ -42,15 +42,27 @@ let nodes =
     & opt (conv (parse, Fmt.int)) 100
     & info [ "n"; "nodes" ] ~docv:"N" ~doc:"Node count (at least 2).")
 
+(* A finite float > 0 (NaN and infinities are not lengths), printed as
+   cmdliner's own [float] prints it so the usage text is unchanged. *)
+let positive_length ~flag =
+  let parse s =
+    match float_of_string_opt s with
+    | Some v when Float.is_finite v && v > 0. -> Ok v
+    | _ -> Error (`Msg (Fmt.str "%s: %s is not a finite length > 0" flag s))
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.float)
+
 let side =
   Arg.(
-    value & opt float 1500.
-    & info [ "side" ] ~docv:"L" ~doc:"Square field side length.")
+    value
+    & opt (positive_length ~flag:"--side") 1500.
+    & info [ "side" ] ~docv:"L" ~doc:"Square field side length (> 0).")
 
 let range =
   Arg.(
-    value & opt float 500.
-    & info [ "range" ] ~docv:"R" ~doc:"Maximum transmission radius.")
+    value
+    & opt (positive_length ~flag:"--range") 500.
+    & info [ "range" ] ~docv:"R" ~doc:"Maximum transmission radius (> 0).")
 
 let alpha =
   let parse s =
@@ -159,21 +171,26 @@ let obs_out =
   in
   Term.(const (fun t m -> (t, m)) $ trace_out $ metrics_out)
 
-(* Sinks are opened before the run so a bad path fails in milliseconds,
-   not after the whole simulation; trace and summary are still flushed
-   when the run raises. *)
+(* Every output file is opened before the run, so a bad path fails in
+   milliseconds (exit 3), not after the whole simulation. *)
+let open_output path =
+  try open_out path
+  with Sys_error e ->
+    Fmt.epr "cbtc: cannot open output file: %s@." e;
+    exit 3
+
+(* [write_output oc s] writes [s] to a file opened by [open_output]
+   and closes it. *)
+let write_output oc s =
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc s)
+
+(* Trace and summary are still flushed when the run raises. *)
 let with_obs ~manifest (trace_out, metrics_out) f =
   match (trace_out, metrics_out) with
   | None, None -> f Obs.Recorder.nil
   | _ ->
-      let open_sink path =
-        try open_out path
-        with Sys_error e ->
-          Fmt.epr "cbtc: cannot open output file: %s@." e;
-          exit 3
-      in
-      let trace = Option.map open_sink trace_out in
-      let metrics = Option.map open_sink metrics_out in
+      let trace = Option.map open_output trace_out in
+      let metrics = Option.map open_output metrics_out in
       let obs = Obs.Recorder.create () in
       List.iter (fun (k, v) -> Obs.Recorder.set obs k v) manifest;
       Fun.protect
@@ -271,9 +288,15 @@ let run_cmd =
 
 let sweep_cmd =
   let count =
+    let parse s =
+      match int_of_string_opt s with
+      | Some k when k >= 1 -> Ok k
+      | _ -> Error (`Msg (Fmt.str "--count: %s is not >= 1" s))
+    in
     Arg.(
-      value & opt int 20
-      & info [ "count" ] ~docv:"K" ~doc:"Number of random networks.")
+      value
+      & opt (conv (parse, Fmt.int)) 20
+      & info [ "count" ] ~docv:"K" ~doc:"Number of random networks (>= 1).")
   in
   let action n side range seed count opts sigma shadow_seed jobs obsout =
     with_obs obsout
@@ -372,6 +395,9 @@ let topology_cmd =
       & info [ "csv" ] ~docv:"FILE" ~doc:"Also export node/edge CSV.")
   in
   let action n side range seed alpha opts out ascii dot csv =
+    let svg_oc = open_output out in
+    let dot = Option.map (fun path -> (path, open_output path)) dot in
+    let csv = Option.map (fun path -> (path, open_output path)) csv in
     let sc = scenario_of ~n ~side ~range ~seed in
     let pl = Workload.Scenario.pathloss sc in
     let positions = Workload.Scenario.positions sc in
@@ -380,18 +406,19 @@ let topology_cmd =
     let style =
       Viz.Topoviz.style ~title:(Fmt.str "CBTC alpha=%.3f" alpha) ()
     in
-    Viz.Topoviz.write_svg ~style out ~field_width:side ~field_height:side
-      positions r.Cbtc.Pipeline.graph;
+    write_output svg_oc
+      (Viz.Topoviz.to_svg ~style ~field_width:side ~field_height:side
+         positions r.Cbtc.Pipeline.graph);
     Fmt.pr "wrote %s (%d edges)@." out
       (Graphkit.Ugraph.nb_edges r.Cbtc.Pipeline.graph);
     Option.iter
-      (fun path ->
-        Viz.Export.write_dot path positions r.Cbtc.Pipeline.graph;
+      (fun (path, oc) ->
+        write_output oc (Viz.Export.to_dot positions r.Cbtc.Pipeline.graph);
         Fmt.pr "wrote %s@." path)
       dot;
     Option.iter
-      (fun path ->
-        Viz.Export.write_csv path positions r.Cbtc.Pipeline.graph;
+      (fun (path, oc) ->
+        write_output oc (Viz.Export.to_csv positions r.Cbtc.Pipeline.graph);
         Fmt.pr "wrote %s@." path)
       csv;
     if ascii then
@@ -410,14 +437,28 @@ let topology_cmd =
 
 let protocol_cmd =
   let loss =
+    let parse s =
+      match float_of_string_opt s with
+      | Some l when l >= 0. && l < 1. -> Ok l
+      | _ -> Error (`Msg (Fmt.str "--loss: %s out of [0,1)" s))
+    in
     Arg.(
-      value & opt float 0.
-      & info [ "loss" ] ~docv:"P" ~doc:"Per-message loss probability.")
+      value
+      & opt (conv (parse, Arg.conv_printer float)) 0.
+      & info [ "loss" ] ~docv:"P"
+          ~doc:"Per-message loss probability, in [0,1).")
   in
   let repeats =
+    let parse s =
+      match int_of_string_opt s with
+      | Some k when k >= 1 -> Ok k
+      | _ -> Error (`Msg (Fmt.str "--repeats: %s is not >= 1" s))
+    in
     Arg.(
-      value & opt int 1
-      & info [ "repeats" ] ~docv:"K" ~doc:"Hello repeats per power step.")
+      value
+      & opt (conv (parse, Fmt.int)) 1
+      & info [ "repeats" ] ~docv:"K"
+          ~doc:"Hello repeats per power step (>= 1).")
   in
   let action n side range seed alpha loss repeats obsout =
     with_obs obsout
@@ -577,6 +618,7 @@ let stress_cmd =
   in
   let action n side range seed alpha losses crashes burstiness recover_after
       sigma shadow_seed out jobs obsout =
+    let out_oc = open_output out in
     with_obs obsout
       ~manifest:
         (manifest_of ~command:"stress" ~n ~side ~range ~seed ~alpha
@@ -689,9 +731,7 @@ let stress_cmd =
         json_of_cell buf ~mean_loss ~crash ~o ~deg ~verified ~verify_error)
       results;
     Buffer.add_string buf "\n  ]\n}\n";
-    let oc = open_out out in
-    output_string oc (Buffer.contents buf);
-    close_out oc;
+    write_output out_oc (Buffer.contents buf);
     Fmt.pr "%a" Metrics.Table.pp table;
     Fmt.pr "wrote %s (%d scenarios)@." out
       (List.length losses * List.length crashes);
@@ -863,6 +903,7 @@ let check_cmd =
     match replay with
     | Some path -> do_replay path obsout
     | None ->
+        let out = Option.map (fun path -> (path, open_output path)) out in
         with_obs obsout
           ~manifest:
             (manifest_of ~command:"check" ~n ~side ~range ~seed ~alpha
@@ -921,7 +962,7 @@ let check_cmd =
         in
         ignore shrunk;
         Option.iter
-          (fun path ->
+          (fun (path, oc) ->
             let doc =
               Obs.Jsonl.Obj
                 [
@@ -944,10 +985,7 @@ let check_cmd =
                   ("digest", Obs.Jsonl.Str report.Check.Explore.digest);
                 ]
             in
-            let oc = open_out path in
-            output_string oc (Obs.Jsonl.to_string doc);
-            output_char oc '\n';
-            close_out oc;
+            write_output oc (Obs.Jsonl.to_string doc ^ "\n");
             Fmt.pr "wrote %s@." path)
           out;
         if failures <> [] then exit 1
@@ -1278,20 +1316,26 @@ let daemon_cmd =
             exit 2)
         restore
     in
+    (* checkpoints are written atomically through FILE.tmp: creating it
+       now proves the directory writable before the stream starts *)
+    Option.iter
+      (fun path ->
+        let tmp = path ^ ".tmp" in
+        close_out (open_output tmp);
+        Sys.remove tmp)
+      checkpoint_path;
+    let metrics_out =
+      Option.map (fun path -> (path, open_output path)) metrics_out
+    in
+    let trace_oc = Option.map open_output trace_out in
     let clock = if wall then Some Unix.gettimeofday else None in
     (* the trace recorder is always clockless (even with --wall): spans
        carry deterministic structure and counters only, so the file is
        byte-identical across runs and every -j *)
     let with_trace f =
-      match trace_out with
+      match trace_oc with
       | None -> f None
-      | Some path ->
-          let oc =
-            try open_out path
-            with Sys_error e ->
-              Fmt.epr "cbtc: cannot open output file: %s@." e;
-              exit 3
-          in
+      | Some oc ->
           let obs = Obs.Recorder.create () in
           List.iter
             (fun (k, v) -> Obs.Recorder.set obs k v)
@@ -1338,12 +1382,9 @@ let daemon_cmd =
           w
     | _ -> ());
     Option.iter
-      (fun path ->
-        let oc = open_out path in
-        output_string oc
-          (Obs.Jsonl.to_string (report_json r ~jobs:pool_jobs));
-        output_char oc '\n';
-        close_out oc;
+      (fun (path, oc) ->
+        write_output oc
+          (Obs.Jsonl.to_string (report_json r ~jobs:pool_jobs) ^ "\n");
         Fmt.pr "wrote %s@." path)
       metrics_out;
     List.iter (fun m -> Fmt.epr "verify failure: %s@." m) r.verify_failures;
@@ -1384,13 +1425,14 @@ let daemon_sweep_cmd =
           ~doc:"Stream seeds to sweep (each crossed with every grid cell).")
   in
   let action n seed seeds out jobs =
+    let out = Option.map (fun path -> (path, open_output path)) out in
     let report =
       Parallel.Pool.with_pool ?jobs (fun pool ->
           Check.Daemon_sweep.sweep ~pool ~seeds ~seed ~n ())
     in
     Fmt.pr "%a@." Check.Daemon_sweep.pp_report report;
     Option.iter
-      (fun path ->
+      (fun (path, oc) ->
         let doc =
           Obs.Jsonl.Obj
             [
@@ -1406,10 +1448,7 @@ let daemon_sweep_cmd =
               ("digest", Obs.Jsonl.Str report.Check.Daemon_sweep.digest);
             ]
         in
-        let oc = open_out path in
-        output_string oc (Obs.Jsonl.to_string doc);
-        output_char oc '\n';
-        close_out oc;
+        write_output oc (Obs.Jsonl.to_string doc ^ "\n");
         Fmt.pr "wrote %s@." path)
       out;
     if report.Check.Daemon_sweep.failures <> [] then exit 1
@@ -1674,6 +1713,7 @@ let lifetime_cmd =
       | `Clustered -> "clustered"
       | `Grid -> "grid"
     in
+    let out = Option.map (fun path -> (path, open_output path)) out in
     with_obs obsout
       ~manifest:
         (manifest_of ~command:"lifetime" ~n ~side ~range ~seed ~alpha
@@ -1764,13 +1804,7 @@ let lifetime_cmd =
     in
     match out with
     | None -> ()
-    | Some path ->
-        let oc =
-          try open_out path
-          with Sys_error e ->
-            Fmt.epr "cbtc: cannot open output file: %s@." e;
-            exit 3
-        in
+    | Some (path, oc) ->
         Fun.protect ~finally:(fun () -> close_out oc) @@ fun () ->
         output_string oc "{\n  \"schema\": 1,\n";
         output_string oc

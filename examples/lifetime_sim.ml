@@ -36,7 +36,10 @@ let () =
   in
   let show = function None -> ">end" | Some r -> string_of_int r in
   let run name topology =
-    let o = Lifetime.Gather.run ~params pathloss positions ~sink:!sink ~topology in
+    let o =
+      (Lifetime.Schedule.run ~params pathloss positions ~sink:!sink ~topology)
+        .Lifetime.Schedule.outcome
+    in
     Metrics.Table.add_row table
       [
         name;

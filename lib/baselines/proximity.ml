@@ -46,7 +46,7 @@ let filter_gr ?pool ?grid env positions ~keep =
     nbrs;
   g
 
-(* The brute-force counterpart of [filter_gr]: the triangular pair scan. *)
+(* The small-n counterpart of [filter_gr]: the triangular pair scan. *)
 let scan_gr env positions ~keep =
   let n = Array.length positions in
   let g = Graphkit.Ugraph.create n in
@@ -60,11 +60,11 @@ let scan_gr env positions ~keep =
 
 let all _ _ = true
 
-let max_power ?pool ?(cutoff = Geom.Grid.default_brute_cutoff) ?env pathloss
-    positions =
+let max_power ?pool ?env pathloss positions =
   let env = Radio.Env.resolve ?env pathloss in
   match pool with
-  | None when Array.length positions < cutoff -> scan_gr env positions ~keep:all
+  | None when Array.length positions < Geom.Grid.default_brute_cutoff ->
+      scan_gr env positions ~keep:all
   | pool -> filter_gr ?pool env positions ~keep:all
 
 let max_power_partition ?env ~alive pathloss positions =
@@ -152,59 +152,3 @@ let radius_of ?(full_power = false) pathloss positions g =
           0.
           (Graphkit.Ugraph.neighbors g u))
       positions
-
-module Brute = struct
-  let filter_gr pathloss positions ~keep =
-    scan_gr (Radio.Env.trivial pathloss) positions ~keep
-
-  let max_power pathloss positions = filter_gr pathloss positions ~keep:all
-
-  let rng pathloss positions =
-    let n = Array.length positions in
-    let dist u v = Geom.Vec2.dist positions.(u) positions.(v) in
-    let keep u v =
-      let duv = dist u v in
-      let blocked = ref false in
-      for w = 0 to n - 1 do
-        if (not !blocked) && w <> u && w <> v
-           && Float.max (dist u w) (dist v w) < duv
-        then blocked := true
-      done;
-      not !blocked
-    in
-    filter_gr pathloss positions ~keep
-
-  let gabriel pathloss positions =
-    let n = Array.length positions in
-    let dist2 u v = Geom.Vec2.dist2 positions.(u) positions.(v) in
-    let keep u v =
-      let d2uv = dist2 u v in
-      let blocked = ref false in
-      for w = 0 to n - 1 do
-        if (not !blocked) && w <> u && w <> v
-           && dist2 u w +. dist2 v w < d2uv
-        then blocked := true
-      done;
-      not !blocked
-    in
-    filter_gr pathloss positions ~keep
-
-  let knn pathloss positions ~k =
-    if k <= 0 then invalid_arg "Proximity.knn: non-positive k";
-    let env = Radio.Env.trivial pathloss in
-    let n = Array.length positions in
-    let g = Graphkit.Ugraph.create n in
-    for u = 0 to n - 1 do
-      let in_reach = ref [] in
-      for v = 0 to n - 1 do
-        if v <> u && in_range env positions u v then
-          in_reach :=
-            (Geom.Vec2.dist positions.(u) positions.(v), v) :: !in_reach
-      done;
-      let sorted = List.sort Stdlib.compare !in_reach in
-      List.iteri
-        (fun i (_, v) -> if i < k then Graphkit.Ugraph.add_edge g u v)
-        sorted
-    done;
-    g
-end

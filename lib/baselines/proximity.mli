@@ -9,9 +9,8 @@
     range), so they are implementable topologies.
 
     Constructions are accelerated by a [Geom.Grid] spatial index (range
-    and witness queries probe only nearby cells); the brute-force
-    reference implementations live in {!Brute} and are property-tested
-    to produce identical graphs.
+    and witness queries probe only nearby cells); the O(n²)/O(n³) pair
+    scans they are property-tested against live in [test/spec_geo.ml].
 
     Per-node work is independent, so builders accept [?pool] and then
     run chunked over a [Parallel.Pool]: each chunk fills only its own
@@ -28,15 +27,13 @@
     bit.
     @raise Invalid_argument when [env] was built over another pathloss. *)
 
-(** [max_power ?pool ?cutoff pathloss positions] is [G_R] (or
-    [G_R^env]) — the library's one G_R builder; [Cbtc.Geo.max_power_graph]
-    is this function.  Below [cutoff] nodes (default
-    [Geom.Grid.default_brute_cutoff]) and without a pool, the brute
-    triangular scan is used — faster at small [n], identical output.
-    [~cutoff:0] forces the grid path. *)
+(** [max_power ?pool pathloss positions] is [G_R] (or [G_R^env]) —
+    the library's one G_R builder; [Cbtc.Geo.max_power_graph] is this
+    function.  Below [Geom.Grid.default_brute_cutoff] nodes and without
+    a pool, the triangular pair scan is used — faster at small [n],
+    identical output; a pool always selects the grid path. *)
 val max_power :
   ?pool:Parallel.Pool.t ->
-  ?cutoff:int ->
   ?env:Radio.Env.t ->
   Radio.Pathloss.t -> Geom.Vec2.t array -> Graphkit.Ugraph.t
 
@@ -93,18 +90,3 @@ val radius_of :
   Geom.Vec2.t array ->
   Graphkit.Ugraph.t ->
   float array
-
-(** Brute-force O(n²)/O(n³) reference implementations with results
-    identical to the grid-backed ones above; kept for differential tests
-    and as the [perf] benchmark baseline. *)
-module Brute : sig
-  val max_power :
-    Radio.Pathloss.t -> Geom.Vec2.t array -> Graphkit.Ugraph.t
-
-  val rng : Radio.Pathloss.t -> Geom.Vec2.t array -> Graphkit.Ugraph.t
-
-  val gabriel : Radio.Pathloss.t -> Geom.Vec2.t array -> Graphkit.Ugraph.t
-
-  val knn :
-    Radio.Pathloss.t -> Geom.Vec2.t array -> k:int -> Graphkit.Ugraph.t
-end

@@ -2,7 +2,7 @@ let yao_out_degree_bound ~k = k
 
 (* Per-sector selection for one node over a candidate id list.  Ties on
    distance keep the lowest-id node: candidates are examined in
-   increasing id, matching the brute-force scan's order. *)
+   increasing id on both the all-pairs and the grid path. *)
 let select_sectors env positions u ~k ~sector_width best candidates =
   List.iter
     (fun v ->
@@ -53,12 +53,11 @@ let build ?pool env positions ~k ~candidates_of =
     selected;
   g
 
-let yao ?pool ?(cutoff = Geom.Grid.default_brute_cutoff) ?env pathloss
-    positions ~k =
+let yao ?pool ?env pathloss positions ~k =
   let env = Radio.Env.resolve ?env pathloss in
   let n = Array.length positions in
   let inline = match pool with None -> true | Some _ -> false in
-  if n < cutoff && inline then
+  if n < Geom.Grid.default_brute_cutoff && inline then
     let all = List.init n Fun.id in
     build env positions ~k ~candidates_of:(fun _ -> all)
   else begin
@@ -71,10 +70,3 @@ let yao ?pool ?(cutoff = Geom.Grid.default_brute_cutoff) ?env pathloss
           (Geom.Grid.fold_in_range grid positions.(u) ~dist:reach ~init:[]
              ~f:(fun acc v -> if v = u then acc else v :: acc)))
   end
-
-module Brute = struct
-  let yao pathloss positions ~k =
-    let all = List.init (Array.length positions) Fun.id in
-    build (Radio.Env.trivial pathloss) positions ~k
-      ~candidates_of:(fun _ -> all)
-end

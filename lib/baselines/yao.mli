@@ -10,31 +10,22 @@
     degree alpha", Yao's is "the nearest neighbor in each of k fixed
     cones". *)
 
-(** [yao ?pool ?cutoff pathloss positions ~k] builds the symmetric
-    closure of the k-sector Yao graph restricted to [G_R] edges.  Below
-    [cutoff] nodes (default [Geom.Grid.default_brute_cutoff]) and
-    without a pool, the brute all-pairs scan is used — it beats the grid
-    at small [n] and yields the identical graph; [~cutoff:0] forces the
-    grid path.  With [?pool] the per-node sector selections run chunked
-    over the pool (bit-identical output for any pool size).
+(** [yao ?pool pathloss positions ~k] builds the symmetric closure of
+    the k-sector Yao graph restricted to [G_R] edges.  Below
+    [Geom.Grid.default_brute_cutoff] nodes and without a pool, an
+    all-pairs scan is used — it beats the grid at small [n] and yields
+    the identical graph; a pool always selects the grid path.  With
+    [?pool] the per-node sector selections run chunked over the pool
+    (bit-identical output for any pool size).
     With [?env] ({!Radio.Env}) the graph is restricted to [G_R^env]
     edges instead (nearest-in-sector stays distance-ordered).
     @raise Invalid_argument when [k < 3], or when [env] was built over
     another pathloss. *)
 val yao :
   ?pool:Parallel.Pool.t ->
-  ?cutoff:int ->
   ?env:Radio.Env.t ->
   Radio.Pathloss.t -> Geom.Vec2.t array -> k:int -> Graphkit.Ugraph.t
 
 (** [yao_out_degree_bound ~k] is the out-degree bound [k] (each sector
     contributes at most one selected edge) — exported for tests. *)
 val yao_out_degree_bound : k:int -> int
-
-(** Brute-force O(n²) reference with results identical to the
-    grid-backed {!yao} (distance ties resolve to the lowest id on both
-    paths); kept for differential tests and benchmarking. *)
-module Brute : sig
-  val yao :
-    Radio.Pathloss.t -> Geom.Vec2.t array -> k:int -> Graphkit.Ugraph.t
-end

@@ -99,8 +99,8 @@ let scratch_grow s needed =
    exactly as [Vec2.dist] computes it — and the link test is
    [Env.in_range] with its cap hoisted ([Env.max_link_cap]), so results
    stay bit-identical to the spec's candidates (pinned by the
-   differential properties in test/test_grid.ml, test/test_csr.ml and
-   test/test_env.ml).  The [dist <= pre] guard skips the link power for
+   differential properties in test/test_csr.ml and test/test_env.ml).
+   The [dist <= pre] guard skips the link power for
    the ~2/3 of probed candidates outside range: [Env.max_reach] bounds
    the support of [in_range] from above (the grid probe already relies
    on that), and the same relative+absolute slack as [Grid.probe_slack]
@@ -360,23 +360,16 @@ let rowbuf_append b s k =
   done;
   b.len <- b.len + k
 
-(* [run_flat], and with [~scan:true] the O(n²) baseline [Brute.run]:
-   the same kernel, with every node scanning all positions instead of
-   probing the grid. *)
-let run_soa ?pool ?(obs = Obs.Recorder.nil) ?env ~scan config pathloss
-    positions =
+let run_flat ?pool ?(obs = Obs.Recorder.nil) ?env config pathloss positions =
   let env = Radio.Env.resolve ?env pathloss in
   let n = Array.length positions in
-  let grid = if scan then None else Some (make_grid pathloss positions) in
+  let grid = make_grid pathloss positions in
   if Obs.Recorder.enabled obs then
-    Option.iter
-      (fun grid ->
-        List.iter
-          (fun occ ->
-            Obs.Recorder.observe obs "grid.cell_occupancy"
-              (Stdlib.float_of_int occ))
-          (Geom.Grid.occupancy grid))
-      grid;
+    List.iter
+      (fun occ ->
+        Obs.Recorder.observe obs "grid.cell_occupancy"
+          (Stdlib.float_of_int occ))
+      (Geom.Grid.occupancy grid);
   Obs.Recorder.span obs "discovery" @@ fun () ->
   let alpha = config.Config.alpha in
   let max_power = Radio.Pathloss.max_power pathloss in
@@ -404,7 +397,7 @@ let run_soa ?pool ?(obs = Obs.Recorder.nil) ?env ~scan config pathloss
       let s = scratch_create () in
       let b = bufs.(lo / chunk) in
       for u = lo to hi - 1 do
-        let m = collect ?grid env positions s u in
+        let m = collect ~grid env positions s u in
         let k, pw, bd, ns =
           grow_scratch s ~positions ~u ~alpha ~max_power ~stepped:schedule m
         in
@@ -458,15 +451,5 @@ let run_soa ?pool ?(obs = Obs.Recorder.nil) ?env ~scan config pathloss
     boundary;
   }
 
-let run_flat ?pool ?obs ?env config pathloss positions =
-  run_soa ?pool ?obs ?env ~scan:false config pathloss positions
-
 let run ?pool ?obs ?env config pathloss positions =
   Soa.to_discovery (run_flat ?pool ?obs ?env config pathloss positions)
-
-module Brute = struct
-  let max_power_graph = Baselines.Proximity.Brute.max_power
-
-  let run config pathloss positions =
-    Soa.to_discovery (run_soa ~scan:true config pathloss positions)
-end

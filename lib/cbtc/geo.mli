@@ -17,9 +17,9 @@
     kernel is property-tested against, bit for bit.
 
     All-pairs scans are accelerated by a [Geom.Grid] spatial index keyed
-    on the radio range; results are identical to the full scans of
-    {!Brute} (property-tested), which exist for differential testing and
-    as the benchmark baseline.
+    on the radio range; results are identical to the O(n²) full scans of
+    [test/spec_geo.ml] (property-tested), which are also the baseline
+    column of the [perf] benchmark.
 
     Every node's discovery is independent of every other's, so the
     per-node loops optionally run chunked over a [Parallel.Pool]
@@ -133,19 +133,16 @@ val row_link : scratch -> int -> float
 val row_dir : scratch -> int -> float
 val row_tag : scratch -> int -> float
 
-(** [max_power_graph ?pool ?cutoff pathloss positions] is [G_R]: the
-    graph induced by every node transmitting at maximum power.  It is
-    [Baselines.Proximity.max_power], the library's one G_R builder.
-    Grid-accelerated for [n >= cutoff] (default
-    [Geom.Grid.default_brute_cutoff]); below that, and with no pool, the
-    triangular brute scan is used — it is faster at small [n] and
-    produces the identical graph.  [~cutoff:0] forces the grid path
-    (the differential tests pin grid = brute this way).  Under [?env]
-    the result is [G_R^env] — the realized reachability graph under the
-    environment. *)
+(** [max_power_graph ?pool pathloss positions] is [G_R]: the graph
+    induced by every node transmitting at maximum power.  It is
+    [Baselines.Proximity.max_power], the library's one G_R builder:
+    grid-accelerated with a pool or from
+    [Geom.Grid.default_brute_cutoff] nodes up, a triangular pair scan
+    below that (faster at small [n], the identical graph).  Under
+    [?env] the result is [G_R^env] — the realized reachability graph
+    under the environment. *)
 val max_power_graph :
   ?pool:Parallel.Pool.t ->
-  ?cutoff:int ->
   ?env:Radio.Env.t ->
   Radio.Pathloss.t -> Geom.Vec2.t array -> Graphkit.Ugraph.t
 
@@ -163,17 +160,3 @@ val max_power_partition :
   ?env:Radio.Env.t ->
   alive:bool array ->
   Radio.Pathloss.t -> Geom.Vec2.t array -> int array
-
-(** Brute-force O(n²) baselines, producing identical results to the
-    grid-backed functions above: [max_power_graph] is the triangular
-    pair scan ([Baselines.Proximity.Brute.max_power]), and [run] is the
-    discovery kernel with every node scanning all positions instead of
-    probing the grid.  Used by the property tests and as the baseline
-    of the [perf] benchmark. *)
-module Brute : sig
-  val max_power_graph :
-    Radio.Pathloss.t -> Geom.Vec2.t array -> Graphkit.Ugraph.t
-
-  val run :
-    Config.t -> Radio.Pathloss.t -> Geom.Vec2.t array -> Discovery.t
-end

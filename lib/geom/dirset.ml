@@ -47,28 +47,11 @@ let widest_gap dirs =
    growth rather than being waved through). *)
 let has_gap ?(eps = 1e-9) ~alpha dirs = max_gap dirs >= alpha -. eps
 
-(* Array variants over an already sorted-unique prefix [dirs.(0..len-1)]
-   of normalized directions, for callers that maintain the set
-   incrementally (the SoA discovery core).  Same float operations as the
-   list path above — consecutive [b -. a] plus the [wrap_gap] wrap — so
-   the results are bit-identical. *)
-let max_gap_sorted dirs len =
-  if len <= 1 then Angle.two_pi
-  else begin
-    let best = ref (wrap_gap dirs.(len - 1) dirs.(0)) in
-    for i = 0 to len - 2 do
-      let g = dirs.(i + 1) -. dirs.(i) in
-      if g > !best then best := g
-    done;
-    !best
-  end
-
-let has_gap_sorted ?(eps = 1e-9) ~alpha dirs len =
-  max_gap_sorted dirs len >= alpha -. eps
-
-(* Same again over a float64 Bigarray prefix — the storage the SoA core
-   actually keeps its sorted directions in.  Identical float operations,
-   so all three representations agree bit for bit. *)
+(* Variant over an already sorted-unique prefix [dirs.(0..len-1)] of
+   normalized directions in a float64 Bigarray — the storage the SoA
+   discovery core maintains its direction set in, incrementally.  Same
+   float operations as the list path above — consecutive [b -. a] plus
+   the [wrap_gap] wrap — so the results are bit-identical. *)
 let max_gap_ba (dirs : (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t) len =
   if len <= 1 then Angle.two_pi
   else begin

@@ -21,22 +21,14 @@ val max_gap : float list -> float
     conservative (keep-growing) side. *)
 val has_gap : ?eps:float -> alpha:float -> float list -> bool
 
-(** [max_gap_sorted dirs len] is {!max_gap} over the prefix
-    [dirs.(0 .. len-1)], which the caller guarantees is sorted
-    increasing, duplicate-free and already normalized — the invariant
-    kept by the SoA discovery core, which inserts each new direction in
-    place instead of re-sorting a list per power step.  Uses the exact
-    float operations of {!max_gap}, so results are bit-identical. *)
-val max_gap_sorted : float array -> int -> float
-
-(** [has_gap_sorted ?eps ~alpha dirs len] is {!has_gap} over the same
-    sorted-unique prefix. *)
-val has_gap_sorted : ?eps:float -> alpha:float -> float array -> int -> bool
-
-(** [max_gap_ba dirs len] / [has_gap_ba ?eps ~alpha dirs len]: the same
-    sorted-prefix variants over a float64 [Bigarray.Array1] — the
-    storage the SoA discovery core keeps its direction set in.
-    Bit-identical to the list and [float array] paths. *)
+(** [max_gap_ba dirs len] is {!max_gap} over the prefix
+    [dirs.(0 .. len-1)] of a float64 [Bigarray.Array1], which the caller
+    guarantees is sorted increasing, duplicate-free and already
+    normalized — the invariant kept by the SoA discovery core, which
+    inserts each new direction in place instead of re-sorting a list per
+    power step.  Uses the exact float operations of {!max_gap}, so
+    results are bit-identical; [has_gap_ba ?eps ~alpha dirs len] is
+    {!has_gap} over the same prefix. *)
 val max_gap_ba :
   (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t ->
   int ->

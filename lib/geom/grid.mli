@@ -54,9 +54,8 @@ type t
     most of a small field, so the grid only re-examines almost everything
     with extra indirection.  Calibrated from [bench_out/perf.json]
     (crossovers between n = 125 and n = 170 for G_R, Yao and
-    interference coverage in this container).  Grid-backed callers with
-    a [?cutoff] parameter default to this value and fall back to their
-    bit-identical brute kernels below it. *)
+    interference coverage).  Grid-backed builders called without a
+    pool fall back to their bit-identical all-pairs kernels below it. *)
 val default_brute_cutoff : int
 
 (** [create ~range positions] indexes [positions] (copied) with cell

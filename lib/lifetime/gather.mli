@@ -1,4 +1,6 @@
-(** Network-lifetime simulation under many-to-one data gathering.
+(** The cost model and topologies of network-lifetime simulation under
+    many-to-one data gathering; the simulation itself is
+    {!Schedule.run} (passive by default).
 
     The model follows the paper's framing: a node owns {e one} configured
     transmission power — enough to reach its farthest topology neighbor
@@ -12,7 +14,7 @@
     battery empties the node crash-stops and the topology is rebuilt over
     the survivors at the next round boundary.
 
-    The outcome records the classic lifetime milestones: first death,
+    The {!outcome} records the classic lifetime milestones: first death,
     half dead, and sink partition (more than half of the live non-sink
     nodes unable to reach the sink).  Comparing topologies through this
     harness realizes the paper's lifetime and interference arguments
@@ -77,18 +79,5 @@ type outcome = {
   packets_dropped : int;
   deaths : (int * int) list;  (** (round, node), chronological *)
 }
-
-(** [run ?params pathloss positions ~sink ~topology] simulates until
-    [max_rounds], total death of the non-sink population, or sink
-    partition.  The sink has infinite energy (it is the collection
-    point).
-    @raise Invalid_argument on a bad sink index. *)
-val run :
-  ?params:params ->
-  Radio.Pathloss.t ->
-  Geom.Vec2.t array ->
-  sink:int ->
-  topology:topology_builder ->
-  outcome
 
 val pp_outcome : outcome Fmt.t

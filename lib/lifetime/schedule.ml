@@ -1,9 +1,11 @@
-(* Energy-aware cover-set scheduler over the Gather cost model.  The
-   passive code path below deliberately mirrors Gather.run statement for
-   statement — same Battery drain sequence, same float spellings — so
-   the differential oracle (test_schedule) can pin bit-identical
-   milestones.  The active path replaces the per-round Dijkstra with an
-   epoch-elected gather tree and a duty-cycled awake set. *)
+(* The lifetime simulator: many-to-one data gathering over the Gather
+   cost model, passive or under the energy-aware cover-set scheduler.
+   The passive path (the default policy) is the classic simulation — a
+   per-round Dijkstra toward the sink over the current topology — and
+   its milestones are pinned bit for bit against the plain statement of
+   that simulation kept in test/spec_gather.ml.  The active path
+   replaces the per-round Dijkstra with an epoch-elected gather tree and
+   a duty-cycled awake set. *)
 
 type policy = {
   rotation_period : int;
@@ -113,7 +115,7 @@ let run ?(params = Gather.default_params) ?(policy = passive)
   let deaths = ref [] in
   let non_sink = n - 1 in
   let alive_non_sink () = Battery.nb_alive battery - 1 in
-  (* Gather's drain, with the category ledger recorded first.  The sink
+  (* The battery drain, with the category ledger recorded first.  The sink
      is mains-powered; dead nodes absorb nothing (and record nothing);
      the killing charge is recorded in full — the ledger keeps the
      overdraw the battery clamps away. *)
@@ -146,9 +148,11 @@ let run ?(params = Gather.default_params) ?(policy = passive)
   in
   let control = ref (rebuild ()) in
   let dirty = ref false in
-  (* Sleeping nodes are deaf: only awake bystanders pay the overhearing
-     tax.  In passive mode [awake] is constantly true and this is
-     exactly Gather's transmit. *)
+  (* Transmitting one packet from [a]: the sender pays for its
+     configured radius, the addressee pays reception, and (optionally)
+     every other live node inside the disk overhears.  Sleeping nodes
+     are deaf: only awake bystanders pay the overhearing tax; in
+     passive mode [awake] is constantly true. *)
   let transmit awake a b round =
     let radius = !control.Gather.radius.(a) in
     let tx_cost =
@@ -296,14 +300,8 @@ let run ?(params = Gather.default_params) ?(policy = passive)
     end;
     match !schedule with
     | None ->
-        (* Passive round: Gather.run's exact routing block.  The cost of
-           relaxing (x -> y) toward the sink is the forward cost at [y]. *)
-        let hop_cost x y =
-          ignore x;
-          Radio.Pathloss.power_for_distance pathloss
-            !control.Gather.radius.(y)
-          +. params.Gather.tx_overhead +. params.Gather.rx_overhead
-        in
+        (* Passive round: cheapest routes toward the sink, recomputed
+           every round over the current topology. *)
         let _, prev =
           Graphkit.Shortest.dijkstra_tree !control.Gather.graph ~cost:hop_cost
             ~src:sink

@@ -1,28 +1,32 @@
-(** Energy-aware cover-set scheduling on a controlled topology.
+(** Network-lifetime simulation under many-to-one data gathering, passive
+    or under energy-aware cover-set scheduling.
 
-    {!Gather} measures {e passive} lifetime: every round every node
-    Dijkstra-routes a packet to the sink and everyone inside a
-    transmitter's disk pays the overhearing tax.  This module adds the
-    active side the paper's lifetime argument calls for: each {e epoch}
-    the scheduler elects a sink-rooted gather tree — a {e cover set} of
-    relay nodes — and puts every non-relay to sleep.  Relays are chosen
-    greedily per node among the neighbors one hop closer to the sink,
-    maximizing residual energy, with a round-robin rotation tie-break
-    deterministic in [(seed, epoch)]; sleeping nodes wake only to send
-    their own packet, pay no overhearing and no idle-listen cost.  When
-    a battery empties the node crash-stops mid-stream, the topology is
-    rebuilt over the survivors at the next round boundary (the same
-    dirty-rebuild discipline as {!Gather.run}), a fresh cover set is
-    elected, and the run continues until sink partition.
+    {b Passive} (the {!passive} policy, {!run}'s default) is the classic
+    simulation over the {!Gather} cost model: every round every live
+    node Dijkstra-routes a packet to the sink over the current topology
+    and everyone inside a transmitter's disk pays the overhearing tax.
+    Its milestones are pinned bit for bit against the plain statement of
+    that simulation kept in [test/spec_gather.ml].
 
-    Costs are exactly {!Gather}'s: a transmission costs the sender
+    {b Active} scheduling adds what the paper's lifetime argument calls
+    for: each {e epoch} the scheduler elects a sink-rooted gather tree —
+    a {e cover set} of relay nodes — and puts every non-relay to sleep.
+    Relays are chosen greedily per node among the neighbors one hop
+    closer to the sink, maximizing residual energy, with a round-robin
+    rotation tie-break deterministic in [(seed, epoch)]; sleeping nodes
+    wake only to send their own packet, pay no overhearing and no
+    idle-listen cost.
+
+    In both modes, when a battery empties the node crash-stops
+    mid-stream, the topology is rebuilt over the survivors at the next
+    round boundary (a fresh cover set is elected in active mode), and
+    the run continues until [max_rounds], total death of the non-sink
+    population, or sink partition.
+
+    Costs are {!Gather}'s: a transmission costs the sender
     [p(radius) + tx_overhead] and the addressee [rx_overhead]; awake
     bystanders inside the disk pay [rx_overhead] ({e overhearing});
     awake non-sink nodes additionally pay [idle_listen] per round.
-    Liveness and the classic milestones are decided by the same
-    {!Battery} drain sequence as [Gather.run], so with the {!passive}
-    policy the outcome reproduces [Gather.run] bit-identically — the
-    differential oracle pinned by the test suite.
 
     {b Accounting.}  Alongside the battery, the run keeps per-node
     {e ledgers} of the four charge categories.  A charge is recorded in
@@ -39,7 +43,7 @@ type policy = {
   rotation_period : int;
       (** rebuild the cover set every this many rounds; [0] disables
           active scheduling entirely (per-round Dijkstra routing — the
-          {!Gather.run}-compatible passive mode) *)
+          passive mode) *)
   duty : float;
       (** awake fraction for non-relay nodes, in [\[0, 1\]]: [1.] keeps
           every node listening (no duty-cycling), [0.] sleeps every
@@ -53,8 +57,8 @@ type policy = {
 }
 
 (** [{rotation_period = 0; duty = 1.; idle_listen = 0.; seed = 0}]:
-    the configuration under which {!run} reproduces {!Gather.run}
-    bit-identically. *)
+    passive gathering — every node awake, per-round Dijkstra routing —
+    and {!run}'s default policy. *)
 val passive : policy
 
 (** [{rotation_period = 25; duty = 0.; idle_listen = 0.; seed = 0}]:
@@ -118,8 +122,10 @@ val packet_bits : float
 
 (** [run ?params ?policy ?obs ?on_charge pathloss positions ~sink
     ~topology] simulates until [max_rounds], total death of the non-sink
-    population, or sink partition.  [on_charge] observes every recorded
-    charge in ledger order (category, node, amount) — the hook the
+    population, or sink partition; [params] defaults to
+    [Gather.default_params] and [policy] to {!passive}.  The sink has
+    infinite energy (it is the collection point).  [on_charge] observes
+    every recorded charge in ledger order (category, node, amount) — the hook the
     conservation property replays.  With [obs], epochs, rebuilds and
     deaths are counted on the recorder.
     @raise Invalid_argument on a bad sink index, negative [max_rounds],

@@ -7,8 +7,7 @@ type t = { avg_coverage : float; max_coverage : int; total_coverage : int }
    counts land in disjoint slots of [covered]; the totals are folded
    sequentially in index order afterwards, so the result is the same
    for any pool size. *)
-let coverage ?pool ?(cutoff = Geom.Grid.default_brute_cutoff) positions
-    ~radius =
+let coverage ?pool positions ~radius =
   let n = Array.length positions in
   if Array.length radius <> n then
     invalid_arg "Interference.coverage: length mismatch";
@@ -23,7 +22,7 @@ let coverage ?pool ?(cutoff = Geom.Grid.default_brute_cutoff) positions
       (* the brute body writes the disk test out instead of calling
          [in_disk]: below the cutoff the whole routine is ~100 us and a
          per-pair closure call is measurable overhead *)
-      if n < cutoff && inline then fun lo hi ->
+      if n < Geom.Grid.default_brute_cutoff && inline then fun lo hi ->
         for u = lo to hi - 1 do
           let r = radius.(u) in
           if r > 0. then begin

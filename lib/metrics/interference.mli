@@ -13,19 +13,18 @@ type t = {
   total_coverage : int;
 }
 
-(** [coverage ?pool ?cutoff positions ~radius] computes the proxy for
+(** [coverage ?pool positions ~radius] computes the proxy for
     per-node transmission radii (a node with radius [0.] — isolated —
     disturbs nobody).  Disk membership is resolved through a [Geom.Grid]
     spatial index sized to the largest radius, so the cost is
     proportional to the disks' actual occupancy rather than n² pairs;
-    below [cutoff] nodes (default [Geom.Grid.default_brute_cutoff]) and
-    without a pool, a direct all-pairs scan is used instead (faster at
-    small [n], identical counts; [~cutoff:0] forces the grid).  With
+    below [Geom.Grid.default_brute_cutoff] nodes and without a pool, a
+    direct all-pairs scan is used instead (faster at small [n],
+    identical counts; a pool always selects the grid).  With
     [?pool] the per-node counts are computed chunked over the pool and
     folded sequentially, so results are bit-identical for any pool
     size.
     @raise Invalid_argument on array length mismatch. *)
 val coverage :
   ?pool:Parallel.Pool.t ->
-  ?cutoff:int ->
   Geom.Vec2.t array -> radius:float array -> t

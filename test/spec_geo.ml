@@ -9,7 +9,8 @@
    float goes through the Vec2 / Pathloss / Radio.Env functions the
    kernel inlines, so the differential properties compare the kernel's
    hand-inlined arithmetic against the plain spelling, float for float.
-   Shared by every suite through test/dune's [:standard] modules. *)
+   A private library (test/dune): the suites link it as their oracle and
+   bench/main.exe perf times it as the O(n²) baseline column. *)
 
 open Cbtc
 
@@ -150,10 +151,12 @@ let run ?env config pathloss positions =
 (* ---------- G_R, its partition and the baselines, pure Pathloss ---------- *)
 
 (* The library builds G_R, its survivor partition and every baseline
-   through Radio.Env — the trivial env when none is given.  These
-   triangular scans keep the paper's own test [p(d) <= P] and never
-   touch Radio.Env, so the sigma = 0 properties in test/test_env.ml
-   compare the env path against a spelling independent of it. *)
+   through Radio.Env — the trivial env when none is given — and through
+   the grid from n = Geom.Grid.default_brute_cutoff or with a pool.
+   These triangular scans keep the paper's own test [p(d) <= P], never
+   touch Radio.Env and never probe a grid, so the sigma = 0 properties
+   in test/test_env.ml compare both the env path and the forced grid
+   path against a spelling independent of them. *)
 
 let in_range pathloss positions u v =
   Radio.Pathloss.in_range pathloss
@@ -253,3 +256,20 @@ let smecn (energy : Radio.Energy.t) positions =
   filter_gr energy.Radio.Energy.pathloss positions ~keep:(fun u v ->
       unwitnessed positions u v ~witness:(fun w ->
           cost u w +. cost w v < cost u v))
+
+(* ---------- interference coverage ---------- *)
+
+(* [coverage positions ~radius] is (max, total) over the nodes of how
+   many other nodes lie inside each node's closed transmission disk:
+   Metrics.Interference.coverage's counts, by the all-pairs scan. *)
+let coverage positions ~radius =
+  let n = Array.length positions in
+  let covered = Array.make n 0 in
+  for u = 0 to n - 1 do
+    if radius.(u) > 0. then
+      for v = 0 to n - 1 do
+        if v <> u && Geom.Vec2.dist positions.(u) positions.(v) <= radius.(u)
+        then covered.(u) <- covered.(u) + 1
+      done
+  done;
+  (Array.fold_left Stdlib.max 0 covered, Array.fold_left ( + ) 0 covered)

@@ -109,21 +109,32 @@ let prop_trivial_run_flat_identical =
              soa_eq plain (Cbtc.Geo.run_flat ?env config pl positions))
            trivial_envs)
 
+(* Each builder is compared twice: under the default dispatch (the
+   all-pairs kernels for inputs this small) and with the grid forced by
+   a one-job pool. *)
 let prop_trivial_baselines_identical =
-  QCheck.Test.make ~count:60
+  QCheck.Test.make ~count:100
     ~name:"baselines (GR/RNG/Gabriel/MST/kNN/Yao/SMECN): trivial env = no env"
-    (QCheck.make positions_gen)
-    (fun positions ->
+    (QCheck.make
+       QCheck.Gen.(triple positions_gen (int_range 1 8) (int_range 3 9)))
+    (fun (positions, knn_k, yao_k) ->
       let alive = Array.mapi (fun u _ -> u mod 3 <> 1) positions in
       let energy = Radio.Energy.make pl in
+      let gr = Spec_geo.max_power_graph pl positions in
+      let knn = Spec_geo.knn pl positions ~k:knn_k in
+      let yao = Spec_geo.yao pl positions ~k:yao_k in
+      Parallel.Pool.with_pool ~jobs:1 @@ fun grid ->
       List.for_all
         (fun env ->
-          graph_eq
-            (Spec_geo.max_power_graph pl positions)
-            (Baselines.Proximity.max_power ?env pl positions)
-          && graph_eq
-               (Spec_geo.max_power_graph pl positions)
-               (Cbtc.Geo.max_power_graph ?env ~cutoff:0 pl positions)
+          List.for_all
+            (fun pool ->
+              graph_eq gr (Baselines.Proximity.max_power ?pool ?env pl positions)
+              && graph_eq gr (Cbtc.Geo.max_power_graph ?pool ?env pl positions)
+              && graph_eq knn
+                   (Baselines.Proximity.knn ?pool ?env pl positions ~k:knn_k)
+              && graph_eq yao
+                   (Baselines.Yao.yao ?pool ?env pl positions ~k:yao_k))
+            [ None; Some grid ]
           && Spec_geo.max_power_partition ~alive pl positions
              = Cbtc.Geo.max_power_partition ?env ~alive pl positions
           && graph_eq
@@ -135,12 +146,6 @@ let prop_trivial_baselines_identical =
           && graph_eq
                (Spec_geo.euclidean_mst pl positions)
                (Baselines.Proximity.euclidean_mst ?env pl positions)
-          && graph_eq
-               (Spec_geo.knn pl positions ~k:4)
-               (Baselines.Proximity.knn ?env pl positions ~k:4)
-          && graph_eq
-               (Spec_geo.yao pl positions ~k:6)
-               (Baselines.Yao.yao ?env pl positions ~k:6)
           && graph_eq
                (Spec_geo.smecn energy positions)
                (Baselines.Smecn.smecn ?env energy positions))

@@ -171,7 +171,7 @@ let test_gap_pi_seam () =
     (Geom.Dirset.max_gap [ pi /. 2.; Geom.Angle.normalize (-.pi) ]);
   (* two distinct directions an ulp apart away from the seam: the wrap
      gap back from the larger is nearly a full turn, which must not
-     round to 0 (list, array and Bigarray variants alike) *)
+     round to 0 (list and Bigarray variants alike) *)
   let dirs =
     List.sort_uniq Float.compare
       (List.map Geom.Angle.normalize
@@ -187,8 +187,6 @@ let test_gap_pi_seam () =
       Alcotest.(check bool) name true (gap > two_pi -. 1e-9))
     [
       ("ulp-apart pair: max_gap", Geom.Dirset.max_gap dirs);
-      ( "ulp-apart pair: max_gap_sorted",
-        Geom.Dirset.max_gap_sorted (Array.of_list dirs) 2 );
       ("ulp-apart pair: max_gap_ba", Geom.Dirset.max_gap_ba ba 2);
     ]
 

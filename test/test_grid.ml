@@ -1,14 +1,13 @@
 (* The Geom.Grid spatial index: unit tests for cell-boundary cases and
-   mobility updates, and differential properties asserting that every
-   grid-backed hot path (oracle discovery, G_R, Yao, RNG/Gabriel,
-   interference coverage, Net.bcast audience) produces results identical
-   to the brute-force references. *)
+   mobility updates, and differential properties for the grid probe
+   itself (the spec's candidates, interference coverage, Net.bcast
+   audience, the small-n dispatch).  Discovery, G_R and the baselines
+   are pinned to the pair scans of test/spec_geo.ml, with the grid
+   forced, in test/test_csr.ml and test/test_env.ml. *)
 
 let v2 = Geom.Vec2.make
 
 let pl = Radio.Pathloss.make ~max_range:100. ()
-
-let alpha56 = Geom.Angle.five_pi_six
 
 (* ---------- unit: construction and probes ---------- *)
 
@@ -164,16 +163,10 @@ let prop_move_tracks_mobility =
       done;
       !ok)
 
-(* ---------- properties: grid-backed modules vs brute references ---------- *)
+(* ---------- properties: grid-backed paths vs all-pairs scans ---------- *)
 
 let neighbor_eq (a : Cbtc.Neighbor.t) (b : Cbtc.Neighbor.t) =
   a.id = b.id && a.dir = b.dir && a.link_power = b.link_power && a.tag = b.tag
-
-let discovery_eq (a : Cbtc.Discovery.t) (b : Cbtc.Discovery.t) =
-  let n = Cbtc.Discovery.nb_nodes a in
-  n = Cbtc.Discovery.nb_nodes b
-  && Array.for_all2 (List.equal neighbor_eq) a.neighbors b.neighbors
-  && a.power = b.power && a.boundary = b.boundary
 
 (* The spec's grid probe against its own full scan, without an env and
    under a non-trivial one (whose probe radius is the inflated
@@ -201,56 +194,10 @@ let prop_candidates_identical =
       done;
       !ok)
 
-let growth_gen =
-  QCheck.Gen.oneofl
-    [ Cbtc.Config.Exact; Cbtc.Config.Double 25.;
-      Cbtc.Config.Mult { p0 = 100.; factor = 3. } ]
-
-let prop_discovery_identical =
-  QCheck.Test.make ~count:100
-    ~name:"Geo.run: grid-backed Discovery.t = brute, bit-exact"
-    (QCheck.make QCheck.Gen.(pair positions_gen growth_gen))
-    (fun (positions, growth) ->
-      let config = Cbtc.Config.make ~growth alpha56 in
-      discovery_eq (Cbtc.Geo.run config pl positions)
-        (Cbtc.Geo.Brute.run config pl positions))
-
-(* ~cutoff:0 forces the grid kernel: without it the adaptive dispatch
-   would pick the brute kernel for these small generated inputs and the
-   comparison would be brute vs brute *)
-let prop_max_power_graph_identical =
-  QCheck.Test.make ~count:100 ~name:"Geo.max_power_graph: grid = brute"
-    (QCheck.make positions_gen)
-    (fun positions ->
-      Graphkit.Ugraph.equal
-        (Cbtc.Geo.max_power_graph ~cutoff:0 pl positions)
-        (Cbtc.Geo.Brute.max_power_graph pl positions))
-
-let prop_proximity_identical =
-  QCheck.Test.make ~count:100
-    ~name:"Proximity max_power/RNG/Gabriel/kNN: grid = brute"
-    (QCheck.make QCheck.Gen.(pair positions_gen (int_range 1 8)))
-    (fun (positions, k) ->
-      Graphkit.Ugraph.equal
-        (Baselines.Proximity.max_power ~cutoff:0 pl positions)
-        (Baselines.Proximity.Brute.max_power pl positions)
-      && Graphkit.Ugraph.equal
-           (Baselines.Proximity.rng pl positions)
-           (Baselines.Proximity.Brute.rng pl positions)
-      && Graphkit.Ugraph.equal
-           (Baselines.Proximity.gabriel pl positions)
-           (Baselines.Proximity.Brute.gabriel pl positions)
-      && Graphkit.Ugraph.equal
-           (Baselines.Proximity.knn pl positions ~k)
-           (Baselines.Proximity.Brute.knn pl positions ~k))
-
-let prop_yao_identical =
-  QCheck.Test.make ~count:100 ~name:"Yao: grid = brute (incl. distance ties)"
-    (QCheck.make QCheck.Gen.(pair positions_gen (int_range 3 9)))
-    (fun (positions, k) ->
-      Graphkit.Ugraph.equal
-        (Baselines.Yao.yao ~cutoff:0 pl positions ~k)
-        (Baselines.Yao.Brute.yao pl positions ~k))
+(* A pool always selects the grid path: with one job it runs inline,
+   so these compare the grid kernel against the all-pairs one the
+   default dispatch picks for small inputs like these. *)
+let forced_grid f = Parallel.Pool.with_pool ~jobs:1 f
 
 (* the adaptive dispatch itself: whatever kernel the default cutoff
    picks must equal the forced-grid result *)
@@ -262,17 +209,18 @@ let prop_cutoff_dispatch_identical =
       let radius =
         Array.map (fun _ -> Radio.Pathloss.max_range pl) positions
       in
+      forced_grid @@ fun pool ->
       Graphkit.Ugraph.equal
         (Cbtc.Geo.max_power_graph pl positions)
-        (Cbtc.Geo.max_power_graph ~cutoff:0 pl positions)
+        (Cbtc.Geo.max_power_graph ~pool pl positions)
       && Graphkit.Ugraph.equal
            (Baselines.Proximity.max_power pl positions)
-           (Baselines.Proximity.max_power ~cutoff:0 pl positions)
+           (Baselines.Proximity.max_power ~pool pl positions)
       && Graphkit.Ugraph.equal
            (Baselines.Yao.yao pl positions ~k)
-           (Baselines.Yao.yao ~cutoff:0 pl positions ~k)
+           (Baselines.Yao.yao ~pool pl positions ~k)
       && Metrics.Interference.coverage positions ~radius
-         = Metrics.Interference.coverage ~cutoff:0 positions ~radius)
+         = Metrics.Interference.coverage ~pool positions ~radius)
 
 let prop_interference_identical =
   QCheck.Test.make ~count:100 ~name:"Interference.coverage: grid = brute"
@@ -283,24 +231,12 @@ let prop_interference_identical =
         Array.init n (fun u ->
             if u mod 3 = 0 then 0. else Stdlib.float_of_int r100 /. 2.)
       in
-      let i = Metrics.Interference.coverage ~cutoff:0 positions ~radius in
-      let expected_total = ref 0 in
-      let expected_max = ref 0 in
-      for u = 0 to n - 1 do
-        if radius.(u) > 0. then begin
-          let c = ref 0 in
-          for v = 0 to n - 1 do
-            if
-              v <> u
-              && Geom.Vec2.dist positions.(u) positions.(v) <= radius.(u)
-            then incr c
-          done;
-          expected_total := !expected_total + !c;
-          if !c > !expected_max then expected_max := !c
-        end
-      done;
-      i.Metrics.Interference.total_coverage = !expected_total
-      && i.Metrics.Interference.max_coverage = !expected_max)
+      let i =
+        forced_grid (fun pool ->
+            Metrics.Interference.coverage ~pool positions ~radius)
+      in
+      (i.Metrics.Interference.max_coverage, i.Metrics.Interference.total_coverage)
+      = Spec_geo.coverage positions ~radius)
 
 (* ---------- Net.bcast audience through the index ---------- *)
 
@@ -411,10 +347,6 @@ let () =
         qsuite
           [
             prop_candidates_identical;
-            prop_discovery_identical;
-            prop_max_power_graph_identical;
-            prop_proximity_identical;
-            prop_yao_identical;
             prop_interference_identical;
             prop_cutoff_dispatch_identical;
             prop_bcast_audience;

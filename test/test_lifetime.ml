@@ -1,5 +1,6 @@
 (* Tests for the network-lifetime substrate: the battery model and the
-   many-to-one data-gathering simulation. *)
+   many-to-one data-gathering simulation (Schedule.run under its default,
+   passive policy). *)
 
 let check_float ?(eps = 1e-9) msg expected actual =
   if Float.abs (expected -. actual) > eps then
@@ -47,6 +48,10 @@ let test_battery_validation () =
 let params max_rounds =
   { Lifetime.Gather.default_params with max_rounds }
 
+let gather ?params pl positions ~sink ~topology =
+  (Lifetime.Schedule.run ?params pl positions ~sink ~topology)
+    .Lifetime.Schedule.outcome
+
 let small_scenario () =
   let sc = Workload.Scenario.make ~n:30 ~seed:51 () in
   (Workload.Scenario.pathloss sc, Workload.Scenario.positions sc)
@@ -54,7 +59,7 @@ let small_scenario () =
 let test_gather_terminates_and_counts () =
   let pl, positions = small_scenario () in
   let o =
-    Lifetime.Gather.run ~params:(params 50) pl positions ~sink:0
+    gather ~params:(params 50) pl positions ~sink:0
       ~topology:(Lifetime.Gather.max_power_builder pl)
   in
   Alcotest.(check bool) "ran some rounds" true (o.Lifetime.Gather.rounds_completed > 0);
@@ -65,7 +70,7 @@ let test_gather_no_deaths_with_huge_battery () =
   let pl, positions = small_scenario () in
   let p = { (params 10) with Lifetime.Gather.capacity = 1e15 } in
   let o =
-    Lifetime.Gather.run ~params:p pl positions ~sink:0
+    gather ~params:p pl positions ~sink:0
       ~topology:(Lifetime.Gather.max_power_builder pl)
   in
   Alcotest.(check (list (pair int int))) "no deaths" [] o.Lifetime.Gather.deaths;
@@ -79,7 +84,7 @@ let test_gather_no_deaths_with_huge_battery () =
 let test_gather_milestones_ordered () =
   let pl, positions = small_scenario () in
   let o =
-    Lifetime.Gather.run ~params:(params 2000) pl positions ~sink:0
+    gather ~params:(params 2000) pl positions ~sink:0
       ~topology:(Lifetime.Gather.max_power_builder pl)
   in
   (match (o.Lifetime.Gather.first_death, o.Lifetime.Gather.half_dead) with
@@ -101,7 +106,7 @@ let test_cbtc_outlives_max_power () =
   let positions = Workload.Scenario.positions sc in
   let config = Cbtc.Config.make Geom.Angle.five_pi_six in
   let run topology =
-    Lifetime.Gather.run ~params:(params 3000) pl positions ~sink:0 ~topology
+    gather ~params:(params 3000) pl positions ~sink:0 ~topology
   in
   let base = run (Lifetime.Gather.max_power_builder pl) in
   let cbtc = run (Lifetime.Gather.cbtc_builder (Cbtc.Pipeline.all_ops config) pl) in
@@ -135,10 +140,10 @@ let test_builders_isolate_dead_nodes () =
 
 let test_gather_validation () =
   let pl, positions = small_scenario () in
-  Alcotest.check_raises "sink range" (Invalid_argument "Gather.run: sink out of range")
-    (fun () ->
+  Alcotest.check_raises "sink range"
+    (Invalid_argument "Schedule.run: sink out of range") (fun () ->
       ignore
-        (Lifetime.Gather.run pl positions ~sink:999
+        (gather pl positions ~sink:999
            ~topology:(Lifetime.Gather.max_power_builder pl)))
 
 let () =
