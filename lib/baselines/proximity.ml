@@ -1,10 +1,12 @@
 (* The one G_R link test: [u -- v] is an edge of [G_R^env] when the env
    link power fits the maximum power.  Every builder below resolves its
    [?env] once ([Radio.Env.resolve]); without one it runs under the
-   trivial env, whose link power is the pathloss's bit for bit. *)
-let in_range env positions u v =
-  let pu = positions.(u) and pv = positions.(v) in
-  Radio.Env.in_range env ~u ~v ~pu ~pv ~dist:(Geom.Vec2.dist pu pv)
+   trivial env, whose link power is the pathloss's bit for bit.  The
+   test is the kernel's allocation-free [Radio.Env.link_into]; the
+   link power it stores in the one-slot [lane] is not needed here, so
+   each loop (each pool chunk) owns one lane and overwrites it. *)
+let in_range env lane positions u v =
+  Radio.Env.link_into env ~u ~v ~pu:positions.(u) ~pv:positions.(v) lane 0
 
 let make_grid pathloss positions =
   Geom.Grid.create ~range:(Radio.Pathloss.max_range pathloss) positions
@@ -33,11 +35,13 @@ let filter_gr ?pool ?grid env positions ~keep =
   let reach = Radio.Env.max_reach env in
   let nbrs = Array.make n [] in
   for_nodes ?pool n (fun lo hi ->
+      let lane = Radio.Env.lane_create 1 in
       for u = lo to hi - 1 do
         nbrs.(u) <-
           Geom.Grid.fold_in_range grid positions.(u) ~dist:reach ~init:[]
             ~f:(fun acc v ->
-              if v > u && in_range env positions u v && keep u v then v :: acc
+              if v > u && in_range env lane positions u v && keep u v then
+                v :: acc
               else acc)
       done);
   let g = Graphkit.Ugraph.create n in
@@ -50,9 +54,10 @@ let filter_gr ?pool ?grid env positions ~keep =
 let scan_gr env positions ~keep =
   let n = Array.length positions in
   let g = Graphkit.Ugraph.create n in
+  let lane = Radio.Env.lane_create 1 in
   for u = 0 to n - 1 do
     for v = u + 1 to n - 1 do
-      if in_range env positions u v && keep u v then
+      if in_range env lane positions u v && keep u v then
         Graphkit.Ugraph.add_edge g u v
     done
   done;
@@ -76,10 +81,11 @@ let max_power_partition ?env ~alive pathloss positions =
   let grid = make_grid pathloss positions in
   let reach = Radio.Env.max_reach env in
   let uf = Graphkit.Unionfind.create n in
+  let lane = Radio.Env.lane_create 1 in
   for u = 0 to n - 1 do
     if alive.(u) then
       Geom.Grid.iter_in_range grid positions.(u) ~dist:reach (fun v ->
-          if v > u && alive.(v) && in_range env positions u v then
+          if v > u && alive.(v) && in_range env lane positions u v then
             ignore (Graphkit.Unionfind.union uf u v : bool))
   done;
   Graphkit.Unionfind.labels uf
@@ -123,11 +129,12 @@ let knn ?pool ?env pathloss positions ~k =
   let reach = Radio.Env.max_reach env in
   let chosen = Array.make n [] in
   for_nodes ?pool n (fun lo hi ->
+      let lane = Radio.Env.lane_create 1 in
       for u = lo to hi - 1 do
         let in_reach =
           Geom.Grid.fold_in_range grid positions.(u) ~dist:reach ~init:[]
             ~f:(fun acc v ->
-              if v <> u && in_range env positions u v then
+              if v <> u && in_range env lane positions u v then
                 (Geom.Vec2.dist positions.(u) positions.(v), v) :: acc
               else acc)
         in

@@ -5,11 +5,13 @@ let smecn ?env (energy : Radio.Energy.t) positions =
     Radio.Energy.link_cost energy (Geom.Vec2.dist positions.(u) positions.(v))
   in
   let g = Graphkit.Ugraph.create n in
+  (* [link_into]'s one-slot lane: the stored link power is unused *)
+  let lane = Radio.Env.lane_create 1 in
   for u = 0 to n - 1 do
     for v = u + 1 to n - 1 do
-      let dist = Geom.Vec2.dist positions.(u) positions.(v) in
       if
-        Radio.Env.in_range env ~u ~v ~pu:positions.(u) ~pv:positions.(v) ~dist
+        Radio.Env.link_into env ~u ~v ~pu:positions.(u) ~pv:positions.(v)
+          lane 0
       then begin
         let direct = cost u v in
         let blocked = ref false in

@@ -3,15 +3,15 @@ let yao_out_degree_bound ~k = k
 (* Per-sector selection for one node over a candidate id list.  Ties on
    distance keep the lowest-id node: candidates are examined in
    increasing id on both the all-pairs and the grid path. *)
-let select_sectors env positions u ~k ~sector_width best candidates =
+let select_sectors env lane positions u ~k ~sector_width best candidates =
   List.iter
     (fun v ->
       if v <> u then begin
-        let dist = Geom.Vec2.dist positions.(u) positions.(v) in
         if
-          Radio.Env.in_range env ~u ~v ~pu:positions.(u) ~pv:positions.(v)
-            ~dist
+          Radio.Env.link_into env ~u ~v ~pu:positions.(u) ~pv:positions.(v)
+            lane 0
         then begin
+          let dist = Geom.Vec2.dist positions.(u) positions.(v) in
           let dir =
             Geom.Vec2.direction ~from:positions.(u) ~toward:positions.(v)
           in
@@ -34,9 +34,11 @@ let build ?pool env positions ~k ~candidates_of =
      order-insensitive, so the graph is the same for any pool size *)
   let selected = Array.make n [] in
   let body lo hi =
+    (* [link_into]'s one-slot lane: the stored link power is unused *)
+    let lane = Radio.Env.lane_create 1 in
     for u = lo to hi - 1 do
       let best = Array.make k None in
-      select_sectors env positions u ~k ~sector_width best
+      select_sectors env lane positions u ~k ~sector_width best
         (candidates_of u);
       selected.(u) <-
         Array.fold_left

@@ -41,10 +41,9 @@ let max_power_partition = Baselines.Proximity.max_power_partition
    (capacity is checked once per candidate in [collect], so the kernel
    loops skip the per-element bound checks boxed [float array] access
    would re-pay), and invisible to the GC scan. *)
-type fbuf = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
+type fbuf = Radio.Env.lane
 
-let fbuf_create n : fbuf =
-  Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n
+let fbuf_create = Radio.Env.lane_create
 
 let fget : fbuf -> int -> float = Bigarray.Array1.unsafe_get
 let fset : fbuf -> int -> float -> unit = Bigarray.Array1.unsafe_set
@@ -94,13 +93,14 @@ let scratch_grow s needed =
    This is the innermost loop of the whole pipeline (every grid-probed
    pair passes through it), so without flambda it cannot afford the
    boxed intermediate records of the [Vec2.dist] / [Vec2.direction]
-   calls the spec makes.  The distance is inlined with identical
-   operations in identical order — [dist] is [sqrt (dx*dx + dy*dy)]
-   exactly as [Vec2.dist] computes it — and the link test is
-   [Env.in_range] with its cap hoisted ([Env.max_link_cap]), so results
-   stay bit-identical to the spec's candidates (pinned by the
-   differential properties in test/test_csr.ml and test/test_env.ml).
-   The [dist <= pre] guard skips the link power for
+   calls the spec makes, nor a boxed float per candidate.  The link
+   test is [Env.link_into]: the spec's [Env.in_range] at
+   [dist = sqrt (dx*dx + dy*dy)] (exactly as [Vec2.dist] computes it),
+   writing an admitted candidate's link power straight into the
+   scratch's link lane, so results stay bit-identical to the spec's
+   candidates (pinned by the differential properties in
+   test/test_csr.ml and test/test_env.ml) and nothing is allocated per
+   candidate.  The [dist <= pre] guard skips the link test for
    the ~2/3 of probed candidates outside range: [Env.max_reach] bounds
    the support of [in_range] from above (the grid probe already relies
    on that), and the same relative+absolute slack as [Grid.probe_slack]
@@ -111,7 +111,6 @@ let scratch_grow s needed =
    on absorption via [norm_dir_between]. *)
 let collect ?grid ?alive env positions s u =
   check_node positions u;
-  let cap = Radio.Env.max_link_cap env in
   let reach = Radio.Env.max_reach env in
   let pre = (reach *. (1. +. 1e-9)) +. 1e-9 in
   (* squared so the reject path (most probed candidates) skips the sqrt;
@@ -127,13 +126,10 @@ let collect ?grid ?alive env positions s u =
       and dy = pv.Geom.Vec2.y -. pu.Geom.Vec2.y in
       let d2 = (dx *. dx) +. (dy *. dy) in
       if d2 <= pre2 then begin
-        let dist = sqrt d2 in
-        let link = Radio.Env.link_power env ~u ~v ~pu ~pv ~dist in
-        if link <= cap then begin
-          let i = !m in
-          if i >= s.cap then scratch_grow s (i + 1);
+        let i = !m in
+        if i >= s.cap then scratch_grow s (i + 1);
+        if Radio.Env.link_into env ~u ~v ~pu ~pv s.link i then begin
           s.cand.(i) <- v;
-          fset s.link i link;
           m := i + 1
         end
       end

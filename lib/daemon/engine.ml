@@ -40,7 +40,7 @@ type stats = {
   mutable full_recomputes : int;  (* watchdog trips *)
 }
 
-type fbuf = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
+type fbuf = Radio.Env.lane
 
 let fget : fbuf -> int -> float = Bigarray.Array1.unsafe_get
 let fset : fbuf -> int -> float -> unit = Bigarray.Array1.unsafe_set
@@ -80,6 +80,7 @@ type t = {
   watchdog_frac : float;
   shards : int;  (* commit shard count; 0 = one per pool chunk *)
   scratch : Cbtc.Geo.scratch;  (* serial-path scratch, reused *)
+  lane : fbuf;  (* [mark_around]'s one-slot link-power lane *)
   dirty : bool array;
   mutable dirty_list : int list;
   mutable live : int;
@@ -208,6 +209,7 @@ let create ?pool ?alive ?env ?(shards = 0) ~watchdog_frac config pathloss
       watchdog_frac;
       shards;
       scratch = Cbtc.Geo.scratch_create ();
+      lane = Radio.Env.lane_create 1;
       dirty = Array.make n false;
       dirty_list = [];
       live = Array.fold_left (fun k b -> if b then k + 1 else k) 0 alive;
@@ -248,20 +250,20 @@ let mark t u =
    candidate-admission cap (the full R-ball): boundary nodes (they
    drain every candidate at max power) and nodes converged exactly at a
    stepped schedule's final step (its drain may absorb links above the
-   step value, see [Geo.schedule_final]).  The link is computed with
-   the kernel's own float operations ([Geo.collect]'s spelling), so
-   the cut is exact, not tolerance-based: marked = possibly affected,
-   unmarked = provably identical — the equivalence sweeps check this
-   float-exactly.
+   step value, see [Geo.schedule_final]).
+
+   [u] is the disturbed node and [p] the position of its disturbance
+   (old or new).  The link goes through the kernel's own entry,
+   [Radio.Env.link_into] (as in [Geo.collect]; its excess is symmetric
+   in the pair), so the cut is exact, not tolerance-based: marked =
+   possibly affected, unmarked = provably identical — the equivalence
+   sweeps check this float-exactly.  A pair [link_into] rejects has
+   [link > reach_cap >= cut] and stays unmarked; an admitted one leaves
+   its link power in [t.lane] for the cut.
 
    Already-dirty nodes skip the test (their tracked power may be stale,
    but the dirty set is monotone within an epoch, so the induction
    above only ever consults clean nodes' powers). *)
-(* [u] is the disturbed node and [p] the position of its disturbance
-   (old or new); the link power is computed with the kernel's own
-   spelling ([Geo.collect]'s sqrt-of-squares dist into
-   [Radio.Env.link_power], whose excess is symmetric in the pair), so
-   the cut stays exact, not tolerance-based. *)
 let mark_around t u p =
   let px = p.Geom.Vec2.x and py = p.Geom.Vec2.y in
   (* [Geo.collect]'s guard: past [t.reach] (plus the grid's probe slack)
@@ -274,14 +276,13 @@ let mark_around t u p =
         let pv = t.positions.(v) in
         let dx = px -. pv.Geom.Vec2.x and dy = py -. pv.Geom.Vec2.y in
         let d2 = (dx *. dx) +. (dy *. dy) in
-        if d2 <= pre2 then begin
-          let dist = sqrt d2 in
-          let link = Radio.Env.link_power t.env ~u ~v ~pu:p ~pv ~dist in
+        if d2 <= pre2 && Radio.Env.link_into t.env ~u ~v ~pu:p ~pv t.lane 0
+        then begin
           let pw = fget t.power v in
           let cut =
             if t.boundary.(v) || pw >= t.final_step then t.reach_cap else pw
           in
-          if link <= cut then mark t v
+          if fget t.lane 0 <= cut then mark t v
         end
       end)
 

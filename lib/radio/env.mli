@@ -101,8 +101,8 @@ val clamp_db : t -> float
 val shadow_seed : t -> int
 
 (** [max_link_cap t] is [Pathloss.reach_cap ~power:P]: the largest env
-    link power an edge of [G_R^env] may have.  Hot loops compare
-    {!link_power} against it directly. *)
+    link power an edge of [G_R^env] may have: the cap {!in_range} and
+    {!link_into} compare against. *)
 val max_link_cap : t -> float
 
 (** [shadow_db t ~u ~v] is the shadowing term of [X_uv] in dB.
@@ -117,9 +117,34 @@ val excess_db : t -> u:int -> v:int -> pu:Geom.Vec2.t -> pv:Geom.Vec2.t -> float
 (** [link_power t ~u ~v ~pu ~pv ~dist] is [p_env(u, v, dist)] — the
     minimum power that establishes the link.  [dist] must be the
     distance between [pu] and [pv] (passed in so call sites keep their
-    own float spelling). *)
+    own float spelling).
+    @raise Invalid_argument when [dist < 0]. *)
 val link_power :
   t -> u:int -> v:int -> pu:Geom.Vec2.t -> pv:Geom.Vec2.t -> dist:float -> float
+
+(** A float64 lane: the unboxed per-candidate link-power storage hot
+    loops hand to {!link_into}. *)
+type lane = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+(** [lane_create n] is a fresh lane of [n] (uninitialized) slots. *)
+val lane_create : int -> lane
+
+(** [link_into t ~u ~v ~pu ~pv lane i] is the kernel-facing membership
+    test of [G_R^env]: it equals
+    [in_range t ~u ~v ~pu ~pv ~dist:(Geom.Vec2.dist pu pv)], and when it
+    holds it has written the pair's {!link_power} into slot [i] of
+    [lane], bit for bit.  A rejected pair leaves the slot unspecified.
+
+    Nothing is allocated per call: no float crosses the call, and the
+    shadowing hash stays unboxed.  Under shadowing, a pair is rejected
+    before the excess and the gain are computed when its distance alone
+    proves the link power above {!max_link_cap} (a 4096-bin bound on
+    the Box-Muller draw, built once by {!make}; see docs/RADIO.md,
+    "Fast rejection").  The bound is a pre-test of the same formula,
+    not a second one: the decision is the exact test's.
+    [i] is not bounds-checked. *)
+val link_into :
+  t -> u:int -> v:int -> pu:Geom.Vec2.t -> pv:Geom.Vec2.t -> lane -> int -> bool
 
 (** Env counterpart of [Pathloss.reaches]. *)
 val reaches :

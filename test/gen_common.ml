@@ -45,13 +45,26 @@ let positions_print a =
 let positions_arb =
   QCheck.make ~shrink:positions_shrink ~print:positions_print positions_gen
 
-(* A non-trivial environment for [pl] over a 300x300 test field:
-   shadowing plus a couple of obstacle discs plus height loss, all
-   derived from one seed so properties shrink well. *)
-let env_gen pl n =
+(* A non-trivial environment over a 300x300 test field, on a pathloss
+   of range [max_range] with a drawn exponent (2..4) and coefficient:
+   shadowing with a drawn clamp (the 3-sigma default, none, or any value
+   below it), a couple of obstacle discs, and height loss, all derived
+   from one seed so properties shrink well.  Callers run the code under
+   test on [Radio.Env.pathloss env].  The drawn exponent, coefficient
+   and clamp are what the fast-reject table of [Radio.Env.link_into] is
+   built from, so the grid = spec properties cover it across them. *)
+let env_gen ~max_range n =
   QCheck.Gen.(
-    triple (float_range 0.5 8.) (int_range 0 1000) (int_range 0 3)
-    >>= fun (sigma, shadow_seed, nobs) ->
+    triple (float_range 2. 4.) (float_range 0.1 10.) (float_range 0.05 10.)
+    >>= fun (exponent, coeff, sigma) ->
+    oneof
+      [
+        return None;
+        return (Some 0.);
+        map Option.some (float_bound_exclusive (3. *. sigma));
+      ]
+    >>= fun clamp_db ->
+    pair (int_range 0 1000) (int_range 0 3) >>= fun (shadow_seed, nobs) ->
     list_repeat nobs
       (triple
          (pair (float_bound_exclusive 300.) (float_bound_exclusive 300.))
@@ -65,5 +78,6 @@ let env_gen pl n =
              Radio.Env.obstacle ~center:(Geom.Vec2.make x y) ~radius ~loss_db)
            obs)
     in
-    Radio.Env.make ~sigma_db:sigma ~shadow_seed ~obstacles
-      ~heights:(Array.of_list heights) ~height_loss_db:0.5 pl)
+    Radio.Env.make ~sigma_db:sigma ~shadow_seed ?clamp_db ~obstacles
+      ~heights:(Array.of_list heights) ~height_loss_db:0.5
+      (Radio.Pathloss.make ~exponent ~coeff ~max_range ()))

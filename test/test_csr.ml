@@ -323,6 +323,7 @@ let prop_grid_edits_match_fresh_rebuild =
    per-node spec: same candidates (grid + alive mask), same power walk,
    same rows — float-for-float — for every live node. *)
 let grow_into_matches_spec ?env positions growth seed =
+  let pl = match env with Some e -> Radio.Env.pathloss e | None -> pl in
   let n = Array.length positions in
   let config = Cbtc.Config.make ~growth alpha56 in
   let prng = Prng.create ~seed in
@@ -373,7 +374,8 @@ let prop_grow_into_env_matches_spec =
        QCheck.Gen.(
          triple positions_gen growth_gen (int_range 0 1000)
          >>= fun (positions, growth, seed) ->
-         Gen_common.env_gen pl (Array.length positions) >|= fun env ->
+         Gen_common.env_gen ~max_range:100. (Array.length positions)
+         >|= fun env ->
          (positions, growth, seed, env)))
     (fun (positions, growth, seed, env) ->
       QCheck.assume (Array.length positions > 0);

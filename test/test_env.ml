@@ -10,7 +10,10 @@
    shadowing hash itself must be symmetric, deterministic in
    (shadow_seed, {u, v}), clamped, and the full env link power
    float-exactly symmetric (including obstacle crossings, whose
-   segment-distance computation is canonicalized by node id). *)
+   segment-distance computation is canonicalized by node id).  The
+   kernel entry [link_into] must take the exact test's decision (its
+   fast reject included), store the exact link power, and allocate
+   nothing. *)
 
 let v2 = Geom.Vec2.make
 
@@ -30,7 +33,7 @@ let growth_gen =
     [ Cbtc.Config.Exact; Cbtc.Config.Double 25.;
       Cbtc.Config.Mult { p0 = 100.; factor = 3. } ]
 
-let env_gen = Gen_common.env_gen pl
+let env_gen = Gen_common.env_gen ~max_range:(Radio.Pathloss.max_range pl)
 
 (* ---------- structural equality helpers (float-exact) ---------- *)
 
@@ -330,7 +333,7 @@ let prop_probe_radius_bounds_support =
     (fun (positions, env) ->
       let n = Array.length positions in
       QCheck.assume (n >= 2);
-      let power = Radio.Pathloss.max_power pl in
+      let power = Radio.Pathloss.max_power (Radio.Env.pathloss env) in
       let reach = Radio.Env.max_reach env in
       let ok = ref true in
       for u = 0 to n - 1 do
@@ -357,6 +360,7 @@ let prop_env_run_flat_matches_spec =
          (positions, growth, env)))
     (fun (positions, growth, env) ->
       let config = Cbtc.Config.make ~growth alpha56 in
+      let pl = Radio.Env.pathloss env in
       discovery_eq
         (Cbtc.Soa.to_discovery (Cbtc.Geo.run_flat ~env config pl positions))
         (Spec_geo.run ~env config pl positions))
@@ -371,6 +375,7 @@ let prop_env_pool_identical =
          (positions, growth, env)))
     (fun (positions, growth, env) ->
       let config = Cbtc.Config.make ~growth alpha56 in
+      let pl = Radio.Env.pathloss env in
       let seq = Cbtc.Geo.run_flat ~env config pl positions in
       List.for_all
         (fun jobs ->
@@ -394,7 +399,8 @@ let prop_env_engine_equivalence =
       QCheck.assume (n >= 3);
       let config = Cbtc.Config.make ~growth alpha56 in
       let eng =
-        Daemon.Engine.create ~env ~watchdog_frac:2. config pl positions
+        Daemon.Engine.create ~env ~watchdog_frac:2. config
+          (Radio.Env.pathloss env) positions
       in
       let events =
         [
@@ -417,6 +423,130 @@ let prop_env_engine_equivalence =
           | Ok () -> true
           | Error _ -> false)
         events)
+
+(* ---------- link_into: the kernel entry = the spec test ---------- *)
+
+(* [link_into] is [in_range] at the kernel's distance spelling, and an
+   admitted pair's lane slot is its [link_power] bit for bit.  The slot
+   is poisoned first, so a missing write shows. *)
+let link_into_agrees env lane ~u ~v ~pu ~pv =
+  let dist = Geom.Vec2.dist pu pv in
+  let exact = Radio.Env.link_power env ~u ~v ~pu ~pv ~dist in
+  Bigarray.Array1.set lane 0 Float.nan;
+  let accepted = Radio.Env.link_into env ~u ~v ~pu ~pv lane 0 in
+  accepted = (exact <= Radio.Env.max_link_cap env)
+  && ((not accepted) || same_bits (Bigarray.Array1.get lane 0) exact)
+
+(* node ids reach past the 64 drawn heights (height 0 there), and a
+   relabeling, when drawn, covers all of them *)
+let ids = 80
+
+let sound_env_gen =
+  QCheck.Gen.(
+    env_gen 64 >>= fun env ->
+    option (array_repeat ids (int_range 0 10_000)) >|= fun labels ->
+    match labels with
+    | None -> env
+    | Some labels -> Radio.Env.relabel ~labels env)
+
+let prop_link_into_sound =
+  QCheck.Test.make ~count:300
+    ~name:"random pairs = exact test, slot bit-exact"
+    (QCheck.make
+       QCheck.Gen.(
+         pair sound_env_gen
+           (list_repeat 64
+              (quad
+                 (pair (int_range 0 (ids - 1)) (int_range 0 (ids - 1)))
+                 (pair (float_bound_exclusive 300.)
+                    (float_bound_exclusive 300.))
+                 (float_bound_exclusive Geom.Angle.two_pi)
+                 (float_range 0. 1.)))))
+    (fun (env, pairs) ->
+      let lane = Radio.Env.lane_create 1 in
+      let reach = Radio.Env.max_reach env in
+      List.for_all
+        (fun ((u, v), (x, y), theta, frac) ->
+          let d = frac *. reach in
+          let pu = v2 x y in
+          let pv = v2 (x +. (d *. cos theta)) (y +. (d *. sin theta)) in
+          link_into_agrees env lane ~u ~v ~pu ~pv)
+        pairs)
+
+(* The decision flips at the pair's exact boundary: find it by
+   bisection along a ray (the segment, hence the obstacle set, only
+   grows with the distance) and check the float neighbours, where a
+   fast reject that were off by a rounding error would show. *)
+let prop_link_into_boundary =
+  QCheck.Test.make ~count:300
+    ~name:"accept boundary = exact test"
+    (QCheck.make
+       QCheck.Gen.(
+         triple sound_env_gen
+           (pair (int_range 0 (ids - 1)) (int_range 0 (ids - 1)))
+           (float_bound_exclusive 300.)))
+    (fun (env, (u, v), y) ->
+      let lane = Radio.Env.lane_create 1 in
+      let cap = Radio.Env.max_link_cap env in
+      let pu = v2 0. y in
+      let accepts d =
+        Radio.Env.link_power env ~u ~v ~pu ~pv:(v2 d y) ~dist:d <= cap
+      in
+      let lo = ref 0. and hi = ref (2. *. Radio.Env.max_reach env) in
+      QCheck.assume (accepts !lo && not (accepts !hi));
+      while Float.succ !lo < !hi do
+        let mid = !lo +. ((!hi -. !lo) /. 2.) in
+        if accepts mid then lo := mid else hi := mid
+      done;
+      List.for_all
+        (fun k -> link_into_agrees env lane ~u ~v ~pu ~pv:(v2 (ulps !lo k) y))
+        (List.init 17 (fun k -> k - 8)))
+
+(* The kernel path allocates nothing per candidate: a later edit that
+   re-boxes a float or an Int64 on it fails here.  (The spec path,
+   [link_power], boxes its result; under shadowing before the kernel
+   entry existed it allocated 32 words per pair.)  Measured under the
+   trivial env, under shadowing, and under the full model — shadowing,
+   an obstacle, heights and a relabeling — with pairs on both sides of
+   the decision. *)
+let link_into_words env =
+  let lane = Radio.Env.lane_create 1 in
+  let pu = v2 150. 150. in
+  let pvs =
+    Array.init 64 (fun i ->
+        let a = Stdlib.float_of_int i in
+        v2 (150. +. (2. *. a *. cos a)) (150. +. (2. *. a *. sin a)))
+  in
+  let calls = 10_000 in
+  let accepted = ref 0 in
+  let before = Gc.minor_words () in
+  for i = 0 to calls - 1 do
+    let v = i land 63 in
+    if Radio.Env.link_into env ~u:(i lsr 6) ~v:(200 + v) ~pu ~pv:pvs.(v) lane 0
+    then incr accepted
+  done;
+  let words = (Gc.minor_words () -. before) /. Stdlib.float_of_int calls in
+  Alcotest.(check bool) "some accepted" true (!accepted > 0);
+  Alcotest.(check bool) "some rejected" true (!accepted < calls);
+  words
+
+let test_link_into_allocation () =
+  let shadowed = Radio.Env.make ~sigma_db:4. ~shadow_seed:3 pl in
+  let full =
+    Radio.Env.relabel
+      ~labels:(Array.init 300 (fun i -> (7 * i) mod 311))
+      (Radio.Env.make ~sigma_db:4. ~shadow_seed:3
+         ~obstacles:
+           [| Radio.Env.obstacle ~center:(v2 170. 150.) ~radius:15.
+                ~loss_db:6. |]
+         ~heights:(Array.init 250 (fun i -> Stdlib.float_of_int (i mod 9)))
+         ~height_loss_db:0.5 pl)
+  in
+  List.iter
+    (fun (name, env) ->
+      let w = link_into_words env in
+      if w > 0. then Alcotest.failf "%s: %.3f words per call (> 0)" name w)
+    [ ("trivial env", trivial_env); ("sigma = 4", shadowed); ("full", full) ]
 
 (* ---------- unit cases ---------- *)
 
@@ -552,6 +682,12 @@ let () =
             prop_env_run_flat_matches_spec;
             prop_env_pool_identical;
             prop_env_engine_equivalence;
+          ] );
+      ( "link_into",
+        qsuite [ prop_link_into_sound; prop_link_into_boundary ]
+        @ [
+            Alcotest.test_case "allocation-free" `Quick
+              test_link_into_allocation;
           ] );
       ( "unit",
         [

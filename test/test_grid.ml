@@ -177,9 +177,10 @@ let prop_candidates_identical =
     (QCheck.make
        QCheck.Gen.(
          positions_gen >>= fun positions ->
-         Gen_common.env_gen pl (Array.length positions) >|= fun env ->
-         (positions, env)))
+         Gen_common.env_gen ~max_range:100. (Array.length positions)
+         >|= fun env -> (positions, env)))
     (fun (positions, env) ->
+      let pl = Radio.Env.pathloss env in
       let grid =
         Geom.Grid.create ~range:(Radio.Pathloss.max_range pl) positions
       in
