@@ -10,9 +10,90 @@
      daemon     self-healing topology daemon over a continuous event stream
      daemon-sweep  equivalence sweep across seeded streams x fault grid
      theory     check the paper's two constructions
-     compare    compare CBTC against the proximity-graph baselines *)
+     compare    compare CBTC against the proximity-graph baselines
+     route      greedy-forwarding and flow-load quality of a topology
+     lifetime   duty-cycled gathering lifetime across topology families *)
 
 open Cmdliner
+
+(* ---------- argument vocabulary ---------- *)
+
+(* Every value-checked flag is read by [number] or [split], so whether
+   a value is valid is decided once, when the command line is parsed
+   (exit 124).  A flag's names are written once: [opt_arg] and
+   [some_arg] hand the long name ("--duration") to the converter for
+   its messages and the names to [Arg.info].
+
+   A literal's [syntax] also prints the default in the usage text, and
+   both float printers are in use there: cmdliner's ("absent=500.")
+   and [Fmt.float]'s ("absent=60"). *)
+type 'a syntax = { of_string : string -> 'a option; pp : 'a Fmt.t }
+
+let int_lit = { of_string = int_of_string_opt; pp = Fmt.int }
+let float_lit = { of_string = float_of_string_opt; pp = Fmt.float }
+let float_dot = { float_lit with pp = Arg.conv_printer Arg.float }
+
+(* [number syntax ok reject]: a literal [syntax] reads and [ok] keeps.
+   Any other VALUE is refused with [reject VALUE v], [v] the value
+   read, or [None] when VALUE does not parse. *)
+let number syntax ok reject =
+  let parse s =
+    match syntax.of_string s with
+    | Some v when ok v -> Ok v
+    | v -> Error (`Msg (reject s v))
+  in
+  Arg.conv (parse, syntax.pp)
+
+(* The common case: one message, "FLAG: VALUE SUFFIX", for a malformed
+   and an out-of-range VALUE alike. *)
+let bounded syntax ok suffix flag =
+  number syntax ok (fun s _ -> Fmt.str "%s: %s %s" flag s suffix)
+
+let not_a_float flag s = Fmt.str "%s: %S is not a float" flag s
+
+(* [split sep part pack reject print flag] reads a [sep]-joined VALUE
+   (LO:HI, T0:T1:MULT, L1,L2,...): [part flag] reads each part, refusing
+   it with its own message, then [pack] the list of parts.  An empty
+   VALUE, or one [pack] refuses, is rejected as a whole with "FLAG: "
+   ^ [reject VALUE]. *)
+let split sep part pack reject print flag =
+  let whole s = Error (`Msg (Fmt.str "%s: %s" flag (reject s))) in
+  let part = Arg.conv_parser (part flag) in
+  let parse s =
+    let rec go acc = function
+      | [] -> ( match pack (List.rev acc) with Some v -> Ok v | None -> whole s)
+      | p :: ps -> Result.bind (part p) (fun v -> go (v :: acc) ps)
+    in
+    if s = "" then whole s else go [] (String.split_on_char sep s)
+  in
+  Arg.conv (parse, print)
+
+(* A tuple part: the float it reads, if any ([pack] refuses a tuple
+   with a [None]). *)
+let tuple_part _flag =
+  Arg.conv ((fun p -> Ok (float_of_string_opt p)), Fmt.(option float))
+
+let long_name names = "--" ^ List.find (fun n -> String.length n > 1) names
+
+let opt_arg conv default names ~docv ~doc =
+  Arg.value
+    (Arg.opt (conv (long_name names)) default (Arg.info names ~docv ~doc))
+
+let some_arg conv names ~docv ~doc =
+  Arg.value
+    (Arg.opt
+       (Arg.some (conv (long_name names)))
+       None (Arg.info names ~docv ~doc))
+
+(* the checks several flags share *)
+let nonneg_int = bounded int_lit (fun k -> k >= 0) "is not >= 0"
+let pos_int = bounded int_lit (fun k -> k >= 1) "is not >= 1"
+let nonneg_float = bounded float_lit (fun v -> v >= 0.) "is not >= 0"
+let pos_time =
+  bounded float_lit (fun t -> Float.is_finite t && t > 0.) "is not > 0"
+let fraction = bounded float_lit (fun f -> f >= 0. && f <= 1.) "out of [0,1]"
+let probability syntax =
+  bounded syntax (fun l -> l >= 0. && l < 1.) "out of [0,1)"
 
 (* ---------- shared options ---------- *)
 
@@ -24,62 +105,56 @@ let nodes =
      crashing), but as a CLI request they are almost certainly typos, so
      reject them with a clear message instead of printing NaN-free but
      meaningless tables. *)
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n >= 2 -> Ok n
+  let reject s = function
+    | None -> Fmt.str "node count must be an integer (got %S)" s
     | Some n ->
-        Error
-          (`Msg
-            (Fmt.str
-               "node count must be at least 2 (got %d); a %s-node network \
-                has no topology to control"
-               n
-               (if n = 1 then "one" else string_of_int n)))
-    | None -> Error (`Msg (Fmt.str "node count must be an integer (got %S)" s))
+        Fmt.str
+          "node count must be at least 2 (got %d); a %s-node network has \
+           no topology to control"
+          n
+          (if n = 1 then "one" else string_of_int n)
   in
   Arg.(
     value
-    & opt (conv (parse, Fmt.int)) 100
+    & opt (number int_lit (fun n -> n >= 2) reject) 100
     & info [ "n"; "nodes" ] ~docv:"N" ~doc:"Node count (at least 2).")
 
-(* A finite float > 0 (NaN and infinities are not lengths), printed as
-   cmdliner's own [float] prints it so the usage text is unchanged. *)
-let positive_length ~flag =
-  let parse s =
-    match float_of_string_opt s with
-    | Some v when Float.is_finite v && v > 0. -> Ok v
-    | _ -> Error (`Msg (Fmt.str "%s: %s is not a finite length > 0" flag s))
-  in
-  Arg.conv (parse, Arg.conv_printer Arg.float)
+(* A finite float > 0 (NaN and infinities are not lengths). *)
+let length =
+  bounded float_dot
+    (fun v -> Float.is_finite v && v > 0.)
+    "is not a finite length > 0"
 
 let side =
-  Arg.(
-    value
-    & opt (positive_length ~flag:"--side") 1500.
-    & info [ "side" ] ~docv:"L" ~doc:"Square field side length (> 0).")
+  opt_arg length 1500. [ "side" ] ~docv:"L"
+    ~doc:"Square field side length (> 0)."
 
 let range =
-  Arg.(
-    value
-    & opt (positive_length ~flag:"--range") 500.
-    & info [ "range" ] ~docv:"R" ~doc:"Maximum transmission radius (> 0).")
+  opt_arg length 500. [ "range" ] ~docv:"R"
+    ~doc:"Maximum transmission radius (> 0)."
 
 let alpha =
-  let parse s =
-    match String.lowercase_ascii s with
-    | "5pi/6" | "5pi6" -> Ok Geom.Angle.five_pi_six
-    | "2pi/3" | "2pi3" -> Ok Geom.Angle.two_pi_three
-    | "pi/2" | "pi2" -> Ok (Float.pi /. 2.)
-    | s -> (
-        match float_of_string_opt s with
-        | Some v when v > 0. && v <= Geom.Angle.two_pi -> Ok v
-        | Some _ -> Error (`Msg "alpha must be in (0, 2pi]")
-        | None -> Error (`Msg "alpha must be a float or 5pi/6, 2pi/3, pi/2"))
+  let angle =
+    {
+      float_lit with
+      of_string =
+        (fun s ->
+          match String.lowercase_ascii s with
+          | "5pi/6" | "5pi6" -> Some Geom.Angle.five_pi_six
+          | "2pi/3" | "2pi3" -> Some Geom.Angle.two_pi_three
+          | "pi/2" | "pi2" -> Some (Float.pi /. 2.)
+          | s -> float_of_string_opt s);
+    }
   in
-  let print ppf v = Fmt.pf ppf "%g" v in
+  let reject _ = function
+    | None -> "alpha must be a float or 5pi/6, 2pi/3, pi/2"
+    | Some _ -> "alpha must be in (0, 2pi]"
+  in
   Arg.(
     value
-    & opt (conv (parse, print)) Geom.Angle.five_pi_six
+    & opt
+        (number angle (fun v -> v > 0. && v <= Geom.Angle.two_pi) reject)
+        Geom.Angle.five_pi_six
     & info [ "alpha" ] ~docv:"ALPHA"
         ~doc:"Cone degree (radians, or one of 5pi/6, 2pi/3, pi/2).")
 
@@ -95,38 +170,35 @@ let opts_flag =
    for every value — trials fan out order-preserving and are folded
    sequentially — so this only changes wall clock. *)
 let jobs =
-  let parse s =
-    match int_of_string_opt s with
-    | Some j when j >= 1 && j <= 1024 -> Ok j
-    | Some _ -> Error (`Msg (Fmt.str "jobs must be in [1, 1024] (got %s)" s))
-    | None -> Error (`Msg (Fmt.str "jobs must be an integer (got %S)" s))
+  let reject s = function
+    | None -> Fmt.str "jobs must be an integer (got %S)" s
+    | Some _ -> Fmt.str "jobs must be in [1, 1024] (got %s)" s
   in
   Arg.(
     value
-    & opt (some (conv (parse, Fmt.int))) None
+    & opt (some (number int_lit (fun j -> j >= 1 && j <= 1024) reject)) None
     & info [ "j"; "jobs" ] ~docv:"N"
         ~env:(Cmd.Env.info "CBTC_JOBS")
         ~doc:
           "Worker domains for trial-level parallelism, in [1, 1024] \
            (default: the host's recommended domain count).")
 
-(* --sigma / --shadow-seed: the per-link propagation environment of
-   Radio.Env.  sigma = 0 (the default) keeps the pure deterministic
-   pathloss model: no environment is even constructed, so the code path
-   is bit-identical to the pre-env one. *)
+(* A pool only when -j is given: without it, node-level work stays on
+   the calling domain. *)
+let with_pool_opt jobs f =
+  match jobs with
+  | None -> f None
+  | Some jobs -> Parallel.Pool.with_pool ~jobs (fun p -> f (Some p))
+
 let sigma_t =
-  let parse s =
-    match float_of_string_opt s with
-    | Some v when Float.is_finite v && v >= 0. -> Ok v
-    | _ -> Error (`Msg (Fmt.str "--sigma: %s is not a finite dB value >= 0" s))
-  in
-  Arg.(
-    value
-    & opt (conv (parse, Fmt.float)) 0.
-    & info [ "sigma" ] ~docv:"DB"
-        ~doc:
-          "Log-normal shadowing standard deviation in dB (0 = pure \
-           deterministic pathloss).")
+  opt_arg
+    (bounded float_lit
+       (fun v -> Float.is_finite v && v >= 0.)
+       "is not a finite dB value >= 0")
+    0. [ "sigma" ] ~docv:"DB"
+    ~doc:
+      "Log-normal shadowing standard deviation in dB (0 = pure \
+       deterministic pathloss)."
 
 let shadow_seed_t =
   Arg.(
@@ -183,6 +255,20 @@ let open_output path =
    and closes it. *)
 let write_output oc s =
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc s)
+
+(* An optional output file, opened up front like any other. *)
+let open_optional = Option.map (fun path -> (path, open_output path))
+
+(* [emit out contents] writes [contents ()] to an output opened by
+   [open_optional], if any, and reports the path. *)
+let emit out contents =
+  Option.iter
+    (fun (path, oc) ->
+      write_output oc (contents ());
+      Fmt.pr "wrote %s@." path)
+    out
+
+let json_line doc = Obs.Jsonl.to_string doc ^ "\n"
 
 (* Trace and summary are still flushed when the run raises. *)
 let with_obs ~manifest (trace_out, metrics_out) f =
@@ -255,12 +341,7 @@ let run_cmd =
     (* node-level parallelism for the oracle pass; output is
        bit-identical at every -j (chunks write disjoint slots), which
        the @scale-smoke alias pins by comparing summary digests *)
-    let with_pool_opt f =
-      match jobs with
-      | None -> f None
-      | Some jobs -> Parallel.Pool.with_pool ~jobs (fun p -> f (Some p))
-    in
-    with_pool_opt @@ fun pool ->
+    with_pool_opt jobs @@ fun pool ->
     let r =
       Cbtc.Pipeline.run_oracle ?pool ~obs ?env pl positions
         (plan_of config opts)
@@ -288,15 +369,8 @@ let run_cmd =
 
 let sweep_cmd =
   let count =
-    let parse s =
-      match int_of_string_opt s with
-      | Some k when k >= 1 -> Ok k
-      | _ -> Error (`Msg (Fmt.str "--count: %s is not >= 1" s))
-    in
-    Arg.(
-      value
-      & opt (conv (parse, Fmt.int)) 20
-      & info [ "count" ] ~docv:"K" ~doc:"Number of random networks (>= 1).")
+    opt_arg pos_int 20 [ "count" ] ~docv:"K"
+      ~doc:"Number of random networks (>= 1)."
   in
   let action n side range seed count opts sigma shadow_seed jobs obsout =
     with_obs obsout
@@ -396,8 +470,8 @@ let topology_cmd =
   in
   let action n side range seed alpha opts out ascii dot csv =
     let svg_oc = open_output out in
-    let dot = Option.map (fun path -> (path, open_output path)) dot in
-    let csv = Option.map (fun path -> (path, open_output path)) csv in
+    let dot = open_optional dot in
+    let csv = open_optional csv in
     let sc = scenario_of ~n ~side ~range ~seed in
     let pl = Workload.Scenario.pathloss sc in
     let positions = Workload.Scenario.positions sc in
@@ -411,16 +485,8 @@ let topology_cmd =
          positions r.Cbtc.Pipeline.graph);
     Fmt.pr "wrote %s (%d edges)@." out
       (Graphkit.Ugraph.nb_edges r.Cbtc.Pipeline.graph);
-    Option.iter
-      (fun (path, oc) ->
-        write_output oc (Viz.Export.to_dot positions r.Cbtc.Pipeline.graph);
-        Fmt.pr "wrote %s@." path)
-      dot;
-    Option.iter
-      (fun (path, oc) ->
-        write_output oc (Viz.Export.to_csv positions r.Cbtc.Pipeline.graph);
-        Fmt.pr "wrote %s@." path)
-      csv;
+    emit dot (fun () -> Viz.Export.to_dot positions r.Cbtc.Pipeline.graph);
+    emit csv (fun () -> Viz.Export.to_csv positions r.Cbtc.Pipeline.graph);
     if ascii then
       Fmt.pr "%s@."
         (Viz.Topoviz.to_ascii ~field_width:side ~field_height:side positions
@@ -437,28 +503,12 @@ let topology_cmd =
 
 let protocol_cmd =
   let loss =
-    let parse s =
-      match float_of_string_opt s with
-      | Some l when l >= 0. && l < 1. -> Ok l
-      | _ -> Error (`Msg (Fmt.str "--loss: %s out of [0,1)" s))
-    in
-    Arg.(
-      value
-      & opt (conv (parse, Arg.conv_printer float)) 0.
-      & info [ "loss" ] ~docv:"P"
-          ~doc:"Per-message loss probability, in [0,1).")
+    opt_arg (probability float_dot) 0. [ "loss" ] ~docv:"P"
+      ~doc:"Per-message loss probability, in [0,1)."
   in
   let repeats =
-    let parse s =
-      match int_of_string_opt s with
-      | Some k when k >= 1 -> Ok k
-      | _ -> Error (`Msg (Fmt.str "--repeats: %s is not >= 1" s))
-    in
-    Arg.(
-      value
-      & opt (conv (parse, Fmt.int)) 1
-      & info [ "repeats" ] ~docv:"K"
-          ~doc:"Hello repeats per power step (>= 1).")
+    opt_arg pos_int 1 [ "repeats" ] ~docv:"K"
+      ~doc:"Hello repeats per power step (>= 1)."
   in
   let action n side range seed alpha loss repeats obsout =
     with_obs obsout
@@ -500,72 +550,46 @@ let protocol_cmd =
 (* ---------- stress ---------- *)
 
 let stress_cmd =
-  let float_list ~flag ~lo ~hi ~hi_inclusive =
-    let bounds =
-      Fmt.str "[%g,%g%s" lo hi (if hi_inclusive then "]" else ")")
+  (* L1,L2,...: floats in [0,hi], each part trimmed before it is read *)
+  let fractions hi =
+    let trimmed p = float_of_string_opt (String.trim p) in
+    let part flag =
+      number
+        { float_lit with of_string = trimmed }
+        (fun v -> v >= 0. && v <= hi)
+        (fun p -> function
+          | None -> not_a_float flag p
+          | Some _ -> Fmt.str "%s: %s out of [0,%g]" flag p hi)
     in
-    let parse s =
-      let parts = String.split_on_char ',' s in
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | p :: rest -> (
-            match float_of_string_opt (String.trim p) with
-            | Some v
-              when v >= lo && (if hi_inclusive then v <= hi else v < hi) ->
-                go (v :: acc) rest
-            | Some _ ->
-                Error (`Msg (Fmt.str "%s: %s out of %s" flag p bounds))
-            | None ->
-                Error (`Msg (Fmt.str "%s: %S is not a float" flag p)))
-      in
-      match parts with
-      | [] | [ "" ] -> Error (`Msg (Fmt.str "%s: empty list" flag))
-      | parts -> go [] parts
-    in
-    let print = Fmt.(list ~sep:(any ",") float) in
-    Arg.conv (parse, print)
+    split ',' part Option.some
+      (fun _ -> "empty list")
+      Fmt.(list ~sep:(any ",") float)
   in
   let losses =
-    Arg.(
-      value
-      & opt (float_list ~flag:"--loss" ~lo:0. ~hi:0.5 ~hi_inclusive:true)
-          [ 0.1; 0.3 ]
-      & info [ "loss" ] ~docv:"L1,L2,..."
-          ~doc:"Mean channel loss values to sweep, each in [0,0.5].")
+    opt_arg (fractions 0.5) [ 0.1; 0.3 ] [ "loss" ] ~docv:"L1,L2,..."
+      ~doc:"Mean channel loss values to sweep, each in [0,0.5]."
   in
   let crashes =
-    Arg.(
-      value
-      & opt (float_list ~flag:"--crash" ~lo:0. ~hi:1. ~hi_inclusive:true)
-          [ 0.; 0.1 ]
-      & info [ "crash" ] ~docv:"F1,F2,..."
-          ~doc:"Crashed-node fractions to sweep, each in [0,1].")
+    opt_arg (fractions 1.) [ 0.; 0.1 ] [ "crash" ] ~docv:"F1,F2,..."
+      ~doc:"Crashed-node fractions to sweep, each in [0,1]."
   in
   let burstiness =
-    let parse s =
-      match float_of_string_opt s with
-      | Some b when b >= 1. && b <= 1000. -> Ok b
-      | _ -> Error (`Msg (Fmt.str "--burstiness: %s out of [1,1000]" s))
-    in
-    Arg.(
-      value
-      & opt (conv (parse, Fmt.float)) 4.
-      & info [ "burstiness" ] ~docv:"B"
-          ~doc:"Mean burst length (transmissions) of the Gilbert-Elliott \
-                bad state, in [1,1000].")
+    opt_arg
+      (bounded float_lit (fun b -> b >= 1. && b <= 1000.) "out of [1,1000]")
+      4. [ "burstiness" ] ~docv:"B"
+      ~doc:
+        "Mean burst length (transmissions) of the Gilbert-Elliott bad \
+         state, in [1,1000]."
   in
   let recover_after =
-    let parse s =
-      match float_of_string_opt s with
-      | Some d when d >= 0. -> Ok d
-      | _ -> Error (`Msg (Fmt.str "--recover-after: %s is not a delay >= 0" s))
-    in
-    Arg.(
-      value
-      & opt (some (conv (parse, Fmt.float))) None
-      & info [ "recover-after" ] ~docv:"T"
-          ~doc:"Recover each crashed node T time units after its crash \
-                (default: crash-stop forever).")
+    some_arg
+      (bounded float_lit
+         (fun d -> Float.is_finite d && d >= 0.)
+         "is not a delay >= 0")
+      [ "recover-after" ] ~docv:"T"
+      ~doc:
+        "Recover each crashed node T time units after its crash (default: \
+         crash-stop forever)."
   in
   let out =
     Arg.(
@@ -755,18 +779,12 @@ let stress_cmd =
 
 let check_cmd =
   let schedules =
-    let parse s =
-      match int_of_string_opt s with
-      | Some k when k >= 0 && k <= 100_000 -> Ok k
-      | _ -> Error (`Msg (Fmt.str "--schedules: %s out of [0, 100000]" s))
-    in
-    Arg.(
-      value
-      & opt (conv (parse, Fmt.int)) 20
-      & info [ "schedules" ] ~docv:"K"
-          ~doc:
-            "Seeded random tie-break schedules to sweep (the FIFO schedule \
-             is always trial 0).")
+    opt_arg
+      (bounded int_lit (fun k -> k >= 0 && k <= 100_000) "out of [0, 100000]")
+      20 [ "schedules" ] ~docv:"K"
+      ~doc:
+        "Seeded random tie-break schedules to sweep (the FIFO schedule is \
+         always trial 0)."
   in
   let schedule_seed =
     Arg.(
@@ -775,42 +793,20 @@ let check_cmd =
           ~doc:"Base seed the per-schedule seeds are derived from.")
   in
   let loss =
-    let parse s =
-      match float_of_string_opt s with
-      | Some l when l >= 0. && l < 1. -> Ok l
-      | _ -> Error (`Msg (Fmt.str "--loss: %s out of [0,1)" s))
-    in
-    Arg.(
-      value
-      & opt (conv (parse, Fmt.float)) 0.
-      & info [ "loss" ] ~docv:"L"
-          ~doc:"Bernoulli per-copy channel loss, in [0,1).")
+    opt_arg (probability float_lit) 0. [ "loss" ] ~docv:"L"
+      ~doc:"Bernoulli per-copy channel loss, in [0,1)."
   in
   let crash =
-    let parse s =
-      match float_of_string_opt s with
-      | Some f when f >= 0. && f <= 1. -> Ok f
-      | _ -> Error (`Msg (Fmt.str "--crash: %s out of [0,1]" s))
-    in
-    Arg.(
-      value
-      & opt (conv (parse, Fmt.float)) 0.
-      & info [ "crash" ] ~docv:"F"
-          ~doc:
-            "Also sweep every schedule against a fault plan crashing this \
-             fraction of the nodes mid-run.")
+    opt_arg fraction 0. [ "crash" ] ~docv:"F"
+      ~doc:
+        "Also sweep every schedule against a fault plan crashing this \
+         fraction of the nodes mid-run."
   in
   let spread =
-    let parse s =
-      match float_of_string_opt s with
-      | Some t when t >= 0. -> Ok t
-      | _ -> Error (`Msg (Fmt.str "--spread: %s is not a delay >= 0" s))
-    in
-    Arg.(
-      value
-      & opt (conv (parse, Fmt.float)) 0.
-      & info [ "spread" ] ~docv:"T"
-          ~doc:"Stagger node start times uniformly in [0,T].")
+    opt_arg
+      (bounded float_lit (fun t -> t >= 0.) "is not a delay >= 0")
+      0. [ "spread" ] ~docv:"T"
+      ~doc:"Stagger node start times uniformly in [0,T]."
   in
   let mutant =
     Arg.(
@@ -855,16 +851,8 @@ let check_cmd =
              the recorded failure reproduces exactly.")
   in
   let budget =
-    let parse s =
-      match int_of_string_opt s with
-      | Some b when b >= 1 -> Ok b
-      | _ -> Error (`Msg (Fmt.str "--shrink-budget: %s is not >= 1" s))
-    in
-    Arg.(
-      value
-      & opt (conv (parse, Fmt.int)) 400
-      & info [ "shrink-budget" ] ~docv:"B"
-          ~doc:"Protocol runs the shrinker may spend.")
+    opt_arg pos_int 400 [ "shrink-budget" ] ~docv:"B"
+      ~doc:"Protocol runs the shrinker may spend."
   in
   let out =
     Arg.(
@@ -903,7 +891,7 @@ let check_cmd =
     match replay with
     | Some path -> do_replay path obsout
     | None ->
-        let out = Option.map (fun path -> (path, open_output path)) out in
+        let out = open_optional out in
         with_obs obsout
           ~manifest:
             (manifest_of ~command:"check" ~n ~side ~range ~seed ~alpha
@@ -961,10 +949,9 @@ let check_cmd =
               Some r
         in
         ignore shrunk;
-        Option.iter
-          (fun (path, oc) ->
-            let doc =
-              Obs.Jsonl.Obj
+        emit out (fun () ->
+            json_line
+              (Obs.Jsonl.Obj
                 [
                   ("command", Obs.Jsonl.Str "check");
                   ("n", Obs.Jsonl.Int n);
@@ -983,11 +970,7 @@ let check_cmd =
                   ("plans", Obs.Jsonl.Int report.Check.Explore.plans);
                   ("failures", Obs.Jsonl.Int (List.length failures));
                   ("digest", Obs.Jsonl.Str report.Check.Explore.digest);
-                ]
-            in
-            write_output oc (Obs.Jsonl.to_string doc ^ "\n");
-            Fmt.pr "wrote %s@." path)
-          out;
+                ]));
         if failures <> [] then exit 1
   in
   Cmd.v
@@ -1006,130 +989,69 @@ let check_cmd =
 (* ---------- daemon ---------- *)
 
 let daemon_cmd =
-  let pos_float ~flag default names doc =
-    let parse s =
-      match float_of_string_opt s with
-      | Some v when v > 0. -> Ok v
-      | _ -> Error (`Msg (Fmt.str "%s: %s is not > 0" flag s))
-    in
-    Arg.(
-      value
-      & opt (conv (parse, Fmt.float)) default
-      & info names ~docv:"T" ~doc)
-  in
   let duration =
-    pos_float ~flag:"--duration" 60. [ "duration" ]
-      "Stream duration in simulated time units (> 0)."
+    opt_arg pos_time 60. [ "duration" ] ~docv:"T"
+      ~doc:"Stream duration in simulated time units (> 0)."
   in
   let event_dt =
-    pos_float ~flag:"--event-dt" 1. [ "event-dt" ]
-      "Epoch length: commit/verify cadence (> 0)."
+    opt_arg pos_time 1. [ "event-dt" ] ~docv:"T"
+      ~doc:"Epoch length: commit/verify cadence (> 0)."
   in
   let move_rate =
-    let parse s =
-      match float_of_string_opt s with
-      | Some v when v >= 0. -> Ok v
-      | _ -> Error (`Msg (Fmt.str "--move-rate: %s is not >= 0" s))
-    in
-    Arg.(
-      value
-      & opt (conv (parse, Fmt.float)) 40.
-      & info [ "move-rate" ] ~docv:"R"
-          ~doc:"Network-wide position reports per time unit (>= 0).")
+    opt_arg nonneg_float 40. [ "move-rate" ] ~docv:"R"
+      ~doc:"Network-wide position reports per time unit (>= 0)."
   in
+  (* --speed and --pause split syntax from semantics: a value that does
+     not parse is a cmdliner error (exit 124); an inverted, non-positive
+     or NaN range and a negative pause parse fine and are rejected by
+     Mobility.validate_params at startup with exit 2, mirroring a bad
+     --restore file. *)
   let speed =
-    (* LO:HI — syntax errors are cmdliner parse errors (exit 124);
-       syntactically valid but semantically bad ranges (inverted,
-       non-positive, NaN) are rejected by Mobility.validate_params at
-       startup with exit 2, mirroring a bad --restore file. *)
-    let parse s =
-      let err = `Msg (Fmt.str "--speed: %S is not LO:HI (two floats)" s) in
-      match String.split_on_char ':' s with
-      | [ a; b ] -> (
-          match (float_of_string_opt a, float_of_string_opt b) with
-          | Some lo, Some hi -> Ok (lo, hi)
-          | _ -> Error err)
-      | _ -> Error err
-    in
-    let print ppf (lo, hi) = Fmt.pf ppf "%g:%g" lo hi in
-    Arg.(
-      value
-      & opt (some (conv (parse, print))) None
-      & info [ "speed" ] ~docv:"LO:HI"
-          ~doc:
-            "Random-waypoint speed range (default: the library's default \
-             parameters).  Inverted or non-positive ranges are rejected \
-             at startup.")
+    some_arg
+      (split ':' tuple_part
+         (function [ Some lo; Some hi ] -> Some (lo, hi) | _ -> None)
+         (Fmt.str "%S is not LO:HI (two floats)")
+         (fun ppf (lo, hi) -> Fmt.pf ppf "%g:%g" lo hi))
+      [ "speed" ] ~docv:"LO:HI"
+      ~doc:
+        "Random-waypoint speed range (default: the library's default \
+         parameters).  Inverted or non-positive ranges are rejected at \
+         startup."
   in
   let pause =
-    let parse s =
-      match float_of_string_opt s with
-      | Some v -> Ok v
-      | None -> Error (`Msg (Fmt.str "--pause: %S is not a float" s))
-    in
-    Arg.(
-      value
-      & opt (some (conv (parse, Fmt.float))) None
-      & info [ "pause" ] ~docv:"T"
-          ~doc:
-            "Random-waypoint pause at each waypoint (default: the \
-             library's default).  Negative or non-finite values are \
-             rejected at startup.")
+    some_arg
+      (fun flag ->
+        number float_lit (fun _ -> true) (fun s _ -> not_a_float flag s))
+      [ "pause" ] ~docv:"T"
+      ~doc:
+        "Random-waypoint pause at each waypoint (default: the library's \
+         default).  Negative or non-finite values are rejected at startup."
   in
   let crash =
-    let parse s =
-      match float_of_string_opt s with
-      | Some f when f >= 0. && f <= 1. -> Ok f
-      | _ -> Error (`Msg (Fmt.str "--crash: %s out of [0,1]" s))
-    in
-    Arg.(
-      value
-      & opt (conv (parse, Fmt.float)) 0.
-      & info [ "crash" ] ~docv:"F"
-          ~doc:"Crash this fraction of the nodes mid-stream.")
+    opt_arg fraction 0. [ "crash" ] ~docv:"F"
+      ~doc:"Crash this fraction of the nodes mid-stream."
   in
   let recover_after =
-    let parse s =
-      match float_of_string_opt s with
-      | Some v when v > 0. -> Ok v
-      | _ -> Error (`Msg (Fmt.str "--recover-after: %s is not > 0" s))
-    in
-    Arg.(
-      value
-      & opt (some (conv (parse, Fmt.float))) None
-      & info [ "recover-after" ] ~docv:"T"
-          ~doc:
-            "Recover each crashed node this long after its crash \
-             (default: crashes are permanent).")
+    some_arg pos_time [ "recover-after" ] ~docv:"T"
+      ~doc:
+        "Recover each crashed node this long after its crash (default: \
+         crashes are permanent)."
   in
   let storm =
     (* T0:T1:MULT — a load spike for exercising the shedding policy *)
-    let parse s =
-      let err =
-        `Msg
-          (Fmt.str
-             "--storm: %S is not T0:T1:MULT with 0 <= T0 < T1 and MULT > 0" s)
-      in
-      match String.split_on_char ':' s with
-      | [ a; b; m ] -> (
-          match
-            (float_of_string_opt a, float_of_string_opt b,
-             float_of_string_opt m)
-          with
-          | Some t0, Some t1, Some mult
-            when t0 >= 0. && t0 < t1 && mult > 0. ->
-              Ok (t0, t1, mult)
-          | _ -> Error err)
-      | _ -> Error err
-    in
-    let print ppf (t0, t1, m) = Fmt.pf ppf "%g:%g:%g" t0 t1 m in
-    Arg.(
-      value
-      & opt (some (conv (parse, print))) None
-      & info [ "storm" ] ~docv:"T0:T1:MULT"
-          ~doc:
-            "Multiply the move rate by MULT while stream time is in \
-             [T0, T1) — a fault/load storm.")
+    some_arg
+      (split ':' tuple_part
+         (function
+           | [ Some t0; Some t1; Some mult ]
+             when t0 >= 0. && t0 < t1 && mult > 0. ->
+               Some (t0, t1, mult)
+           | _ -> None)
+         (Fmt.str "%S is not T0:T1:MULT with 0 <= T0 < T1 and MULT > 0")
+         (fun ppf (t0, t1, m) -> Fmt.pf ppf "%g:%g:%g" t0 t1 m))
+      [ "storm" ] ~docv:"T0:T1:MULT"
+      ~doc:
+        "Multiply the move rate by MULT while stream time is in [T0, T1) \
+         — a fault/load storm."
   in
   let budget =
     Arg.(
@@ -1138,71 +1060,38 @@ let daemon_cmd =
           ~doc:"Max events applied per epoch (<= 0 = unlimited).")
   in
   let queue_cap =
-    let parse s =
-      match int_of_string_opt s with
-      | Some c when c >= 1 -> Ok c
-      | _ -> Error (`Msg (Fmt.str "--queue-cap: %s is not >= 1" s))
-    in
-    Arg.(
-      value
-      & opt (conv (parse, Fmt.int)) 4096
-      & info [ "queue-cap" ] ~docv:"C"
-          ~doc:"Event-queue capacity before overload shedding.")
+    opt_arg pos_int 4096 [ "queue-cap" ] ~docv:"C"
+      ~doc:"Event-queue capacity before overload shedding."
   in
   let watchdog =
-    let parse s =
-      match float_of_string_opt s with
-      | Some f when f >= 0. -> Ok f
-      | _ -> Error (`Msg (Fmt.str "--watchdog: %s is not >= 0" s))
-    in
-    Arg.(
-      value
-      & opt (conv (parse, Fmt.float)) Daemon.Engine.default_watchdog_frac
-      & info [ "watchdog" ] ~docv:"FRAC"
-          ~doc:
-            "Fall back to a full recompute when an epoch dirties more \
-             than FRAC of the live nodes (0 = always full, > 1 = never; \
-             the default 1.0 trips only when every live node is dirty, \
-             where the full pass is the same work plus a drift squash).")
+    opt_arg nonneg_float Daemon.Engine.default_watchdog_frac [ "watchdog" ]
+      ~docv:"FRAC"
+      ~doc:
+        "Fall back to a full recompute when an epoch dirties more than \
+         FRAC of the live nodes (0 = always full, > 1 = never; the default \
+         1.0 trips only when every live node is dirty, where the full pass \
+         is the same work plus a drift squash)."
   in
   let shards =
-    let parse s =
-      match int_of_string_opt s with
-      | Some k when k >= 0 -> Ok k
-      | _ -> Error (`Msg (Fmt.str "--shards: %s is not >= 0" s))
-    in
-    Arg.(
-      value
-      & opt (conv (parse, Fmt.int)) 0
-      & info [ "shards" ] ~docv:"K"
-          ~doc:
-            "Spatial shards per pooled commit (0 = one per pool chunk). \
-             Reports are byte-identical for every value; tune only for \
-             load balance.")
-  in
-  let every ~flag default names doc =
-    let parse s =
-      match int_of_string_opt s with
-      | Some k when k >= 0 -> Ok k
-      | _ -> Error (`Msg (Fmt.str "%s: %s is not >= 0" flag s))
-    in
-    Arg.(
-      value
-      & opt (conv (parse, Fmt.int)) default
-      & info names ~docv:"K" ~doc)
+    opt_arg nonneg_int 0 [ "shards" ] ~docv:"K"
+      ~doc:
+        "Spatial shards per pooled commit (0 = one per pool chunk). \
+         Reports are byte-identical for every value; tune only for load \
+         balance."
   in
   let verify_every =
-    every ~flag:"--verify-every" 10 [ "verify-every" ]
-      "Verify guarantees + degradation every K epochs (0 = final only)."
+    opt_arg nonneg_int 10 [ "verify-every" ] ~docv:"K"
+      ~doc:"Verify guarantees + degradation every K epochs (0 = final only)."
   in
   let equivalence_every =
-    every ~flag:"--equivalence-every" 0 [ "equivalence-every" ]
-      "Check incremental state equals a full recompute every K epochs \
-       (0 = never)."
+    opt_arg nonneg_int 0 [ "equivalence-every" ] ~docv:"K"
+      ~doc:
+        "Check incremental state equals a full recompute every K epochs (0 \
+         = never)."
   in
   let checkpoint_every =
-    every ~flag:"--checkpoint-every" 0 [ "checkpoint-every" ]
-      "Write a checkpoint every K epochs (0 = never; needs --checkpoint)."
+    opt_arg nonneg_int 0 [ "checkpoint-every" ] ~docv:"K"
+      ~doc:"Write a checkpoint every K epochs (0 = never; needs --checkpoint)."
   in
   let checkpoint_path =
     Arg.(
@@ -1307,6 +1196,10 @@ let daemon_cmd =
         checkpoint_path;
       }
     in
+    (try Daemon.Driver.validate params stream
+     with Invalid_argument m ->
+       Fmt.epr "daemon: %s@." m;
+       exit 2);
     let restore =
       Option.map
         (fun path ->
@@ -1324,9 +1217,7 @@ let daemon_cmd =
         close_out (open_output tmp);
         Sys.remove tmp)
       checkpoint_path;
-    let metrics_out =
-      Option.map (fun path -> (path, open_output path)) metrics_out
-    in
+    let metrics_out = open_optional metrics_out in
     let trace_oc = Option.map open_output trace_out in
     let clock = if wall then Some Unix.gettimeofday else None in
     (* the trace recorder is always clockless (even with --wall): spans
@@ -1381,12 +1272,7 @@ let daemon_cmd =
           (Stdlib.float_of_int r.engine.Daemon.Engine.events /. w)
           w
     | _ -> ());
-    Option.iter
-      (fun (path, oc) ->
-        write_output oc
-          (Obs.Jsonl.to_string (report_json r ~jobs:pool_jobs) ^ "\n");
-        Fmt.pr "wrote %s@." path)
-      metrics_out;
+    emit metrics_out (fun () -> json_line (report_json r ~jobs:pool_jobs));
     List.iter (fun m -> Fmt.epr "verify failure: %s@." m) r.verify_failures;
     List.iter
       (fun m -> Fmt.epr "equivalence failure: %s@." m)
@@ -1413,28 +1299,21 @@ let daemon_cmd =
 
 let daemon_sweep_cmd =
   let seeds =
-    let parse s =
-      match int_of_string_opt s with
-      | Some k when k >= 1 && k <= 100_000 -> Ok k
-      | _ -> Error (`Msg (Fmt.str "--seeds: %s out of [1, 100000]" s))
-    in
-    Arg.(
-      value
-      & opt (conv (parse, Fmt.int)) 8
-      & info [ "seeds" ] ~docv:"K"
-          ~doc:"Stream seeds to sweep (each crossed with every grid cell).")
+    opt_arg
+      (bounded int_lit (fun k -> k >= 1 && k <= 100_000) "out of [1, 100000]")
+      8 [ "seeds" ] ~docv:"K"
+      ~doc:"Stream seeds to sweep (each crossed with every grid cell)."
   in
   let action n seed seeds out jobs =
-    let out = Option.map (fun path -> (path, open_output path)) out in
+    let out = open_optional out in
     let report =
       Parallel.Pool.with_pool ?jobs (fun pool ->
           Check.Daemon_sweep.sweep ~pool ~seeds ~seed ~n ())
     in
     Fmt.pr "%a@." Check.Daemon_sweep.pp_report report;
-    Option.iter
-      (fun (path, oc) ->
-        let doc =
-          Obs.Jsonl.Obj
+    emit out (fun () ->
+        json_line
+          (Obs.Jsonl.Obj
             [
               ("command", Obs.Jsonl.Str "daemon-sweep");
               ("n", Obs.Jsonl.Int n);
@@ -1446,11 +1325,7 @@ let daemon_sweep_cmd =
                 Obs.Jsonl.Int
                   (List.length report.Check.Daemon_sweep.failures) );
               ("digest", Obs.Jsonl.Str report.Check.Daemon_sweep.digest);
-            ]
-        in
-        write_output oc (Obs.Jsonl.to_string doc ^ "\n");
-        Fmt.pr "wrote %s@." path)
-      out;
+            ]));
     if report.Check.Daemon_sweep.failures <> [] then exit 1
   in
   let out =
@@ -1553,9 +1428,8 @@ let compare_cmd =
 
 let route_cmd =
   let count =
-    Arg.(
-      value & opt int 200
-      & info [ "count" ] ~docv:"K" ~doc:"Number of random source/dest pairs.")
+    opt_arg nonneg_int 200 [ "count" ] ~docv:"K"
+      ~doc:"Number of random source/dest pairs."
   in
   let action n side range seed alpha opts count =
     let sc = scenario_of ~n ~side ~range ~seed in
@@ -1713,7 +1587,7 @@ let lifetime_cmd =
       | `Clustered -> "clustered"
       | `Grid -> "grid"
     in
-    let out = Option.map (fun path -> (path, open_output path)) out in
+    let out = open_optional out in
     with_obs obsout
       ~manifest:
         (manifest_of ~command:"lifetime" ~n ~side ~range ~seed ~alpha
@@ -1753,12 +1627,7 @@ let lifetime_cmd =
       { Lifetime.Gather.default_params with
         capacity; rx_overhead; max_rounds = rounds }
     in
-    let with_pool_opt f =
-      match jobs with
-      | None -> f None
-      | Some jobs -> Parallel.Pool.with_pool ~jobs (fun p -> f (Some p))
-    in
-    with_pool_opt @@ fun pool ->
+    with_pool_opt jobs @@ fun pool ->
     let rows =
       List.map
         (fun fam ->

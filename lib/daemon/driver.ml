@@ -145,6 +145,14 @@ let validate (params : params) (stream : stream) =
     invalid_arg "Daemon.Driver.run: duration must be positive";
   if not (params.event_dt > 0.) then
     invalid_arg "Daemon.Driver.run: event_dt must be positive";
+  if not (Float.is_finite params.duration && Float.is_finite params.event_dt)
+  then invalid_arg "Daemon.Driver.run: duration and event_dt must be finite";
+  (* [run]'s epoch count, [ceil (duration / event_dt)], must fit an int:
+     [int_of_float] is unspecified from 2^62 up, and a wrapped count
+     silently ran a single epoch *)
+  let epochs = Float.ceil (params.duration /. params.event_dt) in
+  if not (epochs < Float.of_int max_int) then
+    invalid_arg "Daemon.Driver.run: duration / event_dt is too many epochs";
   if params.queue_cap < 1 then
     invalid_arg "Daemon.Driver.run: queue_cap must be >= 1";
   if not (params.watchdog_frac >= 0.) then

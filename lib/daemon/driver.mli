@@ -86,6 +86,14 @@ type report = {
   wall_s : float option;
 }
 
+(** [validate params stream] is [run]'s argument check, for callers that
+    reject a bad configuration before doing any other work.
+    @raise Invalid_argument on a non-positive or non-finite
+    duration/event_dt, an epoch count [ceil (duration / event_dt)] that
+    does not fit an int, a [queue_cap < 1], a negative [watchdog_frac]
+    or [shards], or fewer than two nodes. *)
+val validate : params -> stream -> unit
+
 (** [run ?pool ?obs ?clock ?restore ~params ~config ~pathloss stream].
     [obs] records per-phase spans for every epoch — [daemon.drain]
     (source tick + queue push), [daemon.dirty_propagate] (event
@@ -97,9 +105,8 @@ type report = {
     only.  [restore] resumes a checkpoint: the source is resynchronized
     by replaying the processed epoch boundaries, the engine re-derives
     all cones from the snapshot, and counters carry over.
-    @raise Invalid_argument on non-positive duration/event_dt, a
-    [queue_cap < 1], fewer than two nodes, or a checkpoint that does not
-    match the stream. *)
+    @raise Invalid_argument when {!validate} does, or on a checkpoint
+    that does not match the stream. *)
 val run :
   ?pool:Parallel.Pool.t ->
   ?obs:Obs.Recorder.t ->

@@ -8,7 +8,7 @@
    [commit] regrows them; the equivalence of this incremental
    maintenance with a from-scratch recompute is the daemon's central
    invariant, checked by [check_full_equivalence] and swept across
-   seeded schedules in [Check.Explore.sweep_daemon].
+   seeded schedules in [Check.Daemon_sweep.sweep].
 
    The engine is built for sustained streams over n = 10⁵–10⁶ nodes:
 

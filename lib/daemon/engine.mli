@@ -8,7 +8,7 @@
     marks exactly those dirty, {!commit} regrows them, and the result is
     provably equal to recomputing everything from scratch — the
     invariant {!check_full_equivalence} verifies and
-    [Check.Explore.sweep_daemon] sweeps across seeded schedules. *)
+    [Check.Daemon_sweep.sweep] sweeps across seeded schedules. *)
 
 type stats = {
   mutable events : int;

@@ -11,7 +11,7 @@ let empty = { events = [] }
 
 let check_event e =
   if e.time < 0. || not (Float.is_finite e.time) then
-    invalid_arg "Faults.Plan: negative event time";
+    invalid_arg "Faults.Plan: negative or non-finite event time";
   match e.kind with
   | Link_loss { loss; _ } when loss < 0. || loss > 1. ->
       invalid_arg "Faults.Plan: link loss out of [0,1]"
@@ -43,6 +43,8 @@ let random_crashes ~prng ~n ~fraction ~window:(w0, w1) ?recover_after () =
   (match recover_after with
   | Some d when d < 0. ->
       invalid_arg "Faults.Plan.random_crashes: negative recover_after"
+  | Some d when not (Float.is_finite d) ->
+      invalid_arg "Faults.Plan.random_crashes: non-finite recover_after"
   | _ -> ());
   let victims = Stdlib.min n (int_of_float (Float.round (fraction *. Stdlib.float_of_int n))) in
   let ids = Array.init n Fun.id in

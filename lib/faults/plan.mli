@@ -19,8 +19,8 @@ type t
 val empty : t
 
 (** [make events] is a plan with the events sorted by time (stable).
-    @raise Invalid_argument on a negative time or a [Link_loss] outside
-    [0, 1]. *)
+    @raise Invalid_argument on a negative or non-finite time or a
+    [Link_loss] outside [0, 1]. *)
 val make : event list -> t
 
 (** [events t] — time-ordered. *)
@@ -39,8 +39,9 @@ val nb_events : t -> int
     [round (fraction *. n)] distinct nodes (chosen uniformly) at times
     uniform in [window]; when [recover_after] is given each crashed node
     recovers that long after its crash.
-    @raise Invalid_argument unless [0 <= fraction <= 1], [n >= 0] and the
-    window is ordered with a non-negative start. *)
+    @raise Invalid_argument unless [0 <= fraction <= 1], [n >= 0], the
+    window is ordered with a non-negative start and [recover_after], when
+    given, is finite and [>= 0]. *)
 val random_crashes :
   prng:Prng.t ->
   n:int ->

@@ -292,6 +292,27 @@ let test_driver_clean_run_not_degraded () =
     (Daemon.Driver.degraded r.final_degradation);
   Alcotest.(check int) "nothing shed" 0 r.queue.Daemon.Equeue.shed
 
+(* An epoch count past max_int used to wrap around to a one-epoch run
+   that reported success; it, and a non-finite time, must be refused
+   before any work. *)
+let test_driver_rejects_bad_epoch_count () =
+  let sc = scenario 16 in
+  let stream = mk_stream ~seed:3 sc in
+  let too_many = "Daemon.Driver.run: duration / event_dt is too many epochs" in
+  let finite = "Daemon.Driver.run: duration and event_dt must be finite" in
+  List.iter
+    (fun (duration, event_dt, msg) ->
+      Alcotest.check_raises
+        (Fmt.str "duration %g, event_dt %g" duration event_dt)
+        (Invalid_argument msg)
+        (fun () ->
+          ignore
+            (Daemon.Driver.run
+               ~params:{ (params 1) with duration; event_dt }
+               ~config ~pathloss:(pl_of sc) stream)))
+    [ (1e300, 1., too_many); (1., 1e-300, too_many); (0x1p62, 1., too_many);
+      (Float.infinity, 1., finite); (1., Float.infinity, finite) ]
+
 let test_driver_overload_degrades_then_heals () =
   let sc = scenario 17 in
   (* steady state (20 ev/epoch) fits the budget; the storm (x30) does
@@ -600,6 +621,8 @@ let () =
             test_driver_clean_run_not_degraded;
           Alcotest.test_case "overload degrades then heals" `Quick
             test_driver_overload_degrades_then_heals;
+          Alcotest.test_case "epoch count must fit an int" `Quick
+            test_driver_rejects_bad_epoch_count;
           Alcotest.test_case "checkpoint restore digest" `Quick
             test_driver_checkpoint_restore_same_digest;
           Alcotest.test_case "checkpoint load failures" `Quick

@@ -147,7 +147,8 @@ let test_crash_then_bcast_grid_regression () =
 
 let test_plan_validation () =
   Alcotest.check_raises "negative time"
-    (Invalid_argument "Faults.Plan: negative event time") (fun () ->
+    (Invalid_argument "Faults.Plan: negative or non-finite event time")
+    (fun () ->
       ignore (Faults.Plan.make [ { time = -1.; kind = Faults.Plan.Crash 0 } ]));
   Alcotest.check_raises "loss range"
     (Invalid_argument "Faults.Plan: link loss out of [0,1]") (fun () ->
@@ -175,6 +176,27 @@ let test_plan_validation () =
       ignore
         (Faults.Plan.random_asymmetric_loss ~prng:(Prng.create ~seed:1) ~n:5
            ~pairs:2 ~loss:(0.5, 0.2) ~time:0.))
+
+(* An infinite recovery delay is not "never recovers" (that is
+   [?recover_after] left out): the generator rejects it by name instead
+   of building a Recover event at +inf that [make] then refuses. *)
+let test_plan_non_finite_times () =
+  List.iter
+    (fun time ->
+      Alcotest.check_raises (Fmt.str "event at %g" time)
+        (Invalid_argument "Faults.Plan: negative or non-finite event time")
+        (fun () ->
+          ignore (Faults.Plan.make [ { time; kind = Faults.Plan.Crash 0 } ])))
+    [ Float.infinity; Float.neg_infinity; Float.nan ];
+  List.iter
+    (fun recover_after ->
+      Alcotest.check_raises (Fmt.str "recover_after %g" recover_after)
+        (Invalid_argument "Faults.Plan.random_crashes: non-finite recover_after")
+        (fun () ->
+          ignore
+            (Faults.Plan.random_crashes ~prng:(Prng.create ~seed:1) ~n:10
+               ~fraction:0.5 ~window:(0., 1.) ~recover_after ())))
+    [ Float.infinity; Float.nan ]
 
 let test_plan_ordering_and_union () =
   let p =
@@ -547,6 +569,8 @@ let () =
       ( "plan",
         [
           Alcotest.test_case "validation" `Quick test_plan_validation;
+          Alcotest.test_case "non-finite times" `Quick
+            test_plan_non_finite_times;
           Alcotest.test_case "ordering and union" `Quick
             test_plan_ordering_and_union;
           Alcotest.test_case "random crashes" `Quick
