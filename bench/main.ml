@@ -91,6 +91,11 @@ let table1_rows =
 
 let fmt_opt = function None -> "-" | Some v -> Fmt.str "%.1f" v
 
+(* Half-width of the 95% interval; a single network has none ("-"). *)
+let ci_half_width acc =
+  if Stats.Welford.count acc < 2 then "-"
+  else Fmt.str "%.2f" (Stats.Ci.of_welford acc).Stats.Ci.half_width
+
 (* One trial = one random network evaluated under every configuration.
    Trials are independent, so they fan out over the pool via an
    order-preserving [Parallel.Pool.map]; the Welford accumulators are
@@ -159,10 +164,10 @@ let run_table1 ~pool ~obs ~seeds =
           row.label;
           fmt_opt row.paper_degree;
           Fmt.str "%.1f" (Stats.Welford.mean dacc);
-          Fmt.str "%.2f" (Stats.Ci.of_welford dacc).Stats.Ci.half_width;
+          ci_half_width dacc;
           fmt_opt row.paper_radius;
           Fmt.str "%.1f" (Stats.Welford.mean racc);
-          Fmt.str "%.2f" (Stats.Ci.of_welford racc).Stats.Ci.half_width;
+          ci_half_width racc;
         ])
     accs;
   Fmt.pr "%a@." Metrics.Table.pp table;

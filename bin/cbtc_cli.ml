@@ -245,11 +245,20 @@ let obs_out =
 
 (* Every output file is opened before the run, so a bad path fails in
    milliseconds (exit 3), not after the whole simulation. *)
-let open_output path =
-  try open_out path
-  with Sys_error e ->
-    Fmt.epr "cbtc: cannot open output file: %s@." e;
-    exit 3
+let cannot_open e =
+  Fmt.epr "cbtc: cannot open output file: %s@." e;
+  exit 3
+
+let open_output path = try open_out path with Sys_error e -> cannot_open e
+
+(* [probe_output path] proves up front that a file written only later
+   (or only on some outcomes) can be created, and leaves no trace: an
+   existing file is opened without truncation, a new one is removed. *)
+let probe_output path =
+  let existed = Sys.file_exists path in
+  (try close_out (open_out_gen [ Open_wronly; Open_creat ] 0o666 path)
+   with Sys_error e -> cannot_open e);
+  if not existed then Sys.remove path
 
 (* [write_output oc s] writes [s] to a file opened by [open_output]
    and closes it. *)
@@ -891,6 +900,8 @@ let check_cmd =
     match replay with
     | Some path -> do_replay path obsout
     | None ->
+        (* the artifact is written only when a trial fails *)
+        Option.iter probe_output artifact;
         let out = open_optional out in
         with_obs obsout
           ~manifest:
@@ -1209,14 +1220,9 @@ let daemon_cmd =
             exit 2)
         restore
     in
-    (* checkpoints are written atomically through FILE.tmp: creating it
+    (* checkpoints are written atomically through FILE.tmp: probing it
        now proves the directory writable before the stream starts *)
-    Option.iter
-      (fun path ->
-        let tmp = path ^ ".tmp" in
-        close_out (open_output tmp);
-        Sys.remove tmp)
-      checkpoint_path;
+    Option.iter (fun path -> probe_output (path ^ ".tmp")) checkpoint_path;
     let metrics_out = open_optional metrics_out in
     let trace_oc = Option.map open_output trace_out in
     let clock = if wall then Some Unix.gettimeofday else None in

@@ -25,6 +25,15 @@ let escape s =
     s;
   Buffer.contents buf
 
+(* "mean ± half-width" of the 95% interval; a single network has no
+   interval, so its half-width prints as "-". *)
+let mean_ci acc =
+  if Stats.Welford.count acc < 2 then
+    Fmt.str "%.1f ± -" (Stats.Welford.mean acc)
+  else
+    let ci = Stats.Ci.of_welford acc in
+    Fmt.str "%.1f ± %.2f" ci.Stats.Ci.mean ci.Stats.Ci.half_width
+
 let table1 seeds =
   let rows =
     [
@@ -55,7 +64,6 @@ let table1 seeds =
           Stats.Welford.add dacc (Cbtc.Pipeline.avg_degree r);
           Stats.Welford.add racc (Cbtc.Pipeline.avg_radius r))
         seeds;
-      let dci = Stats.Ci.of_welford dacc and rci = Stats.Ci.of_welford racc in
       let paper_deg, paper_rad =
         match paper with
         | Some (d, r) -> (Fmt.str "%.1f" d, Fmt.str "%.1f" r)
@@ -63,10 +71,8 @@ let table1 seeds =
       in
       Buffer.add_string buf
         (Fmt.str
-           "<tr><td>%s</td><td>%s</td><td>%.1f ± %.2f</td><td>%s</td>\
-            <td>%.1f ± %.2f</td></tr>\n"
-           (escape label) paper_deg dci.Stats.Ci.mean dci.Stats.Ci.half_width
-           paper_rad rci.Stats.Ci.mean rci.Stats.Ci.half_width))
+           "<tr><td>%s</td><td>%s</td><td>%s</td><td>%s</td><td>%s</td></tr>\n"
+           (escape label) paper_deg (mean_ci dacc) paper_rad (mean_ci racc)))
     rows;
   (* max power row *)
   List.iter
@@ -80,10 +86,9 @@ let table1 seeds =
     seeds;
   Buffer.add_string buf
     (Fmt.str
-       "<tr><td>max power (no control)</td><td>25.6</td><td>%.1f ± \
-        %.2f</td><td>500</td><td>500</td></tr>\n</table>\n"
-       (Stats.Welford.mean max_deg)
-       (Stats.Ci.of_welford max_deg).Stats.Ci.half_width);
+       "<tr><td>max power (no control)</td><td>25.6</td><td>%s</td>\
+        <td>500</td><td>500</td></tr>\n</table>\n"
+       (mean_ci max_deg));
   Buffer.contents buf
 
 let figure6 () =

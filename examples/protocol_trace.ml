@@ -16,7 +16,8 @@ let () =
   in
   let pathloss = Radio.Pathloss.make ~max_range:300. () in
   let sim = Dsim.Sim.create () in
-  let trace = Dsim.Trace.create () in
+  (* one timestamped line per radio event, printed as it happens *)
+  let trace fmt = Fmt.pr ("[%10.3f] " ^^ fmt ^^ "@.") (Dsim.Sim.now sim) in
   let net =
     Airnet.Net.create ~sim ~pathloss ~channel:Dsim.Channel.reliable
       ~prng:(Prng.create ~seed:1) ~positions ()
@@ -30,9 +31,8 @@ let () =
       Airnet.Net.set_handler net u (fun r ->
           match r.Airnet.Net.payload with
           | Hello ->
-              Dsim.Trace.record trace ~time:(Dsim.Sim.now sim)
-                "node %d hears Hello from %d (rx power %.3f)" r.Airnet.Net.dst
-                r.Airnet.Net.src r.Airnet.Net.rx_power;
+              trace "node %d hears Hello from %d (rx power %.3f)"
+                r.Airnet.Net.dst r.Airnet.Net.src r.Airnet.Net.rx_power;
               let reply_power =
                 Radio.Pathloss.estimate_link_power pathloss
                   ~tx_power:r.Airnet.Net.tx_power ~rx_power:r.Airnet.Net.rx_power
@@ -41,26 +41,24 @@ let () =
                 (Airnet.Net.send net ~src:r.Airnet.Net.dst ~dst:r.Airnet.Net.src
                    ~power:reply_power Ack)
           | Ack ->
-              Dsim.Trace.record trace ~time:(Dsim.Sim.now sim)
-                "node %d got Ack from %d (direction %.0f deg)" r.Airnet.Net.dst
-                r.Airnet.Net.src
+              trace "node %d got Ack from %d (direction %.0f deg)"
+                r.Airnet.Net.dst r.Airnet.Net.src
                 (Geom.Angle.to_degrees r.Airnet.Net.rx_dir);
               dirs.(r.Airnet.Net.dst) <- r.Airnet.Net.rx_dir :: dirs.(r.Airnet.Net.dst)))
     positions;
   List.iteri
     (fun round power ->
-      Dsim.Trace.record trace ~time:(Dsim.Sim.now sim)
-        "--- round %d: everyone broadcasts Hello at power %.0f ---" (round + 1)
-        power;
+      trace "--- round %d: everyone broadcasts Hello at power %.0f ---"
+        (round + 1) power;
       Array.iteri
         (fun u _ ->
           let reached = Airnet.Net.bcast net ~src:u ~power Hello in
-          Dsim.Trace.record trace ~time:(Dsim.Sim.now sim)
-            "node %d bcast Hello p=%.0f (reaches %d nodes)" u power reached)
+          trace "node %d bcast Hello p=%.0f (reaches %d nodes)" u power
+            reached)
         positions;
       ignore (Dsim.Sim.run sim))
     [ 10_000.; 90_000. ];
-  Fmt.pr "%a@." Dsim.Trace.pp trace;
+  Fmt.pr "@.";
   Array.iteri
     (fun u ds ->
       Fmt.pr "node %d: %d directions heard, %s@." u (List.length ds)

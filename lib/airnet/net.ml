@@ -33,8 +33,8 @@ type 'msg t = {
   handlers : 'msg handler option array;
   energy : float array;
   link_loss : (int * int, float) Hashtbl.t;
-  drops : int array;  (* per intended receiver *)
-  retransmits : int array;  (* per sender, credited by protocols *)
+  mutable drops : int;
+  mutable retransmits : int;  (* credited by protocols *)
   mutable fault_hooks : (fault -> unit) list;
   mutable transmissions : int;
   mutable deliveries : int;
@@ -58,8 +58,8 @@ let create ?(obs = Obs.Recorder.nil) ?env ~sim ~pathloss ~channel ~prng
     handlers = Array.make n None;
     energy = Array.make n 0.;
     link_loss = Hashtbl.create 16;
-    drops = Array.make n 0;
-    retransmits = Array.make n 0;
+    drops = 0;
+    retransmits = 0;
     fault_hooks = [];
     transmissions = 0;
     deliveries = 0;
@@ -134,22 +134,14 @@ let transmissions t = t.transmissions
 
 let deliveries t = t.deliveries
 
-let drops_at t u =
-  check t u;
-  t.drops.(u)
-
-let drops t = Array.fold_left ( + ) 0 t.drops
+let drops t = t.drops
 
 let note_retransmit t u =
   check t u;
   Obs.Recorder.incr t.obs "net.retransmissions";
-  t.retransmits.(u) <- t.retransmits.(u) + 1
+  t.retransmits <- t.retransmits + 1
 
-let retransmits_at t u =
-  check t u;
-  t.retransmits.(u)
-
-let retransmits t = Array.fold_left ( + ) 0 t.retransmits
+let retransmits t = t.retransmits
 
 let energy_used t u =
   check t u;
@@ -164,13 +156,13 @@ let check_power t power =
    at transmission time (geometry when the wave leaves the antenna).  A
    logical delivery counts as a drop when the per-link loss eats it, the
    channel drops every copy, or the receiver is dead at reception time. *)
-let drop t dst =
-  t.drops.(dst) <- t.drops.(dst) + 1;
+let drop t =
+  t.drops <- t.drops + 1;
   Obs.Recorder.incr t.obs "net.drops"
 
 let deliver_to t ~src ~dst ~power payload =
   let extra_loss = link_loss t ~src ~dst in
-  if extra_loss > 0. && Prng.bool t.prng ~p:extra_loss then drop t dst
+  if extra_loss > 0. && Prng.bool t.prng ~p:extra_loss then drop t
   else begin
     let dist = distance t src dst in
     let rx_power =
@@ -188,12 +180,12 @@ let deliver_to t ~src ~dst ~power payload =
             t.deliveries <- t.deliveries + 1;
             Obs.Recorder.incr t.obs "net.deliveries";
             h { dst; src; tx_power = power; rx_power; rx_dir; payload }
-      else drop t dst
+      else drop t
     in
     let copies =
       Dsim.Channel.deliver t.channel ~link:(src, dst) t.sim t.prng event
     in
-    if copies = 0 then drop t dst
+    if copies = 0 then drop t
   end
 
 let reaches t ~power ~src ~dst =

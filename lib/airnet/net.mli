@@ -128,12 +128,9 @@ val transmissions : 'msg t -> int
 (** [deliveries t] counts receive events fired at live nodes. *)
 val deliveries : 'msg t -> int
 
-(** [drops_at t u] counts logical deliveries aimed at [u] that died on
-    the way: eaten by injected link loss, dropped (all copies) by the
-    channel, or arriving while [u] was crashed. *)
-val drops_at : 'msg t -> int -> int
-
-(** [drops t] is the sum of {!drops_at} over all nodes. *)
+(** [drops t] counts logical deliveries that died on the way: eaten by
+    injected link loss, dropped (all copies) by the channel, or arriving
+    while the receiver was crashed. *)
 val drops : 'msg t -> int
 
 (** [note_retransmit t u] credits one protocol-level retransmission to
@@ -142,10 +139,7 @@ val drops : 'msg t -> int
     in one place for reporting. *)
 val note_retransmit : 'msg t -> int -> unit
 
-(** [retransmits_at t u] reads [u]'s retransmission credit. *)
-val retransmits_at : 'msg t -> int -> int
-
-(** [retransmits t] is the sum of {!retransmits_at} over all nodes. *)
+(** [retransmits t] counts the retransmissions credited so far. *)
 val retransmits : 'msg t -> int
 
 (** [energy_used t u] is the cumulative transmission energy node [u] has

@@ -1,5 +1,3 @@
-let yao_out_degree_bound ~k = k
-
 (* Per-sector selection for one node over a candidate id list.  Ties on
    distance keep the lowest-id node: candidates are examined in
    increasing id on both the all-pairs and the grid path. *)

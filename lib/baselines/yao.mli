@@ -25,7 +25,3 @@ val yao :
   ?pool:Parallel.Pool.t ->
   ?env:Radio.Env.t ->
   Radio.Pathloss.t -> Geom.Vec2.t array -> k:int -> Graphkit.Ugraph.t
-
-(** [yao_out_degree_bound ~k] is the out-degree bound [k] (each sector
-    contributes at most one selected edge) — exported for tests. *)
-val yao_out_degree_bound : k:int -> int

@@ -19,8 +19,6 @@ let make ?(growth = Exact) alpha =
   validate_growth growth;
   { alpha; growth }
 
-let v = make
-
 let threshold_eps = 1e-9
 
 let preserves_connectivity t = t.alpha <= Geom.Angle.five_pi_six +. threshold_eps

@@ -29,9 +29,6 @@ type t = { alpha : float; growth : growth }
     parameters are positive (factor > 1). *)
 val make : ?growth:growth -> float -> t
 
-(** [v ?growth alpha] is [make] (short constructor for literals). *)
-val v : ?growth:growth -> float -> t
-
 (** [preserves_connectivity t] — [alpha <= 5pi/6] (Theorem 2.1). *)
 val preserves_connectivity : t -> bool
 

@@ -15,7 +15,3 @@ let compare_by_tag a b =
   | c -> c
 
 let directions neighbors = List.map (fun n -> n.dir) neighbors
-
-let pp ppf n =
-  Fmt.pf ppf "#%d@%a (link=%g, tag=%g)" n.id Geom.Angle.pp n.dir n.link_power
-    n.tag

@@ -24,5 +24,3 @@ val compare_by_link_power : t -> t -> int
 val compare_by_tag : t -> t -> int
 
 val directions : t list -> float list
-
-val pp : t Fmt.t

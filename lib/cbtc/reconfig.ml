@@ -480,8 +480,6 @@ let discovery t =
     boundary = Array.map (fun node -> node.boundary) t.nodes;
   }
 
-let schedule_log t = Dsim.Sim.schedule_log t.sim
-
 (* Invariant adapter for the schedule-exploration harness: after the
    network has settled, the survivors' converged state must satisfy the
    CBTC guarantees whatever order the NDP/growth events interleaved in. *)

@@ -101,12 +101,6 @@ val discovery : t -> Discovery.t
     the last [d] time units. *)
 val quiescent : t -> for_:float -> bool
 
-(** The simulator's tie-break decision log so far (see
-    {!Dsim.Eventq.log}): empty under the default [Fifo] policy.
-    Re-creating the network with [~policy:(Replay log)] and replaying
-    the same crash/move script reproduces the schedule exactly. *)
-val schedule_log : t -> int array
-
 (** [check_stable t] verifies the survivors' converged state satisfies
     the CBTC guarantees ({!Verify.surviving}), as a [result] — the
     invariant the schedule-exploration harness checks after the network

@@ -4,8 +4,6 @@ type t = { time : float; node : int; kind : kind }
 
 let is_move e = match e.kind with Move _ -> true | Leave | Join _ -> false
 
-let is_critical e = not (is_move e)
-
 let kind_label = function Move _ -> "move" | Leave -> "leave" | Join _ -> "join"
 
 let to_json e =

@@ -15,10 +15,6 @@ type t = { time : float; node : int; kind : kind }
 
 val is_move : t -> bool
 
-(** [is_critical e] — joins and leaves: the events the bounded queue is
-    never allowed to drop. *)
-val is_critical : t -> bool
-
 val kind_label : kind -> string
 
 (** JSON round-trip, used by the checkpoint's queue-backlog snapshot.

@@ -54,8 +54,6 @@ let create ~seed ~field ~params ~move_rate ?storm ~churn positions =
 
 let time t = t.now
 
-let nb_nodes t = t.n
-
 (* Bring node [u]'s motion up to stream time [until]. *)
 let advance t u ~until =
   let dt = until -. t.last_advance.(u) in

@@ -27,8 +27,6 @@ val create :
 
 val time : t -> float
 
-val nb_nodes : t -> int
-
 (** [tick t ~until] advances stream time and returns the events in
     [(time t, until]], time-ordered; on equal times, crashes and
     recoveries precede position reports.  Dead nodes keep emitting moves

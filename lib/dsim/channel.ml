@@ -64,11 +64,6 @@ let mean_loss t =
       let pi_bad = p_gb /. (p_gb +. p_bg) in
       (loss_good *. (1. -. pi_bad)) +. (loss_bad *. pi_bad)
 
-let burstiness t =
-  match t.loss with
-  | Bernoulli _ -> 1.
-  | Gilbert_elliott { p_bg; _ } -> 1. /. p_bg
-
 (* Drop decision for one copy over [link]: sample the loss in the chain's
    current state, then advance the chain — so a burst that starts on this
    copy affects the next one.  The Bernoulli draw is unconditional (even

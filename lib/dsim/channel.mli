@@ -100,10 +100,6 @@ val copy : t -> t
     [pi_bad = p_gb /. (p_gb +. p_bg)]. *)
 val mean_loss : t -> float
 
-(** [burstiness t] is the expected Bad-state sojourn in transmissions
-    ([1 /. p_bg]; [1.] for Bernoulli channels — losses never cluster). *)
-val burstiness : t -> float
-
 (** [deliver t ?link sim prng f] schedules [f] for each surviving copy of
     one transmission: the primary copy survives the loss process; an
     extra duplicate is delivered with probability [duplicate] (also

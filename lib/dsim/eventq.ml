@@ -31,10 +31,6 @@ let policy t = t.policy
 
 let log t = Array.of_list (List.rev t.log_rev)
 
-let is_empty t = t.size = 0
-
-let size t = t.size
-
 let before a b =
   a.time < b.time
   || (a.time = b.time

@@ -38,10 +38,6 @@ val policy : 'a t -> policy
     [Fifo]); replaying it with [Replay] reproduces the schedule exactly. *)
 val log : 'a t -> int array
 
-val is_empty : 'a t -> bool
-
-val size : 'a t -> int
-
 (** [push t ~time v] enqueues [v] at [time]. *)
 val push : 'a t -> time:float -> 'a -> unit
 

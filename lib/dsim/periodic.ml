@@ -31,6 +31,4 @@ let stop t =
   Option.iter Sim.cancel t.pending;
   t.pending <- None
 
-let is_active t = t.active
-
 let fires t = t.fires

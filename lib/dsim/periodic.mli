@@ -18,7 +18,5 @@ val start :
     cancelled). *)
 val stop : t -> unit
 
-val is_active : t -> bool
-
 (** [fires t] counts completed invocations. *)
 val fires : t -> int

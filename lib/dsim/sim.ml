@@ -28,8 +28,6 @@ let schedule t ~delay f =
 
 let cancel h = h.cancelled <- true
 
-let pending t = Eventq.size t.queue
-
 let fire t time h =
   t.now <- time;
   if not h.cancelled then begin
@@ -65,5 +63,3 @@ let run_until t ~time =
   done;
   t.now <- time;
   t.fired - before
-
-let events_fired t = t.fired

@@ -39,10 +39,6 @@ val schedule_at : t -> time:float -> (unit -> unit) -> handle
 (** [cancel h] prevents the event from firing (no-op if already fired). *)
 val cancel : handle -> unit
 
-(** [pending t] is the number of scheduled events not yet fired
-    (including cancelled ones not yet drained). *)
-val pending : t -> int
-
 (** [run t] executes events until the queue drains; returns the number of
     events fired.  Events may schedule further events. *)
 val run : t -> int
@@ -53,6 +49,3 @@ val run_until : t -> time:float -> int
 
 (** [step t] fires the single earliest event; [false] when none remain. *)
 val step : t -> bool
-
-(** [events_fired t] is the lifetime count of fired events. *)
-val events_fired : t -> int

@@ -26,8 +26,6 @@ let make events =
 
 let events t = t.events
 
-let union a b = { events = sort_events (a.events @ b.events) }
-
 let nb_events t = List.length t.events
 
 let crashed_nodes t =
@@ -112,14 +110,3 @@ let restrict ~keep t =
       t.events
   in
   { events }
-
-let pp_kind ppf = function
-  | Crash u -> Fmt.pf ppf "crash %d" u
-  | Recover u -> Fmt.pf ppf "recover %d" u
-  | Link_loss { src; dst; loss } ->
-      Fmt.pf ppf "link %d->%d loss=%.2f" src dst loss
-
-let pp ppf t =
-  Fmt.pf ppf "@[<v>%a@]"
-    (Fmt.list (fun ppf e -> Fmt.pf ppf "t=%.1f %a" e.time pp_kind e.kind))
-    t.events

@@ -26,9 +26,6 @@ val make : event list -> t
 (** [events t] — time-ordered. *)
 val events : t -> event list
 
-(** [union a b] merges two plans (stable time order). *)
-val union : t -> t -> t
-
 (** [crashed_nodes t] is the sorted list of distinct nodes the plan
     crashes at some point (whether or not it later recovers them). *)
 val crashed_nodes : t -> int list
@@ -72,5 +69,3 @@ val random_asymmetric_loss :
     failing scenario: deleting nodes compacts the id space, and the
     fault plan must follow the survivors. *)
 val restrict : keep:(int -> int option) -> t -> t
-
-val pp : t Fmt.t

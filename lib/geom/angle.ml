@@ -22,12 +22,6 @@ let diff a b =
   let d = ccw_delta a b in
   if d > pi then two_pi -. d else d
 
-let within a b ~half_width = diff a b <= half_width
-
-let of_degrees d = d *. pi /. 180.
-
 let to_degrees r = r *. 180. /. pi
-
-let equal ?(eps = 1e-9) a b = diff a b <= eps
 
 let pp ppf a = Fmt.pf ppf "%.4f rad (%.1f deg)" a (to_degrees a)

@@ -28,16 +28,6 @@ val diff : float -> float -> float
     to direction [b], in [\[0, 2pi)]. *)
 val ccw_delta : float -> float -> float
 
-(** [within a b ~half_width] holds when the circular difference between
-    [a] and [b] is at most [half_width]. *)
-val within : float -> float -> half_width:float -> bool
-
-val of_degrees : float -> float
-
 val to_degrees : float -> float
-
-(** [equal ?eps a b] compares two directions circularly: it holds when
-    their circular difference is at most [eps] (default [1e-9]). *)
-val equal : ?eps:float -> float -> float -> bool
 
 val pp : float Fmt.t

@@ -13,8 +13,6 @@ let empty = Ivals []
 
 let full = Full
 
-let is_empty = function Ivals [] -> true | Ivals _ | Full -> false
-
 let is_full = function Full -> true | Ivals _ -> false
 
 (* Split one arc into seam-free intervals. *)
@@ -91,9 +89,3 @@ let subsumes ?eps t u =
   | Ivals _ -> List.for_all (fun a -> contains_arc ?eps t a) (arcs u)
 
 let equal ?eps a b = subsumes ?eps a b && subsumes ?eps b a
-
-let pp ppf = function
-  | Full -> Fmt.string ppf "<full circle>"
-  | Ivals ivals ->
-      let pp_ival ppf (s, e) = Fmt.pf ppf "[%.4f, %.4f]" s e in
-      Fmt.pf ppf "{%a}" Fmt.(list ~sep:(any "; ") pp_ival) ivals

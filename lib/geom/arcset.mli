@@ -19,8 +19,6 @@ val empty : t
 
 val full : t
 
-val is_empty : t -> bool
-
 val is_full : t -> bool
 
 (** [of_arcs arcs] is the canonical union of [arcs].  Arcs with negative
@@ -57,5 +55,3 @@ val subsumes : ?eps:float -> t -> t -> bool
 (** [equal ?eps a b] holds when [a] and [b] cover the same set of
     directions (mutual subsumption). *)
 val equal : ?eps:float -> t -> t -> bool
-
-val pp : t Fmt.t

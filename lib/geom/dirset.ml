@@ -11,34 +11,16 @@ let wrap_gap last first =
   let g = Angle.ccw_delta last first in
   if g = 0. then Angle.two_pi else g
 
-let gaps_of_sorted sorted =
-  match sorted with
-  | [] -> []
-  | first :: _ ->
-      let rec consecutive acc = function
-        | [] -> List.rev acc
-        | [ last ] -> List.rev ((last, wrap_gap last first) :: acc)
-        | a :: (b :: _ as rest) -> consecutive ((a, b -. a) :: acc) rest
-      in
-      consecutive [] sorted
-
 let max_gap dirs =
   match sort_directions dirs with
   | [] | [ _ ] -> Angle.two_pi
-  | sorted ->
-      List.fold_left (fun acc (_, g) -> Float.max acc g) 0. (gaps_of_sorted sorted)
-
-let widest_gap dirs =
-  match sort_directions dirs with
-  | [] -> None
-  | [ d ] -> Some (d, Angle.two_pi)
-  | sorted ->
-      let best =
-        List.fold_left
-          (fun (bs, bg) (s, g) -> if g > bg then (s, g) else (bs, bg))
-          (0., -1.) (gaps_of_sorted sorted)
+  | first :: _ as sorted ->
+      let rec widest acc = function
+        | [] -> acc
+        | [ last ] -> Float.max acc (wrap_gap last first)
+        | a :: (b :: _ as rest) -> widest (Float.max acc (b -. a)) rest
       in
-      Some best
+      widest 0. sorted
 
 (* Theorem 2.1 requires a neighbor in every cone of degree alpha, so a
    gap of exactly alpha is already too wide: the open cone spanning it

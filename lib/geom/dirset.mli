@@ -41,11 +41,6 @@ val has_gap_ba :
   int ->
   bool
 
-(** [widest_gap dirs] is [Some (start, width)] for the widest gap, where
-    [start] is the direction at which the gap begins (going
-    counterclockwise), or [None] when [dirs] is empty. *)
-val widest_gap : float list -> (float * float) option
-
 (** [cover ~alpha dirs] is the paper's coverage operator
     [cover_alpha(dirs)]: the set of directions within [alpha/2] of some
     member of [dirs]. *)

@@ -396,9 +396,6 @@ let fold_neighbors_within t u ~dist ~init ~f =
   fold_in_range t pu ~dist ~init ~f:(fun acc v ->
       if v <> u && Vec2.dist pu t.positions.(v) <= dist then f acc v else acc)
 
-let iter_neighbors_within t u ~dist f =
-  fold_neighbors_within t u ~dist ~init:() ~f:(fun () v -> f v)
-
 let neighbors_within t u ~dist =
   List.sort Int.compare
     (fold_neighbors_within t u ~dist ~init:[] ~f:(fun acc v -> v :: acc))

@@ -121,7 +121,3 @@ val neighbors_within : t -> int -> dist:float -> int list
     list. *)
 val fold_neighbors_within :
   t -> int -> dist:float -> init:'a -> f:('a -> int -> 'a) -> 'a
-
-(** [iter_neighbors_within t u ~dist f] is {!fold_neighbors_within} for
-    side effects. *)
-val iter_neighbors_within : t -> int -> dist:float -> (int -> unit) -> unit

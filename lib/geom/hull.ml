@@ -1,5 +1,4 @@
-(* Andrew's monotone chain over index arrays, so both entry points share
-   one implementation. *)
+(* Andrew's monotone chain over an index array. *)
 
 let cross_of positions o a b =
   Vec2.cross (Vec2.sub positions.(a) positions.(o)) (Vec2.sub positions.(b) positions.(o))
@@ -48,22 +47,3 @@ let hull_indices positions =
         let trim l = List.filteri (fun i _ -> i < List.length l - 1) l in
         trim lower @ trim (List.rev upper)
   end
-
-let convex_hull points =
-  let arr = Array.of_list points in
-  List.map (fun i -> arr.(i)) (hull_indices arr)
-
-let contains hull p =
-  match hull with
-  | [] -> false
-  | [ q ] -> Vec2.equal ~eps:1e-9 p q
-  | _ ->
-      let rec edges = function
-        | a :: (b :: _ as rest) ->
-            Vec2.cross (Vec2.sub b a) (Vec2.sub p a) >= -1e-9 && edges rest
-        | [ last ] ->
-            let first = List.hd hull in
-            Vec2.cross (Vec2.sub first last) (Vec2.sub p last) >= -1e-9
-        | [] -> true
-      in
-      edges hull

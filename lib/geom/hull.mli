@@ -4,17 +4,9 @@
     power with a cone gap is typically near the deployment's edge, and
     the convex hull makes that notion precise. *)
 
-(** [convex_hull points] is the hull in counterclockwise order starting
-    from the lowest-leftmost point, without repeating the first point.
-    Collinear points on hull edges are excluded.  Degenerate inputs
-    (fewer than 3 distinct points, or all collinear) return the extreme
-    points found. *)
-val convex_hull : Vec2.t list -> Vec2.t list
-
-(** [hull_indices points] is the same computation returning indices into
-    the input array. *)
+(** [hull_indices points] is the hull of [points] as indices into the
+    array, in counterclockwise order starting from the lowest-leftmost
+    point, without repeating the first point.  Collinear points on hull
+    edges are excluded.  Degenerate inputs (fewer than 3 distinct
+    points, or all collinear) return the extreme points found. *)
 val hull_indices : Vec2.t array -> int list
-
-(** [contains hull p] — point-in-convex-polygon for a CCW hull (boundary
-    counts as inside). *)
-val contains : Vec2.t list -> Vec2.t -> bool

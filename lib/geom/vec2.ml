@@ -10,17 +10,13 @@ let sub a b = { x = a.x -. b.x; y = a.y -. b.y }
 
 let scale k v = { x = k *. v.x; y = k *. v.y }
 
-let neg v = { x = -.v.x; y = -.v.y }
-
 let dot a b = (a.x *. b.x) +. (a.y *. b.y)
 
 let cross a b = (a.x *. b.y) -. (a.y *. b.x)
 
-let norm2 v = dot v v
-
-let norm v = sqrt (norm2 v)
-
-let dist2 a b = norm2 (sub b a)
+let dist2 a b =
+  let d = sub b a in
+  dot d d
 
 let dist a b = sqrt (dist2 a b)
 
@@ -34,17 +30,9 @@ let direction ~from ~toward = angle_of (sub toward from)
 
 let of_polar ~r ~theta = { x = r *. cos theta; y = r *. sin theta }
 
-let rotate theta v =
-  let c = cos theta and s = sin theta in
-  { x = (c *. v.x) -. (s *. v.y); y = (s *. v.x) +. (c *. v.y) }
-
 let lerp a b t = add (scale (1. -. t) a) (scale t b)
-
-let midpoint a b = lerp a b 0.5
 
 let equal ?(eps = 1e-9) a b =
   Float.abs (a.x -. b.x) <= eps && Float.abs (a.y -. b.y) <= eps
 
 let pp ppf v = Fmt.pf ppf "(%g, %g)" v.x v.y
-
-let to_string v = Fmt.str "%a" pp v

@@ -17,17 +17,11 @@ val sub : t -> t -> t
 (** [scale k v] is the vector [v] multiplied component-wise by [k]. *)
 val scale : float -> t -> t
 
-val neg : t -> t
-
 val dot : t -> t -> float
 
 (** [cross a b] is the z-component of the 3-D cross product, i.e. the signed
     area of the parallelogram spanned by [a] and [b]. *)
 val cross : t -> t -> float
-
-val norm2 : t -> float
-
-val norm : t -> float
 
 val dist2 : t -> t -> float
 
@@ -46,19 +40,11 @@ val direction : from:t -> toward:t -> float
     direction [theta]. *)
 val of_polar : r:float -> theta:float -> t
 
-(** [rotate theta v] rotates [v] counterclockwise by [theta] radians. *)
-val rotate : float -> t -> t
-
 (** [lerp a b t] is the point [(1-t)·a + t·b]. *)
 val lerp : t -> t -> float -> t
-
-(** [midpoint a b] is [lerp a b 0.5]. *)
-val midpoint : t -> t -> t
 
 (** [equal ?eps a b] holds when both coordinates differ by at most [eps]
     (default [1e-9]). *)
 val equal : ?eps:float -> t -> t -> bool
 
 val pp : t Fmt.t
-
-val to_string : t -> string

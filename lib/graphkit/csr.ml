@@ -128,5 +128,3 @@ let of_digraph g =
         done)
   in
   { off; adj; nb_edges = Digraph.nb_edges g }
-
-let pp ppf t = Fmt.pf ppf "csr(n=%d, m=%d)" (nb_nodes t) (nb_edges t)

@@ -52,5 +52,3 @@ val neighbors : t -> int -> int list
 
 (** [mem_edge t u v] by binary search in row [u]: O(log degree). *)
 val mem_edge : t -> int -> int -> bool
-
-val pp : t Fmt.t

@@ -27,14 +27,6 @@ let add_edge g u v =
     g.nb_edges <- g.nb_edges + 1
   end
 
-let remove_edge g u v =
-  check g u;
-  check g v;
-  if ISet.mem v g.adj.(u) then begin
-    g.adj.(u) <- ISet.remove v g.adj.(u);
-    g.nb_edges <- g.nb_edges - 1
-  end
-
 let succ g u =
   check g u;
   ISet.elements g.adj.(u)
@@ -43,27 +35,16 @@ let iter_succ g u f =
   check g u;
   ISet.iter f g.adj.(u)
 
-let fold_succ g u ~init ~f =
-  check g u;
-  ISet.fold (fun v acc -> f acc v) g.adj.(u) init
-
 let out_degree g u =
   check g u;
   ISet.cardinal g.adj.(u)
 
 let iter_edges f g = Array.iteri (fun u s -> ISet.iter (fun v -> f u v) s) g.adj
 
-let edges g =
-  let acc = ref [] in
-  iter_edges (fun u v -> acc := (u, v) :: !acc) g;
-  List.rev !acc
-
 let of_edges n edge_list =
   let g = create n in
   List.iter (fun (u, v) -> add_edge g u v) edge_list;
   g
-
-let copy g = { adj = Array.copy g.adj; nb_edges = g.nb_edges }
 
 let symmetric_closure g =
   let u_graph = Ugraph.create (nb_nodes g) in
@@ -76,10 +57,3 @@ let symmetric_core g =
     (fun u v -> if u < v && mem_edge g v u then Ugraph.add_edge u_graph u v)
     g;
   u_graph
-
-let equal a b =
-  nb_nodes a = nb_nodes b
-  && nb_edges a = nb_edges b
-  && Array.for_all2 ISet.equal a.adj b.adj
-
-let pp ppf g = Fmt.pf ppf "digraph(n=%d, m=%d)" (nb_nodes g) (nb_edges g)

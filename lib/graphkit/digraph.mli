@@ -17,8 +17,6 @@ val nb_edges : t -> int
     Self-loops are rejected with [Invalid_argument]. *)
 val add_edge : t -> int -> int -> unit
 
-val remove_edge : t -> int -> int -> unit
-
 val mem_edge : t -> int -> int -> bool
 
 (** [succ g u] is [u]'s out-neighbors, in increasing id order. *)
@@ -28,20 +26,11 @@ val succ : t -> int -> int list
     increasing id order, without allocating the {!succ} list. *)
 val iter_succ : t -> int -> (int -> unit) -> unit
 
-(** [fold_succ g u ~init ~f] folds over [u]'s out-neighbors in
-    increasing id order, allocation-free. *)
-val fold_succ : t -> int -> init:'a -> f:('a -> int -> 'a) -> 'a
-
 val out_degree : t -> int -> int
-
-(** [edges g] lists all directed edges, lexicographically. *)
-val edges : t -> (int * int) list
 
 val iter_edges : (int -> int -> unit) -> t -> unit
 
 val of_edges : int -> (int * int) list -> t
-
-val copy : t -> t
 
 (** [symmetric_closure g] is the undirected graph whose edge set is the
     paper's [E_alpha]: [{u,v}] present iff [(u,v)] or [(v,u)] is in [g]. *)
@@ -51,7 +40,3 @@ val symmetric_closure : t -> Ugraph.t
     paper's [E-_alpha]: [{u,v}] present iff both [(u,v)] and [(v,u)] are
     in [g] (the largest symmetric subset). *)
 val symmetric_core : t -> Ugraph.t
-
-val equal : t -> t -> bool
-
-val pp : t Fmt.t

@@ -1,4 +1,5 @@
-let run n ~neighbors ~cost ~src =
+let dijkstra_tree g ~cost ~src =
+  let n = Ugraph.nb_nodes g in
   if src < 0 || src >= n then invalid_arg "Shortest.dijkstra: src out of range";
   let dist = Array.make n Float.infinity in
   let prev = Array.make n (-1) in
@@ -22,19 +23,12 @@ let run n ~neighbors ~cost ~src =
               Fheap.push heap nd v
             end
           end)
-        (neighbors u)
+        (Ugraph.neighbors g u)
     end
   done;
   (dist, prev)
 
-let dijkstra g ~cost ~src =
-  fst (run (Ugraph.nb_nodes g) ~neighbors:(Ugraph.neighbors g) ~cost ~src)
-
-let dijkstra_digraph g ~cost ~src =
-  fst (run (Digraph.nb_nodes g) ~neighbors:(Digraph.succ g) ~cost ~src)
-
-let dijkstra_tree g ~cost ~src =
-  run (Ugraph.nb_nodes g) ~neighbors:(Ugraph.neighbors g) ~cost ~src
+let dijkstra g ~cost ~src = fst (dijkstra_tree g ~cost ~src)
 
 let path_to ~prev ~src dst =
   if dst = src then Some [ dst ]

@@ -76,6 +76,3 @@ let is_subgraph a b =
   !ok
 
 let equal a b = is_subgraph a b && is_subgraph b a
-
-let pp ppf g =
-  Fmt.pf ppf "ugraph(n=%d, m=%d)" (nb_nodes g) (nb_edges g)

@@ -49,5 +49,3 @@ val copy : t -> t
 val is_subgraph : t -> t -> bool
 
 val equal : t -> t -> bool
-
-val pp : t Fmt.t

@@ -35,5 +35,3 @@ let drain t u amount =
     t.levels.(u) <- Float.max 0. (t.levels.(u) -. amount);
     t.levels.(u) > 0.
   end
-
-let total_remaining t = Array.fold_left ( +. ) 0. t.levels

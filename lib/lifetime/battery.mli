@@ -32,6 +32,3 @@ val alive_mask : t -> bool array
     Draining a dead node is a no-op returning [false].
     @raise Invalid_argument on negative amount. *)
 val drain : t -> int -> float -> bool
-
-(** [total_remaining t] sums live energy. *)
-val total_remaining : t -> float

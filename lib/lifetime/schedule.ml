@@ -502,12 +502,12 @@ let family_of_string s =
         ( String.sub s 0 i,
           Some (String.sub s (i + 1) (String.length s - i - 1)) )
   in
-  let int_arg ~default ~what =
+  let int_arg ~default ~least ~what =
     match arg with
     | None -> Ok default
     | Some a -> (
         match int_of_string_opt a with
-        | Some k when k > 0 -> Ok k
+        | Some k when k >= least -> Ok k
         | _ -> Error (Fmt.str "bad %s %S" what a))
   in
   let alpha_arg () =
@@ -525,10 +525,13 @@ let family_of_string s =
   match base with
   | "max-power" | "max_power" | "maxpower" -> Ok Max_power
   | "cbtc" -> Result.map (fun a -> Cbtc a) (alpha_arg ())
-  | "yao" -> Result.map (fun k -> Yao k) (int_arg ~default:6 ~what:"sector count")
+  | "yao" ->
+      (* Yao needs three sectors or more (see Baselines.Yao.yao) *)
+      Result.map (fun k -> Yao k)
+        (int_arg ~default:6 ~least:3 ~what:"sector count")
   | "rng" -> Ok Rng
   | "gabriel" -> Ok Gabriel
-  | "knn" -> Result.map (fun k -> Knn k) (int_arg ~default:6 ~what:"k")
+  | "knn" -> Result.map (fun k -> Knn k) (int_arg ~default:6 ~least:1 ~what:"k")
   | "mst" -> Ok Mst
   | _ -> Error (Fmt.str "unknown topology family %S" s)
 

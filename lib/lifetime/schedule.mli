@@ -174,7 +174,8 @@ val family_label : family -> string
 
 (** Inverse of {!family_label} plus the spellings the CLI accepts
     ("max-power", "cbtc", "cbtc:5pi/6", "yao", "yao:8", "knn:4", ...).
-    [Error] names the unknown family. *)
+    [Error] names the unknown family or the bad argument (a Yao sector
+    count below 3, a non-positive k, an alpha outside (0, 2pi]). *)
 val family_of_string : string -> (family, string) result
 
 (** [family_builder family pathloss] rebuilds the family's topology over

@@ -40,10 +40,6 @@ let power_stretch energy positions ~reference g =
   in
   weighted_stretch ~cost positions ~reference g
 
-let distance_stretch positions ~reference g =
-  let cost u v = Geom.Vec2.dist positions.(u) positions.(v) in
-  weighted_stretch ~cost positions ~reference g
-
 let hop_stretch ~reference g =
   if Graphkit.Ugraph.nb_nodes reference <> Graphkit.Ugraph.nb_nodes g then
     invalid_arg "Stretch: node count mismatch";

@@ -23,9 +23,5 @@ val power_stretch :
   Graphkit.Ugraph.t ->
   t
 
-(** [distance_stretch positions ~reference g] uses Euclidean link cost. *)
-val distance_stretch :
-  Geom.Vec2.t array -> reference:Graphkit.Ugraph.t -> Graphkit.Ugraph.t -> t
-
 (** [hop_stretch ~reference g] uses hop counts. *)
 val hop_stretch : reference:Graphkit.Ugraph.t -> Graphkit.Ugraph.t -> t

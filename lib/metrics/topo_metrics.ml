@@ -24,13 +24,4 @@ let avg_power pathloss radius =
       0. radius
     /. Stdlib.float_of_int n
 
-let total_edge_length positions g =
-  let total = ref 0. in
-  Graphkit.Ugraph.iter_edges
-    (fun u v -> total := !total +. Geom.Vec2.dist positions.(u) positions.(v))
-    g;
-  !total
-
 let degree_summary g = Stats.Summary.of_array (degrees g)
-
-let radius_summary radius = Stats.Summary.of_array radius

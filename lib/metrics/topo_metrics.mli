@@ -13,9 +13,4 @@ val avg_radius : float array -> float
     nodes). *)
 val avg_power : Radio.Pathloss.t -> float array -> float
 
-(** [total_edge_length positions g] sums Euclidean edge lengths. *)
-val total_edge_length : Geom.Vec2.t array -> Graphkit.Ugraph.t -> float
-
 val degree_summary : Graphkit.Ugraph.t -> Stats.Summary.t
-
-val radius_summary : float array -> Stats.Summary.t

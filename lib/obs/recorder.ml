@@ -89,8 +89,6 @@ let set_int t key i = set t key (Jsonl.Int i)
 
 let set_str t key s = set t key (Jsonl.Str s)
 
-let set_float t key f = set t key (Jsonl.Float f)
-
 let event ?(fields = []) t name =
   match t with
   | Nil -> ()

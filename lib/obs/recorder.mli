@@ -45,8 +45,6 @@ val set_int : t -> string -> int -> unit
 
 val set_str : t -> string -> string -> unit
 
-val set_float : t -> string -> float -> unit
-
 val event : ?fields:(string * Jsonl.t) list -> t -> string -> unit
 (** Record a point event at the current span depth. *)
 

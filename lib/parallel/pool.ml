@@ -170,8 +170,6 @@ let map t f arr =
       results
   end
 
-let map_list t f l = Array.to_list (map t f (Array.of_list l))
-
 let iter_chunks t ?chunk n f =
   check_open t;
   if n > 0 then begin

@@ -56,9 +56,6 @@ val default_jobs : unit -> int
     execution order. *)
 val map : t -> ('a -> 'b) -> 'a array -> 'b array
 
-(** [map_list t f l] is [List.map f l] via {!map}. *)
-val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
-
 (** [iter_chunks t ?chunk n f] calls [f lo hi] for consecutive disjoint
     ranges [\[lo, hi)] covering [\[0, n)], in parallel.  [chunk] bounds
     the range length (default: [n / (4 * jobs)], at least 1 — small

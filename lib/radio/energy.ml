@@ -7,5 +7,3 @@ let make ?(tx_overhead = 0.) ?(rx_overhead = 0.) pathloss =
 
 let link_cost t d =
   Pathloss.power_for_distance t.pathloss d +. t.tx_overhead +. t.rx_overhead
-
-let path_cost t dists = List.fold_left (fun acc d -> acc +. link_cost t d) 0. dists

@@ -14,6 +14,3 @@ val make : ?tx_overhead:float -> ?rx_overhead:float -> Pathloss.t -> t
 
 (** [link_cost t d] is the energy charged to a single hop of length [d]. *)
 val link_cost : t -> float -> float
-
-(** [path_cost t dists] sums {!link_cost} over hop lengths. *)
-val path_cost : t -> float list -> float

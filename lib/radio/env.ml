@@ -315,10 +315,3 @@ let probe_radius t ~power =
     (Pathloss.reach_cap ~power *. headroom t)
 
 let max_reach t = probe_radius t ~power:(Pathloss.max_power t.pathloss)
-
-let pp ppf t =
-  Fmt.pf ppf "env(%a, sigma=%gdB, clamp=%gdB, seed=%d, obstacles=%d%s)"
-    Pathloss.pp t.pathloss t.params.sigma_db t.params.clamp_db t.shadow_seed
-    (Array.length t.obstacles)
-    (if t.height_loss_db > 0. && Array.length t.heights > 0 then ", 3d"
-     else "")

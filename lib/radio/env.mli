@@ -191,5 +191,3 @@ val probe_radius : t -> power:float -> float
 (** [max_reach t] is [probe_radius] at maximum power: the probe radius
     bounding the support of [G_R^env]. *)
 val max_reach : t -> float
-
-val pp : t Fmt.t

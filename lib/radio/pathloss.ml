@@ -59,7 +59,3 @@ let estimate_link_power t ~tx_power ~rx_power =
 let estimate_distance t ~tx_power ~rx_power =
   if rx_power <= 0. then invalid_arg "Pathloss.estimate_distance";
   Float.max reference_distance ((tx_power /. rx_power) ** (1. /. t.exponent))
-
-let pp ppf t =
-  Fmt.pf ppf "pathloss(p(d)=%g*d^%g, R=%g, P=%g)" t.coeff t.exponent
-    t.max_range t.max_power

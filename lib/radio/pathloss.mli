@@ -81,5 +81,3 @@ val estimate_link_power : t -> tx_power:float -> rx_power:float -> float
     inputs the result is exactly [max d d0] over [(0, R]] — never less
     than [d0], and never an underestimate of the true distance. *)
 val estimate_distance : t -> tx_power:float -> rx_power:float -> float
-
-val pp : t Fmt.t

@@ -17,18 +17,11 @@ let t95 ~df =
   else if df <= 120 then 1.980
   else 1.960
 
-let of_stats ~n ~mean ~sd =
-  if n < 2 then invalid_arg "Ci: need at least two samples";
-  let half_width = t95 ~df:(n - 1) *. sd /. sqrt (Stdlib.float_of_int n) in
-  { mean; lo = mean -. half_width; hi = mean +. half_width; half_width }
-
-let mean_ci95 xs =
-  let acc = Welford.create () in
-  Array.iter (Welford.add acc) xs;
-  of_stats ~n:(Array.length xs) ~mean:(Welford.mean acc) ~sd:(Welford.stddev acc)
-
 let of_welford acc =
-  of_stats ~n:(Welford.count acc) ~mean:(Welford.mean acc)
-    ~sd:(Welford.stddev acc)
-
-let pp ppf t = Fmt.pf ppf "%.2f +/- %.2f" t.mean t.half_width
+  let n = Welford.count acc in
+  if n < 2 then invalid_arg "Ci: need at least two samples";
+  let mean = Welford.mean acc in
+  let half_width =
+    t95 ~df:(n - 1) *. Welford.stddev acc /. sqrt (Stdlib.float_of_int n)
+  in
+  { mean; lo = mean -. half_width; hi = mean +. half_width; half_width }

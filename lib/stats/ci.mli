@@ -11,11 +11,7 @@ type t = { mean : float; lo : float; hi : float; half_width : float }
     @raise Invalid_argument for [df < 1]. *)
 val t95 : df:int -> float
 
-(** [mean_ci95 xs] is the 95% confidence interval of the mean of [xs].
-    @raise Invalid_argument for samples of fewer than 2 points. *)
-val mean_ci95 : float array -> t
-
-(** [of_welford acc] computes the interval from an accumulator. *)
+(** [of_welford acc] is the 95% confidence interval of the mean of the
+    samples [acc] has seen.
+    @raise Invalid_argument for fewer than 2 samples. *)
 val of_welford : Welford.t -> t
-
-val pp : t Fmt.t

@@ -50,7 +50,3 @@ let merge a b =
       min = Float.min a.min b.min;
       max = Float.max a.max b.max;
     }
-
-let pp ppf t =
-  Fmt.pf ppf "n=%d mean=%.3f sd=%.3f min=%.3f max=%.3f" t.n (mean t) (stddev t)
-    t.min t.max

@@ -29,5 +29,3 @@ val max : t -> float
 (** [merge a b] is a fresh accumulator equivalent to having seen both
     streams (Chan's parallel combination). *)
 val merge : t -> t -> t
-
-val pp : t Fmt.t

@@ -56,9 +56,3 @@ let document ~width ~height shapes =
     shapes;
   Buffer.add_string buf "</svg>\n";
   Buffer.contents buf
-
-let write_file path ~width ~height shapes =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (document ~width ~height shapes))

@@ -20,6 +20,3 @@ val rect :
 
 (** [document ~width ~height shapes] is a complete standalone SVG. *)
 val document : width:float -> height:float -> shape list -> string
-
-(** [write_file path ~width ~height shapes]. *)
-val write_file : string -> width:float -> height:float -> shape list -> unit

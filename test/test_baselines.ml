@@ -99,7 +99,7 @@ let test_yao_edge_budget () =
   let g = Baselines.Yao.yao pl positions ~k in
   Alcotest.(check bool) "edge budget" true
     (Graphkit.Ugraph.nb_edges g
-    <= Array.length positions * Baselines.Yao.yao_out_degree_bound ~k)
+    <= Array.length positions * k)
 
 (* ---------- SMECN ---------- *)
 

@@ -139,9 +139,13 @@ let test_source_churn_to_events () =
   in
   let events = Daemon.Source.tick src ~until:10. in
   let leaves = List.filter (fun e -> e.Daemon.Event.kind = Daemon.Event.Leave) events in
-  let joins = List.filter Daemon.Event.is_critical events in
+  let joins =
+    List.filter
+      (fun e -> match e.Daemon.Event.kind with Daemon.Event.Join _ -> true | _ -> false)
+      events
+  in
   Alcotest.(check int) "9 crashes" 9 (List.length leaves);
-  Alcotest.(check int) "each crash recovers" 18 (List.length joins);
+  Alcotest.(check int) "each crash recovers" 9 (List.length joins);
   Alcotest.(check bool) "truth is all-alive again" true
     (Array.for_all (fun b -> b) (Daemon.Source.true_alive src))
 

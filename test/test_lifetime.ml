@@ -19,8 +19,7 @@ let test_battery_basics () =
   Alcotest.(check bool) "drain dead is no-op" false (Lifetime.Battery.drain b 0 1.);
   Alcotest.(check int) "two alive" 2 (Lifetime.Battery.nb_alive b);
   Alcotest.(check (array bool)) "mask" [| false; true; true |]
-    (Lifetime.Battery.alive_mask b);
-  check_float "total" 20. (Lifetime.Battery.total_remaining b)
+    (Lifetime.Battery.alive_mask b)
 
 let test_battery_overdrain_clamps () =
   let b = Lifetime.Battery.create ~n:1 ~capacity:5. in

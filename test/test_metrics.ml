@@ -42,10 +42,6 @@ let test_avg_degree_radius () =
   (* p(1)=1, p(2)=4, isolated node contributes 0 *)
   check_float "avg power" (5. /. 3.)
     (Metrics.Topo_metrics.avg_power pl [| 1.; 2.; 0. |]);
-  let positions = [| Geom.Vec2.zero; Geom.Vec2.make 3. 4. |] in
-  let g2 = U.of_edges 2 [ (0, 1) ] in
-  check_float "total edge length" 5.
-    (Metrics.Topo_metrics.total_edge_length positions g2);
   let s = Metrics.Topo_metrics.degree_summary g in
   check_float "degree summary mean" 1.5 s.Stats.Summary.mean
 
@@ -88,8 +84,10 @@ let test_hop_and_distance_stretch () =
   let s = Metrics.Stretch.hop_stretch ~reference controlled in
   check_float "hop stretch max" 2. s.Metrics.Stretch.max_stretch;
   check_float "hop stretch avg" (4. /. 3.) s.Metrics.Stretch.avg_stretch;
-  let d = Metrics.Stretch.distance_stretch line_positions ~reference controlled in
-  (* Euclidean: the relayed route has the same total length *)
+  (* Euclidean stretch is power stretch under p(d) = d with no overhead:
+     the relayed route has the same total length *)
+  let euclid = Radio.Energy.make (Radio.Pathloss.make ~exponent:1. ~max_range:10. ()) in
+  let d = Metrics.Stretch.power_stretch euclid line_positions ~reference controlled in
   check_float "distance stretch" 1. d.Metrics.Stretch.max_stretch
 
 let test_stretch_infinite_when_disconnected () =

@@ -42,9 +42,7 @@ let test_empty_and_singleton () =
           Alcotest.(check (array int)) "empty" [||]
             (Parallel.Pool.map pool (fun x -> x + 1) [||]);
           Alcotest.(check (array int)) "singleton" [| 8 |]
-            (Parallel.Pool.map pool (fun x -> x + 1) [| 7 |]);
-          Alcotest.(check (list int)) "list" [ 2; 3 ]
-            (Parallel.Pool.map_list pool (fun x -> x + 1) [ 1; 2 ])))
+            (Parallel.Pool.map pool (fun x -> x + 1) [| 7 |])))
     jobs_levels
 
 exception Boom of int

@@ -181,25 +181,6 @@ let test_summary_invalid () =
     (Invalid_argument "Summary.percentile: out of range") (fun () ->
       ignore (Stats.Summary.percentile [| 1. |] 150.))
 
-(* ---------- Histogram ---------- *)
-
-let test_histogram_binning () =
-  let h = Stats.Histogram.create ~lo:0. ~hi:10. ~bins:5 in
-  List.iter (Stats.Histogram.add h) [ 0.; 1.; 2.5; 9.99; -1.; 10.; 15. ];
-  Alcotest.(check int) "count" 7 (Stats.Histogram.count h);
-  Alcotest.(check int) "underflow" 1 (Stats.Histogram.underflow h);
-  Alcotest.(check int) "overflow" 2 (Stats.Histogram.overflow h);
-  Alcotest.(check (array int)) "buckets" [| 2; 1; 0; 0; 1 |] (Stats.Histogram.counts h);
-  let lo, hi = Stats.Histogram.bucket_bounds h 1 in
-  check_float "bounds lo" 2. lo;
-  check_float "bounds hi" 4. hi
-
-let test_histogram_invalid () =
-  Alcotest.check_raises "empty range" (Invalid_argument "Histogram.create: empty range")
-    (fun () -> ignore (Stats.Histogram.create ~lo:1. ~hi:1. ~bins:3));
-  Alcotest.check_raises "bins" (Invalid_argument "Histogram.create: non-positive bins")
-    (fun () -> ignore (Stats.Histogram.create ~lo:0. ~hi:1. ~bins:0))
-
 (* ---------- Ci ---------- *)
 
 let test_ci_quantiles () =
@@ -210,9 +191,15 @@ let test_ci_quantiles () =
   Alcotest.check_raises "df 0" (Invalid_argument "Ci.t95: df < 1") (fun () ->
       ignore (Stats.Ci.t95 ~df:0))
 
+(* The interval of a sample, streamed through a Welford accumulator. *)
+let ci_of xs =
+  let acc = Stats.Welford.create () in
+  Array.iter (Stats.Welford.add acc) xs;
+  Stats.Ci.of_welford acc
+
 let test_ci_interval () =
-  (* n=4, mean=5, sd=2: half width = 3.182 * 2 / 2 = 3.182 *)
-  let ci = Stats.Ci.mean_ci95 [| 3.; 4.; 6.; 7. |] in
+  (* n=4, mean=5: half width = t95(3) * sd / sqrt 4 *)
+  let ci = ci_of [| 3.; 4.; 6.; 7. |] in
   check_float ~eps:1e-9 "mean" 5. ci.Stats.Ci.mean;
   check_float ~eps:1e-3 "half width"
     (Stats.Ci.t95 ~df:3 *. Stats.Summary.(of_list [ 3.; 4.; 6.; 7. ]).stddev /. 2.)
@@ -228,7 +215,7 @@ let test_ci_coverage () =
   let reps = 400 in
   for _ = 1 to reps do
     let xs = Array.init 20 (fun _ -> Prng.gaussian prng ~mu:10. ~sigma:3.) in
-    let ci = Stats.Ci.mean_ci95 xs in
+    let ci = ci_of xs in
     if ci.Stats.Ci.lo <= 10. && 10. <= ci.Stats.Ci.hi then incr hits
   done;
   let rate = Stdlib.float_of_int !hits /. Stdlib.float_of_int reps in
@@ -236,14 +223,20 @@ let test_ci_coverage () =
     Alcotest.failf "coverage %.3f too far from 0.95" rate
 
 let test_ci_of_welford () =
-  let acc = Stats.Welford.create () in
-  Array.iter (Stats.Welford.add acc) [| 3.; 4.; 6.; 7. |];
-  let a = Stats.Ci.of_welford acc in
-  let b = Stats.Ci.mean_ci95 [| 3.; 4.; 6.; 7. |] in
-  check_float ~eps:1e-9 "same mean" b.Stats.Ci.mean a.Stats.Ci.mean;
-  check_float ~eps:1e-9 "same width" b.Stats.Ci.half_width a.Stats.Ci.half_width;
+  (* the streamed interval agrees with a two-pass computation *)
+  let xs = [| 1.5; 2.; 8.; -3.; 4.25 |] in
+  let mean = Array.fold_left ( +. ) 0. xs /. 5. in
+  let var =
+    Array.fold_left (fun acc x -> acc +. ((x -. mean) *. (x -. mean))) 0. xs
+    /. 4.
+  in
+  let ci = ci_of xs in
+  check_float ~eps:1e-9 "same mean" mean ci.Stats.Ci.mean;
+  check_float ~eps:1e-9 "same width"
+    (Stats.Ci.t95 ~df:4 *. sqrt var /. sqrt 5.)
+    ci.Stats.Ci.half_width;
   Alcotest.check_raises "single sample" (Invalid_argument "Ci: need at least two samples")
-    (fun () -> ignore (Stats.Ci.mean_ci95 [| 1. |]))
+    (fun () -> ignore (ci_of [| 1. |]))
 
 (* ---------- properties ---------- *)
 
@@ -303,11 +296,6 @@ let () =
           Alcotest.test_case "percentile interpolation" `Quick test_summary_percentile_interp;
           Alcotest.test_case "empty" `Quick test_summary_empty;
           Alcotest.test_case "invalid" `Quick test_summary_invalid;
-        ] );
-      ( "histogram",
-        [
-          Alcotest.test_case "binning" `Quick test_histogram_binning;
-          Alcotest.test_case "invalid" `Quick test_histogram_invalid;
         ] );
       ( "ci",
         [

@@ -88,8 +88,6 @@ let test_make_invalid () =
 let test_energy () =
   let e = Radio.Energy.make ~tx_overhead:5. ~rx_overhead:3. pl in
   check_float "link cost" 108. (Radio.Energy.link_cost e 10.);
-  check_float "path cost" 216. (Radio.Energy.path_cost e [ 10.; 10. ]);
-  check_float "empty path" 0. (Radio.Energy.path_cost e []);
   let pure = Radio.Energy.make pl in
   check_float "no overhead" 100. (Radio.Energy.link_cost pure 10.);
   Alcotest.check_raises "negative overhead"
@@ -101,12 +99,12 @@ let test_energy () =
 let test_relay_beats_direct () =
   let e = Radio.Energy.make pl in
   let direct = Radio.Energy.link_cost e 100. in
-  let relayed = Radio.Energy.path_cost e [ 50.; 50. ] in
+  let relayed = 2. *. Radio.Energy.link_cost e 50. in
   Alcotest.(check bool) "relay cheaper" true (relayed < direct);
   (* ... but with enough per-hop overhead, direct wins *)
   let e2 = Radio.Energy.make ~rx_overhead:6000. pl in
   Alcotest.(check bool) "overhead flips it" true
-    (Radio.Energy.path_cost e2 [ 50.; 50. ] > Radio.Energy.link_cost e2 100.)
+    (2. *. Radio.Energy.link_cost e2 50. > Radio.Energy.link_cost e2 100.)
 
 let prop_monotone =
   QCheck.Test.make ~count:300 ~name:"p(d) is monotone increasing"
