@@ -27,18 +27,18 @@ let () =
 
   let pathloss = Radio.Pathloss.make ~max_range:ex.Cbtc.Constructions.max_range () in
   let d = Cbtc.Geo.run (Cbtc.Config.make alpha) pathloss positions in
-  let na = Cbtc.Discovery.nalpha d in
+  let nbrs = Cbtc.Discovery.neighbor_ids d in
   Fmt.pr "  CBTC(5pi/6) outcome:@.";
   Array.iteri
     (fun u name ->
       Fmt.pr "    N(%s) = {%s}%s@." name
-        (String.concat ", " (List.map (fun v -> names.(v)) (Graphkit.Digraph.succ na u)))
+        (String.concat ", " (List.map (fun v -> names.(v)) (nbrs u)))
         (if d.Cbtc.Discovery.boundary.(u) then "  [boundary node]" else ""))
     names;
   Fmt.pr "  v discovered u0 but u0 stopped growing before reaching v:@.";
   Fmt.pr "    (v,u0) in N_alpha = %b, (u0,v) in N_alpha = %b@."
-    (Graphkit.Digraph.mem_edge na 4 0)
-    (Graphkit.Digraph.mem_edge na 0 4);
+    (List.mem 0 (nbrs 4))
+    (List.mem 4 (nbrs 0));
   Fmt.pr "  the symmetric closure keeps the network connected: %b@.@."
     (Metrics.Connectivity.preserves
        ~reference:(Cbtc.Geo.max_power_graph pathloss positions)

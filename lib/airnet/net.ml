@@ -31,7 +31,6 @@ type 'msg t = {
      exact, not a prefilter, hence no grid-level skipping is needed. *)
   alive : bool array;
   handlers : 'msg handler option array;
-  energy : float array;
   link_loss : (int * int, float) Hashtbl.t;
   mutable drops : int;
   mutable retransmits : int;  (* credited by protocols *)
@@ -56,7 +55,6 @@ let create ?(obs = Obs.Recorder.nil) ?env ~sim ~pathloss ~channel ~prng
       Geom.Grid.create ~range:(Radio.Pathloss.max_range pathloss) positions;
     alive = Array.make n true;
     handlers = Array.make n None;
-    energy = Array.make n 0.;
     link_loss = Hashtbl.create 16;
     drops = 0;
     retransmits = 0;
@@ -143,10 +141,6 @@ let note_retransmit t u =
 
 let retransmits t = t.retransmits
 
-let energy_used t u =
-  check t u;
-  t.energy.(u)
-
 let check_power t power =
   if power <= 0. then invalid_arg "Net: non-positive power";
   if power > Radio.Pathloss.max_power t.pathloss *. (1. +. 1e-9) then
@@ -192,10 +186,9 @@ let reaches t ~power ~src ~dst =
   Radio.Env.reaches t.env ~power ~u:src ~v:dst ~pu:t.positions.(src)
     ~pv:t.positions.(dst) ~dist:(distance t src dst)
 
-let radiate t ~src ~power =
+let radiate t =
   t.transmissions <- t.transmissions + 1;
-  Obs.Recorder.incr t.obs "net.transmissions";
-  t.energy.(src) <- t.energy.(src) +. power
+  Obs.Recorder.incr t.obs "net.transmissions"
 
 (* The spatial index prefilters receivers; the exact [reaches] test below
    decides, so the audience is identical to a full scan.  Deliveries are
@@ -206,7 +199,7 @@ let bcast t ~src ~power msg =
   check_power t power;
   if not t.alive.(src) then 0
   else begin
-    radiate t ~src ~power;
+    radiate t;
     let reach = Radio.Env.probe_radius t.env ~power in
     let audience =
       Geom.Grid.fold_in_range t.grid t.positions.(src) ~dist:reach ~init:[]
@@ -227,7 +220,7 @@ let send t ~src ~dst ~power msg =
   if src = dst then invalid_arg "Net.send: src = dst";
   if not t.alive.(src) then false
   else begin
-    radiate t ~src ~power;
+    radiate t;
     if t.alive.(dst) && reaches t ~power ~src ~dst then begin
       deliver_to t ~src ~dst ~power msg;
       true

@@ -141,8 +141,3 @@ val note_retransmit : 'msg t -> int -> unit
 
 (** [retransmits t] counts the retransmissions credited so far. *)
 val retransmits : 'msg t -> int
-
-(** [energy_used t u] is the cumulative transmission energy node [u] has
-    radiated (sum over its transmissions of the power used, one unit of
-    airtime each). *)
-val energy_used : 'msg t -> int -> float

@@ -9,17 +9,41 @@ type t = {
 
 let nb_nodes t = Array.length t.positions
 
-let nalpha t =
-  let g = Graphkit.Digraph.create (nb_nodes t) in
+let neighbor_ids t u =
+  List.sort_uniq Int.compare
+    (List.map (fun (n : Neighbor.t) -> n.id) t.neighbors.(u))
+
+let closure t =
+  let g = Graphkit.Ugraph.create (nb_nodes t) in
   Array.iteri
     (fun u ns ->
-      List.iter (fun (n : Neighbor.t) -> Graphkit.Digraph.add_edge g u n.id) ns)
+      List.iter (fun (n : Neighbor.t) -> Graphkit.Ugraph.add_edge g u n.id) ns)
     t.neighbors;
   g
 
-let closure t = Graphkit.Digraph.symmetric_closure (nalpha t)
-
-let core t = Graphkit.Digraph.symmetric_core (nalpha t)
+(* One pass in increasing u.  [lower.(u)] collects every w <= u whose row
+   lists u, pushed while row w was visited; when u's turn comes, [mark]
+   holds u exactly at the ids of row u, so {w,u} is kept iff both rows
+   list it.  A repeated id pushes or marks twice, which [add_edge]
+   absorbs; a row listing its own node reaches [add_edge u u] and is
+   rejected, as in [closure]. *)
+let core t =
+  let n = nb_nodes t in
+  let g = Graphkit.Ugraph.create n in
+  let mark = Array.make n (-1) in
+  let lower = Array.make n [] in
+  for u = 0 to n - 1 do
+    List.iter
+      (fun (nb : Neighbor.t) ->
+        mark.(nb.id) <- u;
+        if nb.id >= u then lower.(nb.id) <- u :: lower.(nb.id))
+      t.neighbors.(u);
+    List.iter
+      (fun w -> if mark.(w) = u then Graphkit.Ugraph.add_edge g w u)
+      lower.(u);
+    lower.(u) <- []
+  done;
+  g
 
 let radius_in t g =
   Array.mapi

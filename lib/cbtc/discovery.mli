@@ -19,16 +19,17 @@ type t = {
 
 val nb_nodes : t -> int
 
-(** [nalpha t] is the (generally asymmetric) discovered-neighbor relation
-    as a directed graph: edge [(u, v)] iff [v] is in [N_alpha(u)]. *)
-val nalpha : t -> Graphkit.Digraph.t
+(** [neighbor_ids t u] is [N_alpha(u)] as ascending node ids. *)
+val neighbor_ids : t -> int -> int list
 
 (** [closure t] is [G_alpha]'s edge set [E_alpha]: the symmetric closure
-    of [nalpha]. *)
+    of the discovered relation, [{u,v}] present iff [v] is in
+    [N_alpha(u)] or [u] is in [N_alpha(v)]. *)
 val closure : t -> Graphkit.Ugraph.t
 
-(** [core t] is [E-_alpha]: edges present in both directions — the
-    asymmetric-edge-removal graph of Section 3.2. *)
+(** [core t] is [E-_alpha]: [{u,v}] present iff [v] is in [N_alpha(u)]
+    and [u] is in [N_alpha(v)] — the asymmetric-edge-removal graph of
+    Section 3.2. *)
 val core : t -> Graphkit.Ugraph.t
 
 (** [radius_in t g] is the per-node transmission radius required to reach

@@ -98,39 +98,38 @@ let redundant_edges ~positions g =
 
 let pairwise ~positions ?(obs = Obs.Recorder.nil) ?(mode = `Practical) g =
   Obs.Recorder.span obs "pairwise-removal" @@ fun () ->
-  let redundant = redundant_edges ~positions g in
+  (* One pass evaluates each edge's two verdicts once.  A redundant edge
+     is kept with both, for the practical filter (which needs the second
+     verdict even when the first holds; `All does not); every other edge
+     folds into its endpoints' longest non-redundant edge. *)
+  let longest_nr = Array.make (Graphkit.Ugraph.nb_nodes g) 0. in
+  let redundant = ref [] in
+  Graphkit.Ugraph.iter_edges
+    (fun u v ->
+      let ru = redundant_from g positions u v in
+      let rv = (mode = `Practical || not ru) && redundant_from g positions v u in
+      let d = Geom.Vec2.dist positions.(u) positions.(v) in
+      if ru || rv then redundant := (u, v, ru, rv, d) :: !redundant
+      else begin
+        if d > longest_nr.(u) then longest_nr.(u) <- d;
+        if d > longest_nr.(v) then longest_nr.(v) <- d
+      end)
+    g;
   let to_remove =
     match mode with
-    | `All -> redundant
+    | `All -> !redundant
     | `Practical ->
-        (* Longest non-redundant edge incident to each node; an edge is
-           removed only by a node from whose perspective it is redundant,
-           and only when doing so can lower that node's radius. *)
-        let module ESet = Set.Make (struct
-          type t = int * int
-
-          let compare = Stdlib.compare
-        end) in
-        let red_set = ESet.of_list redundant in
-        let n = Graphkit.Ugraph.nb_nodes g in
-        let longest_nr = Array.make n 0. in
-        Graphkit.Ugraph.iter_edges
-          (fun u v ->
-            if not (ESet.mem (u, v) red_set) then begin
-              let d = Geom.Vec2.dist positions.(u) positions.(v) in
-              if d > longest_nr.(u) then longest_nr.(u) <- d;
-              if d > longest_nr.(v) then longest_nr.(v) <- d
-            end)
-          g;
+        (* an edge is removed only by a node from whose perspective it is
+           redundant, and only when doing so can lower that node's radius *)
         List.filter
-          (fun (u, v) ->
-            let d = Geom.Vec2.dist positions.(u) positions.(v) in
-            (redundant_from g positions u v && d > longest_nr.(u))
-            || (redundant_from g positions v u && d > longest_nr.(v)))
-          redundant
+          (fun (u, v, ru, rv, d) ->
+            (ru && d > longest_nr.(u)) || (rv && d > longest_nr.(v)))
+          !redundant
   in
-  Obs.Recorder.incr ~by:(List.length redundant) obs "pairwise.redundant_edges";
+  Obs.Recorder.incr ~by:(List.length !redundant) obs "pairwise.redundant_edges";
   Obs.Recorder.incr ~by:(List.length to_remove) obs "pairwise.removed_edges";
   let g' = Graphkit.Ugraph.copy g in
-  List.iter (fun (u, v) -> Graphkit.Ugraph.remove_edge g' u v) to_remove;
+  List.iter
+    (fun (u, v, _, _, _) -> Graphkit.Ugraph.remove_edge g' u v)
+    to_remove;
   g'

@@ -32,7 +32,6 @@ type t = {
   shrunk : Discovery.t;
   graph : Graphkit.Ugraph.t;
   radius : float array;
-  basic_radius : float array;
 }
 
 let of_discovery ?(obs = Obs.Recorder.nil) (d : Discovery.t) plan =
@@ -57,7 +56,6 @@ let of_discovery ?(obs = Obs.Recorder.nil) (d : Discovery.t) plan =
     shrunk;
     graph;
     radius = Discovery.radius_in shrunk graph;
-    basic_radius = Discovery.radius_in d (Discovery.closure d);
   }
 
 let run_oracle ?pool ?obs ?env pathloss positions plan =

@@ -25,6 +25,13 @@ val shrink_asym : Config.t -> plan
     [alpha <= 2pi/3], practical pairwise removal. *)
 val all_ops : Config.t -> plan
 
+(** One pipeline run.  It builds exactly one graph from the (shrunk)
+    discovery rows — [E_alpha], or [E-_alpha] under op2 — and op3, when
+    enabled, prunes a copy of it.  The beacon radius [rad_{u,alpha}]
+    that Section 4 requires under shrink-back and pairwise removal is
+    the radius in the {e unoptimized} [E_alpha]; callers that need it
+    compute [Discovery.radius_in t.discovery
+    (Discovery.closure t.discovery)]. *)
 type t = {
   plan : plan;
   discovery : Discovery.t;  (** raw converged discovery state *)
@@ -32,10 +39,6 @@ type t = {
   graph : Graphkit.Ugraph.t;  (** the final topology *)
   radius : float array;
       (** per-node transmission radius needed in [graph] *)
-  basic_radius : float array;
-      (** [rad_{u,alpha}]: radius needed in the {e unoptimized} [E_alpha];
-          Section 4 requires beacons at this power for reconfiguration
-          to remain correct under shrink-back / pairwise removal *)
 }
 
 (** [of_discovery ?obs d plan] applies [plan]'s optimizations to an

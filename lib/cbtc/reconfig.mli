@@ -56,8 +56,6 @@ val create :
   Geom.Vec2.t array ->
   t
 
-val nb_nodes : t -> int
-
 val now : t -> float
 
 (** [run_for t ~duration] advances simulated time (beacons fire, events

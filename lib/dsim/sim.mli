@@ -46,6 +46,3 @@ val run : t -> int
 (** [run_until t ~time] executes events with timestamp [<= time], then
     advances the clock to [time]; returns the number fired. *)
 val run_until : t -> time:float -> int
-
-(** [step t] fires the single earliest event; [false] when none remain. *)
-val step : t -> bool

@@ -113,11 +113,3 @@ val exists_in_range : t -> Vec2.t -> dist:float -> (int -> bool) -> bool
     [Vec2.dist (position t u) (position t v) <= dist], sorted in
     increasing order. *)
 val neighbors_within : t -> int -> dist:float -> int list
-
-(** [fold_neighbors_within t u ~dist ~init ~f] folds over the same exact
-    neighbor set as {!neighbors_within} — the distance predicate is
-    applied here, unlike {!fold_in_range} — but allocation-free and in
-    unspecified order.  Use it on hot paths that do not need the sorted
-    list. *)
-val fold_neighbors_within :
-  t -> int -> dist:float -> init:'a -> f:('a -> int -> 'a) -> 'a

@@ -8,9 +8,6 @@ type t
 
 val create : int -> t
 
-(** [find t x] is the canonical representative of [x]'s set. *)
-val find : t -> int -> int
-
 (** [union t x y] merges the sets of [x] and [y]; returns [true] when the
     sets were previously distinct. *)
 val union : t -> int -> int -> bool

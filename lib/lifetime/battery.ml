@@ -5,12 +5,6 @@ let create ~n ~capacity =
   if n < 0 then invalid_arg "Battery.create: negative n";
   { levels = Array.make n capacity }
 
-let of_levels levels =
-  Array.iter
-    (fun l -> if l < 0. then invalid_arg "Battery.of_levels: negative level")
-    levels;
-  { levels = Array.copy levels }
-
 let nb_nodes t = Array.length t.levels
 
 let check t u =

@@ -12,9 +12,6 @@ type t
     @raise Invalid_argument on non-positive capacity. *)
 val create : n:int -> capacity:float -> t
 
-(** [of_levels levels] starts from heterogeneous levels. *)
-val of_levels : float array -> t
-
 val nb_nodes : t -> int
 
 (** [level t u] is the remaining energy ([0.] once dead). *)

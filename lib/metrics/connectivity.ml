@@ -1,35 +1,3 @@
 let preserves ~reference g = Graphkit.Traversal.same_partition reference g
 
-let component_sizes labels =
-  let nb = Array.fold_left Stdlib.max (-1) labels + 1 in
-  let sizes = Array.make nb 0 in
-  Array.iter (fun l -> sizes.(l) <- sizes.(l) + 1) labels;
-  sizes
-
-let broken_pairs ~reference g =
-  if Graphkit.Ugraph.nb_nodes reference <> Graphkit.Ugraph.nb_nodes g then
-    invalid_arg "Connectivity.broken_pairs: node count mismatch";
-  let lr = Graphkit.Traversal.components reference in
-  let lg = Graphkit.Traversal.components g in
-  let n = Array.length lr in
-  let count = ref 0 in
-  for u = 0 to n - 1 do
-    for v = u + 1 to n - 1 do
-      if lr.(u) = lr.(v) && lg.(u) <> lg.(v) then incr count
-    done
-  done;
-  !count
-
 let nb_components = Graphkit.Traversal.nb_components
-
-let isolated g =
-  let count = ref 0 in
-  for u = 0 to Graphkit.Ugraph.nb_nodes g - 1 do
-    if Graphkit.Ugraph.degree g u = 0 then incr count
-  done;
-  !count
-
-let giant_component_size g =
-  let labels = Graphkit.Traversal.components g in
-  if Array.length labels = 0 then 0
-  else Array.fold_left Stdlib.max 0 (component_sizes labels)

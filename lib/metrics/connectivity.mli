@@ -6,15 +6,4 @@
     connected-component partition as [reference]. *)
 val preserves : reference:Graphkit.Ugraph.t -> Graphkit.Ugraph.t -> bool
 
-(** [broken_pairs ~reference g] counts unordered node pairs connected in
-    [reference] but not in [g] — 0 iff no connectivity is lost.  (Pairs
-    gained cannot occur when [g] is a subgraph of [reference].) *)
-val broken_pairs : reference:Graphkit.Ugraph.t -> Graphkit.Ugraph.t -> int
-
 val nb_components : Graphkit.Ugraph.t -> int
-
-(** [isolated g] counts degree-0 nodes. *)
-val isolated : Graphkit.Ugraph.t -> int
-
-(** [giant_component_size g] is the size of the largest component. *)
-val giant_component_size : Graphkit.Ugraph.t -> int

@@ -4,8 +4,6 @@
 (** [avg_degree g] is [2m/n]. *)
 val avg_degree : Graphkit.Ugraph.t -> float
 
-val degrees : Graphkit.Ugraph.t -> float array
-
 (** [avg_radius radius] averages a per-node radius array. *)
 val avg_radius : float array -> float
 

@@ -10,8 +10,6 @@ let mix z =
 
 let create ~seed = { state = mix (Int64.of_int seed) }
 
-let copy t = { state = t.state }
-
 let bits64 t =
   t.state <- Int64.add t.state golden_gamma;
   mix t.state

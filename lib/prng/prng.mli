@@ -15,9 +15,6 @@ type t
 (** [create ~seed] is a fresh generator. *)
 val create : seed:int -> t
 
-(** [copy t] is an independent generator with the same current state. *)
-val copy : t -> t
-
 (** [split t] advances [t] and returns a new generator whose stream is
     independent of the remainder of [t]'s stream.  Used to give each
     simulated node or each experiment repetition its own stream. *)

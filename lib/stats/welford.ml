@@ -34,19 +34,3 @@ let stddev t = sqrt (variance t)
 let min t = t.min
 
 let max t = t.max
-
-let merge a b =
-  if a.n = 0 then { b with n = b.n }
-  else if b.n = 0 then { a with n = a.n }
-  else
-    let n = a.n + b.n in
-    let fa = Stdlib.float_of_int a.n and fb = Stdlib.float_of_int b.n in
-    let fn = Stdlib.float_of_int n in
-    let delta = b.mean -. a.mean in
-    {
-      n;
-      mean = a.mean +. (delta *. fb /. fn);
-      m2 = a.m2 +. b.m2 +. (delta *. delta *. fa *. fb /. fn);
-      min = Float.min a.min b.min;
-      max = Float.max a.max b.max;
-    }

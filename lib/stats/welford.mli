@@ -25,7 +25,3 @@ val stddev : t -> float
 val min : t -> float
 
 val max : t -> float
-
-(** [merge a b] is a fresh accumulator equivalent to having seen both
-    streams (Chan's parallel combination). *)
-val merge : t -> t -> t

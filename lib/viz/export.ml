@@ -25,41 +25,6 @@ let to_csv positions g =
     g;
   Buffer.contents buf
 
-let load_csv s =
-  let lines =
-    List.filter (fun l -> String.trim l <> "") (String.split_on_char '\n' s)
-  in
-  let nodes = ref [] in
-  let edges = ref [] in
-  List.iter
-    (fun line ->
-      match String.split_on_char ',' line with
-      | [ "node"; id; x; y ] -> (
-          match (int_of_string_opt id, float_of_string_opt x, float_of_string_opt y) with
-          | Some id, Some x, Some y -> nodes := (id, Geom.Vec2.make x y) :: !nodes
-          | _ -> failwith ("Export.load_csv: bad node line: " ^ line))
-      | [ "edge"; u; v ] -> (
-          match (int_of_string_opt u, int_of_string_opt v) with
-          | Some u, Some v -> edges := (u, v) :: !edges
-          | _ -> failwith ("Export.load_csv: bad edge line: " ^ line))
-      | _ -> failwith ("Export.load_csv: unrecognized line: " ^ line))
-    lines;
-  let nodes = List.sort (fun (a, _) (b, _) -> Int.compare a b) (List.rev !nodes) in
-  let n = List.length nodes in
-  List.iteri
-    (fun expect (id, _) ->
-      if id <> expect then failwith "Export.load_csv: node ids not dense")
-    nodes;
-  let positions = Array.of_list (List.map snd nodes) in
-  let g = Graphkit.Ugraph.create n in
-  List.iter
-    (fun (u, v) ->
-      if u < 0 || u >= n || v < 0 || v >= n then
-        failwith "Export.load_csv: edge endpoint out of range";
-      Graphkit.Ugraph.add_edge g u v)
-    (List.rev !edges);
-  (positions, g)
-
 let write_string path s =
   let oc = open_out path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc s)

@@ -1,8 +1,7 @@
 (** Topology interchange: Graphviz DOT and CSV.
 
     Exports let downstream tools (graphviz, pandas, gephi) consume the
-    topologies this library produces; the CSV round-trips through
-    {!load_csv} (used by the test suite and handy for diffing runs). *)
+    topologies this library produces. *)
 
 (** [to_dot ?name positions g] is an undirected Graphviz document with
     node positions as [pos] attributes (inches, graphviz [neato -n]
@@ -12,10 +11,6 @@ val to_dot : ?name:string -> Geom.Vec2.t array -> Graphkit.Ugraph.t -> string
 (** [to_csv positions g] serializes as a two-section CSV:
     [node,id,x,y] lines followed by [edge,u,v] lines. *)
 val to_csv : Geom.Vec2.t array -> Graphkit.Ugraph.t -> string
-
-(** [load_csv s] parses {!to_csv} output back.
-    @raise Failure on malformed input. *)
-val load_csv : string -> Geom.Vec2.t array * Graphkit.Ugraph.t
 
 (** [write_dot path positions g] / [write_csv path positions g]. *)
 val write_dot : string -> Geom.Vec2.t array -> Graphkit.Ugraph.t -> unit

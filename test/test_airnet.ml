@@ -98,16 +98,6 @@ let test_crash_between_send_and_delivery () =
   let dsts = List.map (fun r -> r.Airnet.Net.dst) !log in
   Alcotest.(check (list int)) "dead receiver dropped" [ 1 ] dsts
 
-let test_energy_accounting () =
-  let sim, net = make_net () in
-  ignore (Airnet.Net.bcast net ~src:0 ~power:100. "a");
-  ignore (Airnet.Net.bcast net ~src:0 ~power:200. "b");
-  ignore (Airnet.Net.send net ~src:1 ~dst:0 ~power:150. "c");
-  ignore (Dsim.Sim.run sim);
-  check_float "node 0 energy" 300. (Airnet.Net.energy_used net 0);
-  check_float "node 1 energy" 150. (Airnet.Net.energy_used net 1);
-  check_float "node 2 untouched" 0. (Airnet.Net.energy_used net 2)
-
 let test_mobility_updates_geometry () =
   let sim, net = make_net () in
   let log = collect net in
@@ -151,7 +141,6 @@ let () =
           Alcotest.test_case "crash stop" `Quick test_crash_stop;
           Alcotest.test_case "crash before delivery" `Quick
             test_crash_between_send_and_delivery;
-          Alcotest.test_case "energy accounting" `Quick test_energy_accounting;
           Alcotest.test_case "mobility" `Quick test_mobility_updates_geometry;
           Alcotest.test_case "power validation" `Quick test_power_validation;
           Alcotest.test_case "lossy channel" `Quick test_lossy_channel_drops;

@@ -1,5 +1,5 @@
 (* Differential tests for the flat memory layouts: CSR adjacency vs the
-   set-based Ugraph/Digraph enumerations, the SoA discovery kernel
+   set-based Ugraph enumeration, the SoA discovery kernel
    (Geo.run_flat, Geo.grow_into) vs the list-based spec in spec_geo.ml,
    degenerate and mobile inputs on the CSR grid buckets, the occupancy
    contract, and the VmHWM parser behind peak-RSS reporting. *)
@@ -48,70 +48,8 @@ let prop_csr_of_ugraph_identical =
       done;
       !ok)
 
-let prop_csr_of_edges_identical =
-  QCheck.Test.make ~count:200
-    ~name:"Csr.of_edges = Csr.of_ugraph (Ugraph.of_edges)"
-    (QCheck.make edges_gen)
-    (fun (n, edges) ->
-      let direct = Graphkit.Csr.of_edges n edges in
-      let via_set = Graphkit.Csr.of_ugraph (Graphkit.Ugraph.of_edges n edges) in
-      let ok = ref (Graphkit.Csr.nb_edges direct = List.length edges) in
-      for u = 0 to n - 1 do
-        if Graphkit.Csr.neighbors direct u <> Graphkit.Csr.neighbors via_set u
-        then ok := false
-      done;
-      !ok)
-
-let prop_csr_of_digraph_identical =
-  QCheck.Test.make ~count:200 ~name:"Csr.of_digraph: rows = Digraph.succ"
-    (QCheck.make edges_gen)
-    (fun (n, edges) ->
-      (* reuse the undirected edge set but keep the (u, v) orientation,
-         plus the reversed copy of every third edge for asymmetry *)
-      let directed =
-        List.concat_map
-          (fun (i, (u, v)) -> if i mod 3 = 0 then [ (u, v); (v, u) ] else [ (u, v) ])
-          (List.mapi (fun i e -> (i, e)) edges)
-      in
-      let g = Graphkit.Digraph.of_edges n directed in
-      let csr = Graphkit.Csr.of_digraph g in
-      let ok = ref (Graphkit.Csr.nb_edges csr = Graphkit.Digraph.nb_edges g) in
-      for u = 0 to n - 1 do
-        if Graphkit.Csr.neighbors csr u <> Graphkit.Digraph.succ g u then
-          ok := false;
-        if Graphkit.Csr.degree csr u <> Graphkit.Digraph.out_degree g u then
-          ok := false
-      done;
-      !ok)
-
-let prop_csr_mem_edge =
-  QCheck.Test.make ~count:200 ~name:"Csr.mem_edge = Ugraph.mem_edge, all pairs"
-    (QCheck.make edges_gen)
-    (fun (n, edges) ->
-      let g = Graphkit.Ugraph.of_edges n edges in
-      let csr = Graphkit.Csr.of_ugraph g in
-      let ok = ref true in
-      for u = 0 to n - 1 do
-        for v = 0 to n - 1 do
-          if Graphkit.Csr.mem_edge csr u v <> Graphkit.Ugraph.mem_edge g u v
-          then ok := false
-        done
-      done;
-      !ok)
-
-let test_csr_of_edges_rejects () =
-  Alcotest.check_raises "out of range"
-    (Invalid_argument "Csr.of_edges: node out of range") (fun () ->
-      ignore (Graphkit.Csr.of_edges 2 [ (0, 2) ]));
-  Alcotest.check_raises "self-loop"
-    (Invalid_argument "Csr.of_edges: self-loop") (fun () ->
-      ignore (Graphkit.Csr.of_edges 2 [ (1, 1) ]));
-  Alcotest.check_raises "duplicate"
-    (Invalid_argument "Csr.of_edges: duplicate edge") (fun () ->
-      ignore (Graphkit.Csr.of_edges 3 [ (0, 1); (1, 0) ]))
-
 let test_csr_empty () =
-  let csr = Graphkit.Csr.of_edges 0 [] in
+  let csr = Graphkit.Csr.of_ugraph (Graphkit.Ugraph.create 0) in
   Alcotest.(check int) "no nodes" 0 (Graphkit.Csr.nb_nodes csr);
   Alcotest.(check int) "no edges" 0 (Graphkit.Csr.nb_edges csr);
   let one = Graphkit.Csr.of_ugraph (Graphkit.Ugraph.create 1) in
@@ -456,15 +394,8 @@ let () =
   Alcotest.run "csr"
     [
       ( "adjacency",
-        Alcotest.test_case "of_edges validation" `Quick test_csr_of_edges_rejects
-        :: Alcotest.test_case "empty graphs" `Quick test_csr_empty
-        :: qsuite
-             [
-               prop_csr_of_ugraph_identical;
-               prop_csr_of_edges_identical;
-               prop_csr_of_digraph_identical;
-               prop_csr_mem_edge;
-             ] );
+        Alcotest.test_case "empty graphs" `Quick test_csr_empty
+        :: qsuite [ prop_csr_of_ugraph_identical ] );
       ( "soa discovery",
         Alcotest.test_case "degenerate inputs" `Quick test_run_flat_degenerate
         :: qsuite

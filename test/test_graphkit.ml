@@ -1,8 +1,8 @@
-(* Tests for the graph substrate: directed/undirected graphs, union-find,
-   traversal, Dijkstra, MST, and the float heap. *)
+(* Tests for the graph substrate: undirected graphs, the closure and
+   core of a directed relation (built by Cbtc.Discovery from discovery
+   rows), union-find, traversal, Dijkstra, MST, and the float heap. *)
 
 module U = Graphkit.Ugraph
-module D = Graphkit.Digraph
 
 (* ---------- Ugraph ---------- *)
 
@@ -44,25 +44,29 @@ let test_ugraph_subgraph_copy () =
   Alcotest.(check bool) "copy is independent" false (U.mem_edge g 2 3);
   Alcotest.(check bool) "equal self" true (U.equal g g)
 
-(* ---------- Digraph ---------- *)
+(* ---------- Directed relation: closure and core ---------- *)
 
-let test_digraph_basic () =
-  let g = D.create 4 in
-  D.add_edge g 0 1;
-  D.add_edge g 1 0;
-  D.add_edge g 2 3;
-  Alcotest.(check int) "edges" 3 (D.nb_edges g);
-  Alcotest.(check bool) "directed" true (D.mem_edge g 2 3);
-  Alcotest.(check bool) "no reverse" false (D.mem_edge g 3 2);
-  Alcotest.(check (list int)) "succ" [ 1 ] (D.succ g 0);
-  Alcotest.(check int) "out degree" 1 (D.out_degree g 2)
+(* A discovery state whose rows list exactly [rows] (ids in row order,
+   repeats allowed).  [closure] and [core] read only [neighbors]; the
+   other fields are placeholders. *)
+let of_rows rows =
+  let n = Array.length rows in
+  let nb id = Cbtc.Neighbor.make ~id ~dir:0. ~link_power:1. ~tag:1. in
+  {
+    Cbtc.Discovery.config = Cbtc.Config.make Geom.Angle.five_pi_six;
+    pathloss = Radio.Pathloss.make ~max_range:1. ();
+    positions = Array.make n Geom.Vec2.zero;
+    neighbors = Array.map (List.map nb) rows;
+    power = Array.make n 1.;
+    boundary = Array.make n true;
+  }
 
-let test_digraph_closure_core () =
+let test_closure_vs_core () =
   (* The paper's E_alpha (closure) vs E-_alpha (core) on an asymmetric
-     relation. *)
-  let g = D.of_edges 4 [ (0, 1); (1, 0); (1, 2); (3, 1) ] in
-  let closure = D.symmetric_closure g in
-  let core = D.symmetric_core g in
+     relation: 0 <-> 1, 1 -> 2, 3 -> 1. *)
+  let d = of_rows [| [ 1 ]; [ 0; 2 ]; []; [ 1 ] |] in
+  let closure = Cbtc.Discovery.closure d in
+  let core = Cbtc.Discovery.core d in
   Alcotest.(check (list (pair int int))) "closure"
     [ (0, 1); (1, 2); (1, 3) ]
     (U.edges closure);
@@ -284,12 +288,43 @@ let prop_mst_preserves_partition =
       Graphkit.Traversal.same_partition g forest
       && U.nb_edges forest = n - Graphkit.Traversal.nb_components g)
 
+(* Random asymmetric relations: empty rows, repeated ids and rows in
+   arbitrary order, never a node listing itself. *)
+let rows_gen =
+  QCheck.Gen.(
+    int_range 1 25 >>= fun n ->
+    array_repeat n (list_size (int_range 0 8) (int_bound (n - 1))) >|= fun raw ->
+    Array.mapi (fun u row -> List.filter (fun v -> v <> u) row) raw)
+
+let print_rows rows =
+  String.concat " | "
+    (Array.to_list
+       (Array.map (fun r -> String.concat "," (List.map string_of_int r)) rows))
+
 let prop_closure_contains_core =
-  QCheck.Test.make ~count:200 ~name:"symmetric core is a subgraph of the closure"
-    (QCheck.make random_graph_gen)
-    (fun (n, edge_list) ->
-      let g = D.of_edges n edge_list in
-      U.is_subgraph (D.symmetric_core g) (D.symmetric_closure g))
+  QCheck.Test.make ~count:300
+    ~name:
+      "symmetric core is a subgraph of the closure, and both equal their \
+       set definitions"
+    (QCheck.make ~print:print_rows rows_gen)
+    (fun rows ->
+      let n = Array.length rows in
+      let listed u v = List.mem v rows.(u) in
+      let pairs keep =
+        List.concat
+          (List.init n (fun u ->
+               List.filter_map
+                 (fun v -> if keep u v then Some (u, v) else None)
+                 (List.init (n - u - 1) (fun i -> u + 1 + i))))
+      in
+      let d = of_rows rows in
+      let closure = Cbtc.Discovery.closure d and core = Cbtc.Discovery.core d in
+      let is reference g =
+        U.edges g = reference && U.nb_edges g = List.length reference
+      in
+      is (pairs (fun u v -> listed u v || listed v u)) closure
+      && is (pairs (fun u v -> listed u v && listed v u)) core
+      && U.is_subgraph core closure)
 
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 
@@ -303,11 +338,7 @@ let () =
           Alcotest.test_case "errors" `Quick test_ugraph_errors;
           Alcotest.test_case "subgraph and copy" `Quick test_ugraph_subgraph_copy;
         ] );
-      ( "digraph",
-        [
-          Alcotest.test_case "basic" `Quick test_digraph_basic;
-          Alcotest.test_case "closure vs core" `Quick test_digraph_closure_core;
-        ] );
+      ("digraph", [ Alcotest.test_case "closure vs core" `Quick test_closure_vs_core ]);
       ("unionfind", [ Alcotest.test_case "basic" `Quick test_unionfind ]);
       ( "traversal",
         [

@@ -26,12 +26,6 @@ let test_battery_overdrain_clamps () =
   ignore (Lifetime.Battery.drain b 0 100.);
   check_float "clamped at zero" 0. (Lifetime.Battery.level b 0)
 
-let test_battery_heterogeneous () =
-  let b = Lifetime.Battery.of_levels [| 1.; 0.; 3. |] in
-  Alcotest.(check int) "initially dead node counted" 2
-    (Lifetime.Battery.nb_alive b);
-  Alcotest.(check bool) "zero level is dead" false (Lifetime.Battery.is_alive b 1)
-
 let test_battery_validation () =
   Alcotest.check_raises "capacity"
     (Invalid_argument "Battery.create: non-positive capacity") (fun () ->
@@ -152,7 +146,6 @@ let () =
         [
           Alcotest.test_case "basics" `Quick test_battery_basics;
           Alcotest.test_case "overdrain clamps" `Quick test_battery_overdrain_clamps;
-          Alcotest.test_case "heterogeneous" `Quick test_battery_heterogeneous;
           Alcotest.test_case "validation" `Quick test_battery_validation;
         ] );
       ( "gather",

@@ -13,9 +13,7 @@ let pl = Radio.Pathloss.make ~max_range:100. ()
 let run ?growth positions =
   Cbtc.Geo.run (Cbtc.Config.make ?growth alpha56) pl positions
 
-let neighbor_ids (d : Cbtc.Discovery.t) u =
-  List.sort Int.compare
-    (List.map (fun (n : Cbtc.Neighbor.t) -> n.Cbtc.Neighbor.id) d.neighbors.(u))
+let neighbor_ids = Cbtc.Discovery.neighbor_ids
 
 (* ---------- shrink-back ---------- *)
 
@@ -323,6 +321,74 @@ let prop_practical_between_all_and_original =
       let practical = Cbtc.Optimize.pairwise ~positions ~mode:`Practical g in
       Graphkit.Ugraph.is_subgraph all practical)
 
+(* Op3 in two passes, the oracle for Optimize.pairwise's single pass:
+   list the redundant edges, then re-evaluate each one's verdicts for the
+   practical filter.  [redundant_from] restates Definition 3.5 as
+   Optimize documents it: squared-distance eid with the (max ID, min ID)
+   tie-break, the 1e-9 angle margin, no coincident witness. *)
+let two_pass_pairwise ~positions ~mode g =
+  let eid u v =
+    (Geom.Vec2.dist2 positions.(u) positions.(v), Stdlib.max u v, Stdlib.min u v)
+  in
+  let redundant_from u v =
+    let dir w = Geom.Vec2.direction ~from:positions.(u) ~toward:positions.(w) in
+    List.exists
+      (fun w ->
+        w <> v
+        && (let d2, _, _ = eid u w in
+            d2 > 0.)
+        && Geom.Angle.diff (dir v) (dir w) < Geom.Angle.pi_three -. 1e-9
+        && compare (eid u w) (eid u v) < 0)
+      (Graphkit.Ugraph.neighbors g u)
+  in
+  let redundant =
+    List.filter
+      (fun (u, v) -> redundant_from u v || redundant_from v u)
+      (Graphkit.Ugraph.edges g)
+  in
+  let to_remove =
+    match mode with
+    | `All -> redundant
+    | `Practical ->
+        let longest_nr = Array.make (Graphkit.Ugraph.nb_nodes g) 0. in
+        Graphkit.Ugraph.iter_edges
+          (fun u v ->
+            if not (List.mem (u, v) redundant) then begin
+              let d = Geom.Vec2.dist positions.(u) positions.(v) in
+              if d > longest_nr.(u) then longest_nr.(u) <- d;
+              if d > longest_nr.(v) then longest_nr.(v) <- d
+            end)
+          g;
+        List.filter
+          (fun (u, v) ->
+            let d = Geom.Vec2.dist positions.(u) positions.(v) in
+            (redundant_from u v && d > longest_nr.(u))
+            || (redundant_from v u && d > longest_nr.(v)))
+          redundant
+  in
+  let g' = Graphkit.Ugraph.copy g in
+  List.iter (fun (u, v) -> Graphkit.Ugraph.remove_edge g' u v) to_remove;
+  (g', List.length redundant, List.length to_remove)
+
+let prop_pairwise_matches_two_pass =
+  QCheck.Test.make ~count:100
+    ~name:"single-pass pairwise = two-pass oracle, both modes, coincident nodes"
+    (QCheck.make dup_positions_gen)
+    (fun positions ->
+      let d = run ~growth:(Cbtc.Config.Double 25.) positions in
+      List.for_all
+        (fun g ->
+          List.for_all
+            (fun mode ->
+              let obs = Obs.Recorder.create () in
+              let got = Cbtc.Optimize.pairwise ~positions ~obs ~mode g in
+              let want, redundant, removed = two_pass_pairwise ~positions ~mode g in
+              Graphkit.Ugraph.equal got want
+              && Obs.Recorder.counter obs "pairwise.redundant_edges" = redundant
+              && Obs.Recorder.counter obs "pairwise.removed_edges" = removed)
+            [ `All; `Practical ])
+        [ Cbtc.Discovery.closure d; Cbtc.Discovery.core d ])
+
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 
 let () =
@@ -361,5 +427,6 @@ let () =
             prop_pairwise_preserves_connectivity;
             prop_practical_between_all_and_original;
             prop_pairwise_no_mutual_removal_with_duplicates;
+            prop_pairwise_matches_two_pass;
           ] );
     ]

@@ -29,13 +29,6 @@ let test_prng_split_independent () =
   let ys = List.init 20 (fun _ -> Prng.bits64 b) in
   Alcotest.(check bool) "split streams differ" true (xs <> ys)
 
-let test_prng_copy () =
-  let a = Prng.create ~seed:9 in
-  ignore (Prng.bits64 a);
-  let b = Prng.copy a in
-  Alcotest.(check int64) "copy continues identically" (Prng.bits64 a)
-    (Prng.bits64 b)
-
 let test_prng_ranges () =
   let t = Prng.create ~seed:3 in
   for _ = 1 to 1000 do
@@ -134,21 +127,6 @@ let test_welford_empty_and_single () =
   check_float "single mean" 3. (Stats.Welford.mean acc);
   Alcotest.(check bool) "single variance nan" true
     (Float.is_nan (Stats.Welford.variance acc))
-
-let test_welford_merge () =
-  let all = Stats.Welford.create () in
-  let a = Stats.Welford.create () and b = Stats.Welford.create () in
-  let xs = List.init 100 (fun i -> sin (Stdlib.float_of_int i) *. 10.) in
-  List.iteri
-    (fun i x ->
-      Stats.Welford.add all x;
-      Stats.Welford.add (if i mod 2 = 0 then a else b) x)
-    xs;
-  let merged = Stats.Welford.merge a b in
-  check_float ~eps:1e-9 "merged mean" (Stats.Welford.mean all) (Stats.Welford.mean merged);
-  check_float ~eps:1e-6 "merged var" (Stats.Welford.variance all)
-    (Stats.Welford.variance merged);
-  Alcotest.(check int) "merged count" 100 (Stats.Welford.count merged)
 
 (* ---------- Summary ---------- *)
 
@@ -250,23 +228,6 @@ let prop_summary_bounds =
       && s.Stats.Summary.median <= s.Stats.Summary.p75 +. 1e-9
       && s.Stats.Summary.p75 <= s.Stats.Summary.max +. 1e-9)
 
-let prop_welford_merge_commutes =
-  QCheck.Test.make ~count:100 ~name:"welford merge is symmetric"
-    QCheck.(
-      pair
-        (list_of_size (QCheck.Gen.int_range 1 20) (float_range (-100.) 100.))
-        (list_of_size (QCheck.Gen.int_range 1 20) (float_range (-100.) 100.)))
-    (fun (xs, ys) ->
-      let mk l =
-        let a = Stats.Welford.create () in
-        List.iter (Stats.Welford.add a) l;
-        a
-      in
-      let m1 = Stats.Welford.merge (mk xs) (mk ys) in
-      let m2 = Stats.Welford.merge (mk ys) (mk xs) in
-      feq ~eps:1e-6 (Stats.Welford.mean m1) (Stats.Welford.mean m2)
-      && feq ~eps:1e-6 (Stats.Welford.variance m1) (Stats.Welford.variance m2))
-
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 
 let () =
@@ -277,7 +238,6 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_prng_deterministic;
           Alcotest.test_case "seed sensitivity" `Quick test_prng_seed_sensitivity;
           Alcotest.test_case "split independence" `Quick test_prng_split_independent;
-          Alcotest.test_case "copy" `Quick test_prng_copy;
           Alcotest.test_case "ranges" `Quick test_prng_ranges;
           Alcotest.test_case "uniformity" `Quick test_prng_uniformity;
           Alcotest.test_case "bool/gaussian/exponential" `Quick test_prng_bool_gaussian_exp;
@@ -288,7 +248,6 @@ let () =
         [
           Alcotest.test_case "matches direct computation" `Quick test_welford_matches_direct;
           Alcotest.test_case "empty and single" `Quick test_welford_empty_and_single;
-          Alcotest.test_case "merge" `Quick test_welford_merge;
         ] );
       ( "summary",
         [
@@ -304,5 +263,5 @@ let () =
           Alcotest.test_case "coverage" `Quick test_ci_coverage;
           Alcotest.test_case "of welford" `Quick test_ci_of_welford;
         ] );
-      ("properties", qsuite [ prop_summary_bounds; prop_welford_merge_commutes ]);
+      ("properties", qsuite [ prop_summary_bounds ]);
     ]
