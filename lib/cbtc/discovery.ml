@@ -10,7 +10,7 @@ type t = {
 let nb_nodes t = Array.length t.positions
 
 let neighbor_ids t u =
-  List.sort_uniq Int.compare
+  List.sort Int.compare
     (List.map (fun (n : Neighbor.t) -> n.id) t.neighbors.(u))
 
 let closure t =

@@ -19,7 +19,8 @@ type t = {
 
 val nb_nodes : t -> int
 
-(** [neighbor_ids t u] is [N_alpha(u)] as ascending node ids. *)
+(** [neighbor_ids t u] is the ids of row [u] ([N_alpha(u)]) in ascending
+    order.  A repeated id is kept, so a malformed row shows in a check. *)
 val neighbor_ids : t -> int -> int list
 
 (** [closure t] is [G_alpha]'s edge set [E_alpha]: the symmetric closure
