@@ -38,6 +38,30 @@ let c23 = Cbtc.Config.make alpha23
 
 let section title = Fmt.pr "@.=== %s ===@.@." title
 
+(* The one writer of the <out>/*.json results documents: an object
+   with "schema", the [header] fields, "note" and "results", one
+   Jsonl-rendered row per line.  test/check_artifact.exe holds each
+   document's column contract and semantic pins. *)
+let write_results path ~schema ~note ?(header = []) rows =
+  let oc = open_out path in
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
+      output_string oc "{\n";
+      List.iter
+        (fun (k, v) ->
+          Printf.fprintf oc "  %S: %s,\n" k (Obs.Jsonl.to_string v))
+        ((("schema", Obs.Jsonl.Int schema) :: header)
+        @ [ ("note", Obs.Jsonl.Str note) ]);
+      output_string oc "  \"results\": [\n";
+      output_string oc
+        (String.concat ",\n"
+           (List.map (fun row -> "    " ^ Obs.Jsonl.to_string row) rows));
+      output_string oc "\n  ]\n}\n");
+  Fmt.pr "wrote %s@." path
+
+(* [x] rounded to [digits] decimals, so a Jsonl-rendered timing keeps
+   the precision the table prints *)
+let fixed digits x = Float.of_string (Printf.sprintf "%.*f" digits x)
+
 (* ------------------------------------------------------------------ *)
 (* Table 1                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -826,55 +850,6 @@ let time_pair ?(inner = 1) ~reps fa fb =
   done;
   (!best_a, !best_b)
 
-type perf_row = {
-  bench : string;
-  n : int;
-  grid_s : float;
-  brute_s : float option;
-  peak_rss_kb : int option;  (* process VmHWM after the bench; None off-Linux *)
-  alloc_mb : float;  (* Gc.allocated_bytes over one dedicated run *)
-}
-
-let perf_json_write path rows =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
-      output_string oc "{\n  \"schema\": 2,\n  \"unit\": \"seconds\",\n";
-      output_string oc
-        "  \"note\": \"best-of-reps wall clock; constant-density fields \
-         (avg degree ~25.6); brute_s null when the brute-force run was \
-         skipped as too slow; peak_rss_kb is the process VmHWM sampled \
-         after the bench (monotone across rows: a row inherits the peak \
-         of everything before it); allocations_mb is Gc.allocated_bytes \
-         over one dedicated run of the grid/CSR side\",\n";
-      output_string oc "  \"results\": [\n";
-      List.iteri
-        (fun i r ->
-          let speedup =
-            match r.brute_s with
-            | Some b when r.grid_s > 0. ->
-                Fmt.str "%.2f" (b /. r.grid_s)
-            | _ -> "null"
-          in
-          let brute =
-            match r.brute_s with
-            | Some b -> Fmt.str "%.6f" b
-            | None -> "null"
-          in
-          let rss =
-            match r.peak_rss_kb with
-            | Some kb -> string_of_int kb
-            | None -> "null"
-          in
-          output_string oc
-            (Fmt.str
-               "    {\"bench\": %S, \"n\": %d, \"brute_s\": %s, \"grid_s\": \
-                %.6f, \"speedup\": %s, \"peak_rss_kb\": %s, \
-                \"allocations_mb\": %.3f}%s\n"
-               r.bench r.n brute r.grid_s speedup rss r.alloc_mb
-               (if i = List.length rows - 1 then "" else ",")))
-        rows;
-      output_string oc "  ]\n}\n")
-
 let run_perf_scaling ~fast ~out_dir =
   section "Spatial grid vs brute force (wall clock, constant density)";
   if not (Sys.file_exists out_dir) then Sys.mkdir out_dir 0o755;
@@ -901,16 +876,32 @@ let run_perf_scaling ~fast ~out_dir =
     ignore (Sys.opaque_identity (grid ()));
     let alloc_mb = (Gc.allocated_bytes () -. a0) /. (1024. *. 1024.) in
     let peak_rss_kb = Obs.Rss.peak_rss_kb () in
-    rows := { bench; n; grid_s; brute_s; peak_rss_kb; alloc_mb } :: !rows;
+    let speedup =
+      match brute_s with
+      | Some b when grid_s > 0. -> Some (b /. grid_s)
+      | _ -> None
+    in
+    let opt f = function Some v -> f v | None -> Obs.Jsonl.Null in
+    let seconds s = Obs.Jsonl.Float (fixed 6 s) in
+    rows :=
+      Obs.Jsonl.Obj
+        [
+          ("bench", Obs.Jsonl.Str bench);
+          ("n", Obs.Jsonl.Int n);
+          ("brute_s", opt seconds brute_s);
+          ("grid_s", seconds grid_s);
+          ("speedup", opt (fun x -> Obs.Jsonl.Float (fixed 2 x)) speedup);
+          ("peak_rss_kb", opt (fun kb -> Obs.Jsonl.Int kb) peak_rss_kb);
+          ("allocations_mb", Obs.Jsonl.Float (fixed 3 alloc_mb));
+        ]
+      :: !rows;
     Metrics.Table.add_row table
       [
         bench;
         string_of_int n;
         (match brute_s with Some b -> Fmt.str "%.4f" b | None -> "skipped");
         Fmt.str "%.4f" grid_s;
-        (match brute_s with
-        | Some b when grid_s > 0. -> Fmt.str "%.1fx" (b /. grid_s)
-        | _ -> "-");
+        (match speedup with Some x -> Fmt.str "%.1fx" x | None -> "-");
         Fmt.str "%.1f" alloc_mb;
         (match peak_rss_kb with
         | Some kb -> Fmt.str "%.0f" (Stdlib.float_of_int kb /. 1024.)
@@ -969,9 +960,18 @@ let run_perf_scaling ~fast ~out_dir =
       ~brute:None
   end;
   Fmt.pr "%a@." Metrics.Table.pp table;
-  let path = Filename.concat out_dir "perf.json" in
-  perf_json_write path (List.rev !rows);
-  Fmt.pr "wrote %s@." path
+  write_results
+    (Filename.concat out_dir "perf.json")
+    ~schema:2
+    ~header:[ ("unit", Obs.Jsonl.Str "seconds") ]
+    ~note:
+      "best-of-reps wall clock; constant-density fields (avg degree \
+       ~25.6); brute_s null when the brute-force run was skipped as too \
+       slow; peak_rss_kb is the process VmHWM sampled after the bench \
+       (monotone across rows: a row inherits the peak of everything \
+       before it); allocations_mb is Gc.allocated_bytes over one \
+       dedicated run of the grid/CSR side"
+    (List.rev !rows)
 
 (* ------------------------------------------------------------------ *)
 (* Streaming daemon capacity (writes <out>/daemon.json, schema 2)      *)
@@ -985,27 +985,6 @@ let run_perf_scaling ~fast ~out_dir =
    path must dominate.  wall_s covers the whole run including the
    initial from-scratch grow and the final verification pass, so
    events_per_s is an end-to-end figure, not a steady-state one. *)
-
-let daemon_json_write path rows =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
-      output_string oc "{\n  \"schema\": 2,\n";
-      output_string oc
-        "  \"note\": \"end-to-end daemon streams at constant density \
-         (avg degree ~25.6); wall_s includes the initial grow and the \
-         final verification; incremental_fraction is the share of \
-         working commits served without a full recompute; peak_rss_kb \
-         is the process VmHWM sampled after the row (monotone across \
-         rows); allocations_mb is Gc.allocated_bytes over the row's \
-         run\",\n";
-      output_string oc "  \"results\": [\n";
-      List.iteri
-        (fun i row ->
-          output_string oc "    ";
-          output_string oc (Obs.Jsonl.to_string row);
-          output_string oc (if i = List.length rows - 1 then "\n" else ",\n"))
-        rows;
-      output_string oc "  ]\n}\n")
 
 let run_daemon_scaling ~pool ~fast ~out_dir =
   section "Streaming daemon capacity (end-to-end, constant density)";
@@ -1084,9 +1063,7 @@ let run_daemon_scaling ~pool ~fast ~out_dir =
              ("move_rate", Obs.Jsonl.Float move_rate);
              ("crash_frac", Obs.Jsonl.Float crash);
              ("incremental_fraction", Obs.Jsonl.Float incr_frac);
-             ( "allocations_mb",
-               Obs.Jsonl.Float
-                 (Stdlib.Float.round (alloc_mb *. 1000.) /. 1000.) );
+             ("allocations_mb", Obs.Jsonl.Float (fixed 3 alloc_mb));
              ( "peak_rss_kb",
                match peak_rss_kb with
                | Some kb -> Obs.Jsonl.Int kb
@@ -1118,9 +1095,17 @@ let run_daemon_scaling ~pool ~fast ~out_dir =
         ])
     cases;
   Fmt.pr "%a@." Metrics.Table.pp table;
-  let path = Filename.concat out_dir "daemon.json" in
-  daemon_json_write path (List.rev !rows);
-  Fmt.pr "wrote %s@." path
+  write_results
+    (Filename.concat out_dir "daemon.json")
+    ~schema:2
+    ~note:
+      "end-to-end daemon streams at constant density (avg degree ~25.6); \
+       wall_s includes the initial grow and the final verification; \
+       incremental_fraction is the share of working commits served \
+       without a full recompute; peak_rss_kb is the process VmHWM \
+       sampled after the row (monotone across rows); allocations_mb is \
+       Gc.allocated_bytes over the row's run"
+    (List.rev !rows)
 
 (* ------------------------------------------------------------------ *)
 (* Shadowing: the 5pi/6 threshold under a non-uniform environment      *)
@@ -1134,28 +1119,8 @@ let run_daemon_scaling ~pool ~fast ~out_dir =
    (sigma) x cone degree (alpha) x deployment density, counting the
    seeded deployments whose G_R^env connectivity CBTC preserves —
    mapping where the threshold degrades.  Writes <out>/shadowing.json
-   (schema 1, validated by test/validate_shadowing.exe in the
-   @bench-smoke alias). *)
-
-let shadowing_json_write path rows =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
-      output_string oc "{\n  \"schema\": 1,\n";
-      output_string oc
-        "  \"note\": \"fraction of seeded deployments whose realized \
-         reachability graph G_R^env stays connected under CBTC(alpha), \
-         per (sigma_db, alpha, density) cell; sigma_db = 0 is the \
-         paper's pure disc model, where alpha <= 5pi/6 preserves \
-         connectivity; target_degree is the expected G_R degree of the \
-         sigma = 0 disc model at that density\",\n";
-      output_string oc "  \"results\": [\n";
-      List.iteri
-        (fun i row ->
-          output_string oc "    ";
-          output_string oc (Obs.Jsonl.to_string row);
-          output_string oc (if i = List.length rows - 1 then "\n" else ",\n"))
-        rows;
-      output_string oc "  ]\n}\n")
+   (schema 1; test/check_artifact.exe shadowing holds its contract and
+   the sigma = 0 guarantee pin, run by the @bench-smoke alias). *)
 
 let run_shadowing ~pool ~fast ~out_dir =
   section "Shadowing: connectivity threshold under sigma x alpha x density";
@@ -1259,9 +1224,16 @@ let run_shadowing ~pool ~fast ~out_dir =
         alphas)
     sigmas;
   Fmt.pr "%a@." Metrics.Table.pp table;
-  let path = Filename.concat out_dir "shadowing.json" in
-  shadowing_json_write path (List.rev !rows);
-  Fmt.pr "wrote %s@." path
+  write_results
+    (Filename.concat out_dir "shadowing.json")
+    ~schema:1
+    ~note:
+      "fraction of seeded deployments whose realized reachability graph \
+       G_R^env stays connected under CBTC(alpha), per (sigma_db, alpha, \
+       density) cell; sigma_db = 0 is the paper's pure disc model, where \
+       alpha <= 5pi/6 preserves connectivity; target_degree is the \
+       expected G_R degree of the sigma = 0 disc model at that density"
+    (List.rev !rows)
 
 (* ------------------------------------------------------------------ *)
 (* Network lifetime (writes <out>/lifetime.json, schema 1)             *)
@@ -1277,29 +1249,8 @@ let run_shadowing ~pool ~fast ~out_dir =
    discipline can matter.  Trials fan out over the pool and fold back
    in seed order, so lifetime.json is byte-identical at every -j; the
    schema and the scheduled > passive pin for the max-power and CBTC
-   families are enforced by test/validate_lifetime.exe in the
+   families are enforced by test/check_artifact.exe lifetime in the
    @bench-smoke alias. *)
-
-let lifetime_json_write path rows =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
-      output_string oc "{\n  \"schema\": 1,\n";
-      output_string oc
-        "  \"note\": \"mean over seeded trials per (family, mode) cell; \
-         lifetime_rounds is the service-rounds scalar (rounds in which \
-         at least half the original non-sink population reaches the \
-         sink); first_death is censored at the simulation horizon; \
-         mode = passive is per-round Dijkstra routing with every node \
-         awake (rotation_period = 0), \
-         mode = scheduled is the cover-set scheduler\",\n";
-      output_string oc "  \"results\": [\n";
-      List.iteri
-        (fun i row ->
-          output_string oc "    ";
-          output_string oc (Obs.Jsonl.to_string row);
-          output_string oc (if i = List.length rows - 1 then "\n" else ",\n"))
-        rows;
-      output_string oc "  ]\n}\n")
 
 let run_lifetime ~pool ~fast ~out_dir =
   section "Network lifetime: cover-set scheduler vs passive gathering";
@@ -1406,9 +1357,17 @@ let run_lifetime ~pool ~fast ~out_dir =
         modes)
     Lifetime.Schedule.families;
   Fmt.pr "%a@." Metrics.Table.pp table;
-  let path = Filename.concat out_dir "lifetime.json" in
-  lifetime_json_write path (List.rev !rows);
-  Fmt.pr "wrote %s@." path
+  write_results
+    (Filename.concat out_dir "lifetime.json")
+    ~schema:1
+    ~note:
+      "mean over seeded trials per (family, mode) cell; lifetime_rounds \
+       is the service-rounds scalar (rounds in which at least half the \
+       original non-sink population reaches the sink); first_death is \
+       censored at the simulation horizon; mode = passive is per-round \
+       Dijkstra routing with every node awake (rotation_period = 0), \
+       mode = scheduled is the cover-set scheduler"
+    (List.rev !rows)
 
 (* ------------------------------------------------------------------ *)
 (* Parallel scaling (domain pool)                                      *)
@@ -1420,27 +1379,6 @@ let run_lifetime ~pool ~fast ~out_dir =
    bit-identical results (digest over a full-precision rendering).
    Wall-clock speedups only show on multi-core hosts; the determinism
    check is meaningful everywhere.  Writes <out>/parallel.json. *)
-
-let parallel_json_write path ~host_cores rows =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
-      output_string oc "{\n  \"schema\": 1,\n  \"unit\": \"seconds\",\n";
-      output_string oc
-        "  \"note\": \"wall clock per jobs level; speedup_vs_j1 > 1 \
-         requires a multi-core host; identical compares result digests \
-         against the -j 1 run\",\n";
-      output_string oc (Fmt.str "  \"host_cores\": %d,\n" host_cores);
-      output_string oc "  \"results\": [\n";
-      List.iteri
-        (fun i (workload, jobs, wall, speedup, identical) ->
-          output_string oc
-            (Fmt.str
-               "    {\"workload\": %S, \"jobs\": %d, \"wall_s\": %.6f, \
-                \"speedup_vs_j1\": %.3f, \"identical\": %b}%s\n"
-               workload jobs wall speedup identical
-               (if i = List.length rows - 1 then "" else ",")))
-        rows;
-      output_string oc "  ]\n}\n")
 
 let run_parallel_bench ~fast ~out_dir =
   section "Parallel scaling: domain pool at -j 1/2/4 (determinism checked)";
@@ -1514,7 +1452,16 @@ let run_parallel_bench ~fast ~out_dir =
               let identical = String.equal digest !base_digest in
               if not identical then all_identical := false;
               let speedup = if wall > 0. then !base_time /. wall else 0. in
-              rows := (name, jobs, wall, speedup, identical) :: !rows;
+              rows :=
+                Obs.Jsonl.Obj
+                  [
+                    ("workload", Obs.Jsonl.Str name);
+                    ("jobs", Obs.Jsonl.Int jobs);
+                    ("wall_s", Obs.Jsonl.Float (fixed 6 wall));
+                    ("speedup_vs_j1", Obs.Jsonl.Float (fixed 3 speedup));
+                    ("identical", Obs.Jsonl.Bool identical);
+                  ]
+                :: !rows;
               Metrics.Table.add_row table
                 [
                   name; string_of_int jobs; Fmt.str "%.3f" wall;
@@ -1527,9 +1474,15 @@ let run_parallel_bench ~fast ~out_dir =
     "host cores: %d (speedup needs a multi-core host; identity must hold \
      everywhere)@."
     host_cores;
-  let path = Filename.concat out_dir "parallel.json" in
-  parallel_json_write path ~host_cores (List.rev !rows);
-  Fmt.pr "wrote %s@." path;
+  write_results
+    (Filename.concat out_dir "parallel.json")
+    ~schema:1
+    ~header:
+      [ ("unit", Obs.Jsonl.Str "seconds"); ("host_cores", Obs.Jsonl.Int host_cores) ]
+    ~note:
+      "wall clock per jobs level; speedup_vs_j1 > 1 requires a multi-core \
+       host; identical compares result digests against the -j 1 run"
+    (List.rev !rows);
   if not !all_identical then begin
     Fmt.epr "parallel: NON-DETERMINISTIC results across jobs levels@.";
     exit 1

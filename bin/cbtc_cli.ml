@@ -1083,13 +1083,6 @@ let daemon_cmd =
          1.0 trips only when every live node is dirty, where the full pass \
          is the same work plus a drift squash)."
   in
-  let shards =
-    opt_arg nonneg_int 0 [ "shards" ] ~docv:"K"
-      ~doc:
-        "Spatial shards per pooled commit (0 = one per pool chunk). \
-         Reports are byte-identical for every value; tune only for load \
-         balance."
-  in
   let verify_every =
     opt_arg nonneg_int 10 [ "verify-every" ] ~docv:"K"
       ~doc:"Verify guarantees + degradation every K epochs (0 = final only)."
@@ -1149,8 +1142,8 @@ let daemon_cmd =
   in
   let action n side range seed alpha duration event_dt move_rate speed pause
       sigma shadow_seed crash recover_after storm budget queue_cap watchdog
-      shards verify_every equivalence_every checkpoint_every checkpoint_path
-      restore wall metrics_out trace_out jobs =
+      verify_every equivalence_every checkpoint_every checkpoint_path restore
+      wall metrics_out trace_out jobs =
     let sc = scenario_of ~n ~side ~range ~seed in
     let mobility =
       let d = Workload.Mobility.default_params in
@@ -1200,7 +1193,6 @@ let daemon_cmd =
         budget;
         queue_cap;
         watchdog_frac = watchdog;
-        shards;
         verify_every;
         equivalence_every;
         checkpoint_every;
@@ -1298,8 +1290,8 @@ let daemon_cmd =
       const action $ nodes $ side $ range $ seed $ alpha $ duration
       $ event_dt $ move_rate $ speed $ pause $ sigma_t $ shadow_seed_t
       $ crash $ recover_after $ storm $ budget $ queue_cap $ watchdog
-      $ shards $ verify_every $ equivalence_every $ checkpoint_every
-      $ checkpoint_path $ restore $ wall $ metrics_out $ trace_out $ jobs)
+      $ verify_every $ equivalence_every $ checkpoint_every $ checkpoint_path
+      $ restore $ wall $ metrics_out $ trace_out $ jobs)
 
 (* ---------- daemon-sweep ---------- *)
 

@@ -73,28 +73,29 @@ let angle_margin = 1e-9
 let redundant_from g positions u v =
   let dir_v = Geom.Vec2.direction ~from:positions.(u) ~toward:positions.(v) in
   let id_uv = eid positions u v in
-  List.exists
-    (fun w ->
-      w <> v
-      &&
-      let id_uw = eid positions u w in
-      let d2_uw, _, _ = id_uw in
-      (* a witness coincident with u has no direction, and the triangle
-         argument behind Theorem 3.6 needs d(w,v) < d(u,v), which fails
-         at d(u,w) = 0: both (u,v) and (w,v) would count the other's
-         endpoint as cover and v could lose every edge *)
-      d2_uw > 0.
-      &&
-      let dir_w = Geom.Vec2.direction ~from:positions.(u) ~toward:positions.(w) in
-      Geom.Angle.diff dir_v dir_w < Geom.Angle.pi_three -. angle_margin
-      && eid_lt id_uw id_uv)
-    (Graphkit.Ugraph.neighbors g u)
-
-let redundant_edges ~positions g =
-  List.filter
-    (fun (u, v) ->
-      redundant_from g positions u v || redundant_from g positions v u)
-    (Graphkit.Ugraph.edges g)
+  let witness w =
+    w <> v
+    &&
+    let id_uw = eid positions u w in
+    let d2_uw, _, _ = id_uw in
+    (* a witness coincident with u has no direction, and the triangle
+       argument behind Theorem 3.6 needs d(w,v) < d(u,v), which fails
+       at d(u,w) = 0: both (u,v) and (w,v) would count the other's
+       endpoint as cover and v could lose every edge *)
+    d2_uw > 0.
+    &&
+    let dir_w = Geom.Vec2.direction ~from:positions.(u) ~toward:positions.(w) in
+    Geom.Angle.diff dir_v dir_w < Geom.Angle.pi_three -. angle_margin
+    && eid_lt id_uw id_uv
+  in
+  (* walk u's neighbor set in place, in id order, stopping at the first
+     witness *)
+  match
+    Graphkit.Ugraph.iter_neighbors g u (fun w ->
+        if witness w then raise_notrace Exit)
+  with
+  | () -> false
+  | exception Exit -> true
 
 let pairwise ~positions ?(obs = Obs.Recorder.nil) ?(mode = `Practical) g =
   Obs.Recorder.span obs "pairwise-removal" @@ fun () ->

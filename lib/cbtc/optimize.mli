@@ -58,8 +58,3 @@ val pairwise :
   ?mode:pairwise_mode ->
   Graphkit.Ugraph.t ->
   Graphkit.Ugraph.t
-
-(** [redundant_edges ~positions g] lists the redundant edges of [g]
-    (each as [(u, v)] with [u < v]). *)
-val redundant_edges :
-  positions:Geom.Vec2.t array -> Graphkit.Ugraph.t -> (int * int) list

@@ -16,7 +16,6 @@ type params = {
   budget : int;  (* max events applied per epoch; <= 0 = unlimited *)
   queue_cap : int;
   watchdog_frac : float;
-  shards : int;  (* spatial commit shards; 0 = one per pool chunk *)
   verify_every : int;  (* epochs between truth checks; 0 = final only *)
   equivalence_every : int;  (* epochs between invariant checks; 0 = never *)
   checkpoint_every : int;  (* epochs between snapshots; 0 = never *)
@@ -30,7 +29,6 @@ let default_params =
     budget = 0;
     queue_cap = 4096;
     watchdog_frac = Engine.default_watchdog_frac;
-    shards = 0;
     verify_every = 0;
     equivalence_every = 0;
     checkpoint_every = 0;
@@ -157,8 +155,6 @@ let validate (params : params) (stream : stream) =
     invalid_arg "Daemon.Driver.run: queue_cap must be >= 1";
   if not (params.watchdog_frac >= 0.) then
     invalid_arg "Daemon.Driver.run: watchdog_frac must be >= 0";
-  if params.shards < 0 then
-    invalid_arg "Daemon.Driver.run: shards must be >= 0";
   if Array.length stream.positions < 2 then
     invalid_arg "Daemon.Driver.run: need at least two nodes"
 
@@ -180,9 +176,8 @@ let run ?pool ?obs ?clock ?restore ?env ~params ~config ~pathloss stream =
   let engine, queue, start_epoch =
     match restore with
     | None ->
-        ( Engine.create ?pool ?env ~shards:params.shards
-            ~watchdog_frac:params.watchdog_frac config pathloss
-            stream.positions,
+        ( Engine.create ?pool ?env ~watchdog_frac:params.watchdog_frac config
+            pathloss stream.positions,
           Equeue.create ~capacity:params.queue_cap,
           0 )
     | Some (c : Checkpoint.t) ->
@@ -196,7 +191,7 @@ let run ?pool ?obs ?clock ?restore ?env ~params ~config ~pathloss stream =
           Source.fast_forward src ~until:(boundary ep)
         done;
         let engine =
-          Engine.create ?pool ~alive:c.alive ?env ~shards:params.shards
+          Engine.create ?pool ~alive:c.alive ?env
             ~watchdog_frac:params.watchdog_frac config pathloss c.positions
         in
         let queue = Equeue.restore ~capacity:params.queue_cap c.backlog in

@@ -27,9 +27,6 @@ type params = {
   budget : int;  (** max events applied per epoch; [<= 0] = unlimited *)
   queue_cap : int;
   watchdog_frac : float;  (** see {!Engine.create} *)
-  shards : int;
-      (** spatial shards per pooled commit, see {!Engine.create};
-          [0] = one per pool chunk *)
   verify_every : int;  (** 0 = final check only *)
   equivalence_every : int;  (** 0 = never *)
   checkpoint_every : int;  (** 0 = never *)
@@ -90,8 +87,8 @@ type report = {
     reject a bad configuration before doing any other work.
     @raise Invalid_argument on a non-positive or non-finite
     duration/event_dt, an epoch count [ceil (duration / event_dt)] that
-    does not fit an int, a [queue_cap < 1], a negative [watchdog_frac]
-    or [shards], or fewer than two nodes. *)
+    does not fit an int, a [queue_cap < 1], a negative [watchdog_frac],
+    or fewer than two nodes. *)
 val validate : params -> stream -> unit
 
 (** [run ?pool ?obs ?clock ?restore ~params ~config ~pathloss stream].

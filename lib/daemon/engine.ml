@@ -78,7 +78,6 @@ type t = {
   reach_cap : float;  (* candidate admission cap at max power *)
   final_step : float;  (* stepped schedules' drain step; inf for Exact *)
   watchdog_frac : float;
-  shards : int;  (* commit shard count; 0 = one per pool chunk *)
   scratch : Cbtc.Geo.scratch;  (* serial-path scratch, reused *)
   lane : fbuf;  (* [mark_around]'s one-slot link-power lane *)
   dirty : bool array;
@@ -151,11 +150,7 @@ let regrow ?pool t targets =
   | Some pool ->
       spatial_sort t targets;
       (* disjoint slot writes: bit-identical for every pool size *)
-      let chunk =
-        if t.shards <= 0 then None
-        else Some (Stdlib.max 1 ((ntargets + t.shards - 1) / t.shards))
-      in
-      Parallel.Pool.iter_chunks pool ?chunk ntargets (fun lo hi ->
+      Parallel.Pool.iter_chunks pool ntargets (fun lo hi ->
           let s = Cbtc.Geo.scratch_create () in
           for i = lo to hi - 1 do
             grow_node t s targets.(i)
@@ -169,12 +164,9 @@ let live_targets t =
   done;
   Array.of_list !acc
 
-let create ?pool ?alive ?env ?(shards = 0) ~watchdog_frac config pathloss
-    positions =
+let create ?pool ?alive ?env ~watchdog_frac config pathloss positions =
   if not (watchdog_frac >= 0.) then
     invalid_arg "Daemon.Engine.create: watchdog_frac must be >= 0";
-  if shards < 0 then
-    invalid_arg "Daemon.Engine.create: shards must be >= 0";
   let env = Radio.Env.resolve ?env pathloss in
   let n = Array.length positions in
   let alive =
@@ -207,7 +199,6 @@ let create ?pool ?alive ?env ?(shards = 0) ~watchdog_frac config pathloss
       reach_cap = Radio.Env.max_link_cap env;
       final_step = Cbtc.Geo.schedule_final (Cbtc.Geo.schedule_of config pathloss);
       watchdog_frac;
-      shards;
       scratch = Cbtc.Geo.scratch_create ();
       lane = Radio.Env.lane_create 1;
       dirty = Array.make n false;

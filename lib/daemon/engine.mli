@@ -32,26 +32,21 @@ type t
     dirty — a free drift-squash, not a routine fallback. *)
 val default_watchdog_frac : float
 
-(** [create ?pool ?alive ?shards ~watchdog_frac config pathloss
-    positions] grows every (initially) live node's cone from scratch.
+(** [create ?pool ?alive ~watchdog_frac config pathloss positions]
+    grows every (initially) live node's cone from scratch.
     [alive] defaults to all-true; [watchdog_frac] is the dirty-set
     fraction of the live population at which {!commit} abandons
     incremental regrowth for a full recompute ([0.] = always full,
-    [> 1.] = never).  [shards] is the number of spatial shards a
-    pooled commit partitions its targets into (0, the default, derives
-    one shard per pool chunk); results are bit-identical for every
-    value.  [env] ({!Radio.Env}) is the per-link propagation
+    [> 1.] = never).  [env] ({!Radio.Env}) is the per-link propagation
     environment per-node discovery and the dirty-propagation cut run
     under, resolved once here ([Radio.Env.resolve]); omitted, it is the
     trivial env, whose link powers are the pure pathloss's bit for bit.
-    @raise Invalid_argument on a negative [watchdog_frac] or [shards],
-    an [alive] mask of the wrong length, or an [env] built over another
+    @raise Invalid_argument on a negative [watchdog_frac], an [alive] mask of the wrong length, or an [env] built over another
     pathloss. *)
 val create :
   ?pool:Parallel.Pool.t ->
   ?alive:bool array ->
   ?env:Radio.Env.t ->
-  ?shards:int ->
   watchdog_frac:float ->
   Cbtc.Config.t -> Radio.Pathloss.t -> Geom.Vec2.t array -> t
 
@@ -82,8 +77,8 @@ val apply : t -> Event.t -> unit
 (** [commit ?pool t] regrows the dirty live nodes — incrementally, or
     fully when the dirty set reaches [watchdog_frac] of the live
     population — and empties the dirty set.  With a pool, the targets
-    are sorted into compact spatial shards first (same results, warmer
-    caches).  The payload is the number of nodes regrown. *)
+    are sorted into spatial order first, so each pool chunk is a compact
+    patch (same results, warmer caches).  The payload is the number of nodes regrown. *)
 val commit :
   ?pool:Parallel.Pool.t -> t -> [ `Clean | `Incremental of int | `Full of int ]
 

@@ -166,6 +166,42 @@ let prop_shrink_preserves_connectivity =
 
 (* ---------- pairwise (redundant edge) removal ---------- *)
 
+(* Definition 3.5 restated as Optimize documents it, the test-side
+   oracle for op3: (u,v) is redundant from u when a neighbor w <> v of
+   u, not coincident with u, lies at an angle under pi/3 (less the 1e-9
+   margin) from v with a smaller squared-distance eid, (max ID, min ID)
+   breaking ties. *)
+let spec_redundant_from ~positions g u v =
+  let eid u v =
+    (Geom.Vec2.dist2 positions.(u) positions.(v), Stdlib.max u v, Stdlib.min u v)
+  in
+  let dir w = Geom.Vec2.direction ~from:positions.(u) ~toward:positions.(w) in
+  List.exists
+    (fun w ->
+      w <> v
+      && (let d2, _, _ = eid u w in
+          d2 > 0.)
+      && Geom.Angle.diff (dir v) (dir w) < Geom.Angle.pi_three -. 1e-9
+      && compare (eid u w) (eid u v) < 0)
+    (Graphkit.Ugraph.neighbors g u)
+
+(* the redundant edges of g, each as (u, v) with u < v *)
+let spec_redundant_edges ~positions g =
+  List.filter
+    (fun (u, v) ->
+      spec_redundant_from ~positions g u v || spec_redundant_from ~positions g v u)
+    (Graphkit.Ugraph.edges g)
+
+(* The hand cases' redundant edges, from the oracle; op3 in `All mode
+   must remove exactly those. *)
+let redundant_edges ~positions g =
+  let red = spec_redundant_edges ~positions g in
+  Alcotest.(check (list (pair int int)))
+    "`All removes exactly the redundant edges"
+    (List.filter (fun e -> not (List.mem e red)) (Graphkit.Ugraph.edges g))
+    (Graphkit.Ugraph.edges (Cbtc.Optimize.pairwise ~positions ~mode:`All g));
+  red
+
 let triangle_positions =
   (* d(0,1) = 10 is redundant seen from node 0: node 2 is closer and at
      an angle well under pi/3. *)
@@ -176,7 +212,7 @@ let full_triangle () =
 
 let test_redundant_edge_detected () =
   let red =
-    Cbtc.Optimize.redundant_edges ~positions:triangle_positions (full_triangle ())
+    redundant_edges ~positions:triangle_positions (full_triangle ())
   in
   Alcotest.(check (list (pair int int))) "longest edge is redundant" [ (0, 1) ] red
 
@@ -197,7 +233,7 @@ let test_equilateral_not_redundant () =
   let positions =
     [| Geom.Vec2.zero; Geom.Vec2.make 10. 0.; Geom.Vec2.make 5. h |]
   in
-  let red = Cbtc.Optimize.redundant_edges ~positions (full_triangle ()) in
+  let red = redundant_edges ~positions (full_triangle ()) in
   Alcotest.(check (list (pair int int))) "no redundancy at exactly pi/3" [] red
 
 let test_eid_tie_breaking () =
@@ -208,7 +244,7 @@ let test_eid_tie_breaking () =
     [| Geom.Vec2.zero; Geom.Vec2.make 10. 1.; Geom.Vec2.make 10. (-1.) |]
   in
   let red =
-    Cbtc.Optimize.redundant_edges ~positions (full_triangle ())
+    redundant_edges ~positions (full_triangle ())
   in
   (* edges (0,1) and (0,2) have equal length; eid(0,2) > eid(0,1), and
      the angle at node 0 between them is small, so (0,2) is redundant
@@ -244,7 +280,7 @@ let test_coincident_witness_cannot_isolate () =
   let positions =
     [| Geom.Vec2.zero; Geom.Vec2.zero; Geom.Vec2.make 1. 0. |]
   in
-  let red = Cbtc.Optimize.redundant_edges ~positions (full_triangle ()) in
+  let red = redundant_edges ~positions (full_triangle ()) in
   (* (1,2) is legitimately redundant seen from node 2, whose witness 0
      is at full distance; (0,2) must NOT be, because its only witness
      (node 1, seen from node 0) is coincident. *)
@@ -323,29 +359,10 @@ let prop_practical_between_all_and_original =
 
 (* Op3 in two passes, the oracle for Optimize.pairwise's single pass:
    list the redundant edges, then re-evaluate each one's verdicts for the
-   practical filter.  [redundant_from] restates Definition 3.5 as
-   Optimize documents it: squared-distance eid with the (max ID, min ID)
-   tie-break, the 1e-9 angle margin, no coincident witness. *)
+   practical filter. *)
 let two_pass_pairwise ~positions ~mode g =
-  let eid u v =
-    (Geom.Vec2.dist2 positions.(u) positions.(v), Stdlib.max u v, Stdlib.min u v)
-  in
-  let redundant_from u v =
-    let dir w = Geom.Vec2.direction ~from:positions.(u) ~toward:positions.(w) in
-    List.exists
-      (fun w ->
-        w <> v
-        && (let d2, _, _ = eid u w in
-            d2 > 0.)
-        && Geom.Angle.diff (dir v) (dir w) < Geom.Angle.pi_three -. 1e-9
-        && compare (eid u w) (eid u v) < 0)
-      (Graphkit.Ugraph.neighbors g u)
-  in
-  let redundant =
-    List.filter
-      (fun (u, v) -> redundant_from u v || redundant_from v u)
-      (Graphkit.Ugraph.edges g)
-  in
+  let redundant_from = spec_redundant_from ~positions g in
+  let redundant = spec_redundant_edges ~positions g in
   let to_remove =
     match mode with
     | `All -> redundant
