@@ -1508,9 +1508,12 @@ let run_perf ~fast () =
       Test.make ~name:"oracle CBTC(5pi/6), 100 nodes"
         (Staged.stage (fun () -> Cbtc.Geo.run c56 pl positions));
       Test.make ~name:"shrink-back, 100 nodes"
-        (Staged.stage (fun () -> Cbtc.Optimize.shrink_back d56));
+        (Staged.stage (fun () ->
+             Cbtc.Pipeline.of_discovery d56 (Cbtc.Pipeline.with_shrink c56)));
       Test.make ~name:"pairwise removal, 100 nodes"
-        (Staged.stage (fun () -> Cbtc.Optimize.pairwise ~positions closure));
+        (Staged.stage (fun () ->
+             Cbtc.Pipeline.of_discovery d56
+               { (Cbtc.Pipeline.basic c56) with Cbtc.Pipeline.pairwise = `Practical }));
       Test.make ~name:"full pipeline all-ops, 100 nodes"
         (Staged.stage (fun () ->
              Cbtc.Pipeline.run_oracle pl positions (Cbtc.Pipeline.all_ops c56)));

@@ -1,5 +1,7 @@
-(* Dev-only phase profiler for the flat discovery kernel; not wired
-   into any alias.  Usage: dune exec bench/profile_flat.exe -- [n]. *)
+(* Dev-only phase profiler for the flat discovery kernel and the
+   construction stages after it (op1, the closure, op3, then the whole
+   all-ops Pipeline.run_oracle); not wired into any alias.  Usage:
+   dune exec bench/profile_flat.exe -- [n]. *)
 
 let () =
   let n = if Array.length Sys.argv > 1 then int_of_string Sys.argv.(1) else 100_000 in
@@ -27,4 +29,17 @@ let () =
   let soa = phase "run_flat (total)" (fun () -> Cbtc.Geo.run_flat config pl positions) in
   Fmt.pr "rows: %d@." (Array.length soa.Cbtc.Soa.ids);
   let d = phase "to_discovery" (fun () -> Cbtc.Soa.to_discovery soa) in
-  ignore (Sys.opaque_identity d)
+  ignore (Sys.opaque_identity d);
+  let cut = phase "op1 shrink_cut" (fun () -> Cbtc.Optimize.shrink_cut soa) in
+  let t =
+    phase "closure (topology)" (fun () -> Cbtc.Optimize.topology ~both:false soa ~cut)
+  in
+  let edges (t : Cbtc.Optimize.topology) = t.off.(Array.length t.off - 1) / 2 in
+  Fmt.pr "closure edges: %d@." (edges t);
+  let t = phase "op3 pairwise" (fun () -> Cbtc.Optimize.pairwise positions t) in
+  Fmt.pr "kept edges: %d@." (edges t);
+  let r =
+    phase "run_oracle all-ops" (fun () ->
+        Cbtc.Pipeline.run_oracle pl positions (Cbtc.Pipeline.all_ops config))
+  in
+  ignore (Sys.opaque_identity r)

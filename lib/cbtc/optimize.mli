@@ -1,15 +1,19 @@
 (** The paper's three optimizations (Section 3), each proved there to
-    preserve connectivity.
+    preserve connectivity, over the flat rows of a {!Soa.t}.
+    {!Pipeline} composes them; their list-based statement
+    ([shrink_back] and [pairwise] on [Discovery.t] / [Ugraph.t]) lives in
+    [test/spec_optimize.ml] as the oracle these are property-tested
+    against, bit for bit.
 
-    - {!shrink_back} (op1, Theorem 3.1): every node drops its
+    - {!shrink_cut} (op1, Theorem 3.1): every node drops its
       highest-power-tagged discovered neighbors as long as its angular
-      coverage [cover_alpha] is unchanged, and lowers its broadcast power
-      accordingly.  For boundary nodes this undoes the futile growth to
-      maximum power; for overshooting growth schedules it also trims
-      non-boundary nodes.
+      coverage [cover_alpha] is unchanged.  For boundary nodes this
+      undoes the futile growth to maximum power; for overshooting growth
+      schedules it also trims non-boundary nodes.
     - asymmetric edge removal (op2, Theorem 3.2, [alpha <= 2pi/3] only):
       use [E-_alpha] (edges discovered in {e both} directions) instead of
-      the symmetric closure [E_alpha] — see {!Discovery.core}.
+      the symmetric closure [E_alpha] — {!topology} with [~both:true],
+      the flat form of {!Discovery.core}.
     - {!pairwise} (op3, Theorem 3.6): remove {e redundant} edges — [(u,v)]
       such that some neighbor [w] of [u] has [angle(v,u,w) < pi/3] and a
       lexicographically smaller edge id [eid(u,w) < eid(u,v)], where
@@ -20,22 +24,42 @@
       [u] (d = 0) never make an edge redundant, since the triangle
       inequality behind Theorem 3.6 is not strict there. *)
 
-(** [shrink_back ?obs d] applies op1 to every node: keeps, per node, the
-    minimal power-tag prefix of its discovered neighbors whose coverage
-    equals the full discovered coverage, and lowers the node's power to
-    the largest kept tag.  Idempotent; never increases any neighbor set
-    or power.  When [obs] is given, runs inside a [shrink-back] span and
-    counts [shrink.nodes_shrunk] / [shrink.neighbors_dropped]. *)
-val shrink_back : ?obs:Obs.Recorder.t -> Discovery.t -> Discovery.t
-
-(** [shrink_neighbors ~alpha neighbors] is the single-node core of
-    {!shrink_back}: the minimal power-tag prefix of [neighbors] whose
-    [cover_alpha] equals that of the whole list, paired with the largest
-    kept tag (the node's new sufficient power).  Returns [(\[\], None)]
-    on an empty list.  Also used by the reconfiguration rules for join
-    and aChange events (Section 4). *)
+(** [shrink_neighbors ~alpha neighbors] is op1 for one node: the
+    minimal power-tag prefix of [neighbors] whose [cover_alpha] equals
+    that of the whole list, paired with the largest kept tag (the node's
+    new sufficient power).  Returns [(\[\], None)] on an empty list.
+    Used by the reconfiguration rules for join and aChange events
+    (Section 4). *)
 val shrink_neighbors :
   alpha:float -> Neighbor.t list -> Neighbor.t list * float option
+
+(** [shrink_cut ?obs s] applies op1 to every row of [s]: node [u]
+    keeps the prefix [off.(u) .. cut.(u)-1] of its row, the set
+    {!shrink_neighbors} keeps, decided with the same [Geom.Arcset]
+    calls in the same order.  Op1 keeps whole tag classes from the
+    lowest, so its kept set is a prefix of a row in (tag, link power,
+    id) order, and every row of [s] must be in that order: kernel rows
+    ({!Geo.run_flat}) are.  When [obs] is given, runs inside a
+    [shrink-back] span and counts [shrink.nodes_shrunk] /
+    [shrink.neighbors_dropped].
+    @raise Invalid_argument when a row is out of that order. *)
+val shrink_cut : ?obs:Obs.Recorder.t -> Soa.t -> int array
+
+(** An undirected topology as CSR rows: row [u] is
+    [adj.(off.(u)) .. adj.(off.(u+1)-1)], strictly increasing ids, each
+    edge listed in both of its rows; [d2] holds each slot's squared
+    distance, [Geom.Vec2.dist2] from the row's node.  Slots from
+    [off.(n)] on, if any, are unused. *)
+type topology = { off : int array; adj : int array; d2 : float array }
+
+(** [topology ~both s ~cut] is the topology over the kept prefixes
+    [off.(u) .. cut.(u)-1] of the rows of [s]: [E_alpha] (an edge where
+    either end lists the other, {!Discovery.closure}) or, with [~both],
+    [E-_alpha] (both ends list each other, {!Discovery.core}).  Repeated
+    ids collapse.
+    @raise Invalid_argument when a kept row lists its own node or an id
+    outside [0 .. n-1]. *)
+val topology : both:bool -> Soa.t -> cut:int array -> topology
 
 (** Which redundant edges {!pairwise} removes. *)
 type pairwise_mode =
@@ -46,15 +70,16 @@ type pairwise_mode =
         edge only when doing so can reduce a node's transmission radius *)
   ]
 
-(** [pairwise ~positions ?obs ?mode g] removes redundant edges from [g]
+(** [pairwise ?obs ?mode positions t] removes redundant edges from [t]
     (default mode [`Practical]).  Redundancy is evaluated with respect to
-    [g] itself, simultaneously for all edges, as in the proof of
-    Theorem 3.6.  When [obs] is given, runs inside a [pairwise-removal]
-    span and counts [pairwise.redundant_edges] /
+    [t] itself, simultaneously for all edges, as in the proof of
+    Theorem 3.6; each slot's direction is computed once, with
+    [Geom.Vec2.direction].  When [obs] is given, runs inside a
+    [pairwise-removal] span and counts [pairwise.redundant_edges] /
     [pairwise.removed_edges]. *)
 val pairwise :
-  positions:Geom.Vec2.t array ->
   ?obs:Obs.Recorder.t ->
   ?mode:pairwise_mode ->
-  Graphkit.Ugraph.t ->
-  Graphkit.Ugraph.t
+  Geom.Vec2.t array ->
+  topology ->
+  topology

@@ -29,37 +29,63 @@ let all_ops config =
 type t = {
   plan : plan;
   discovery : Discovery.t;
-  shrunk : Discovery.t;
   graph : Graphkit.Ugraph.t;
   radius : float array;
 }
+
+(* Every stage after discovery runs on the rows of [s]: op1 cuts each
+   row to a prefix, the closure (or under op2 the core) of the kept
+   prefixes becomes id-sorted CSR rows, op3 prunes those, and the
+   result graph and radii are read off the final rows once. *)
+let optimize ~obs plan (s : Soa.t) =
+  let cut =
+    if plan.shrink then Optimize.shrink_cut ~obs s
+    else Array.sub s.off 1 (Soa.nb_nodes s)
+  in
+  let topology =
+    if plan.asym then
+      Obs.Recorder.span obs "asym-removal" (fun () ->
+          Optimize.topology ~both:true s ~cut)
+    else Optimize.topology ~both:false s ~cut
+  in
+  let topology =
+    match plan.pairwise with
+    | `None -> topology
+    | (`Practical | `All) as mode ->
+        Optimize.pairwise ~obs ~mode s.positions topology
+  in
+  let n = Soa.nb_nodes s in
+  let graph = Graphkit.Ugraph.create n in
+  let radius = Array.make n 0. in
+  for u = 0 to n - 1 do
+    for a = topology.off.(u) to topology.off.(u + 1) - 1 do
+      let v = topology.adj.(a) in
+      if v > u then Graphkit.Ugraph.add_edge graph u v;
+      radius.(u) <- Float.max radius.(u) (sqrt topology.d2.(a))
+    done
+  done;
+  (graph, radius)
 
 let of_discovery ?(obs = Obs.Recorder.nil) (d : Discovery.t) plan =
   if plan.config <> d.config then
     invalid_arg "Pipeline.of_discovery: config mismatch";
   if plan.asym then check_asym plan.config;
-  let shrunk = if plan.shrink then Optimize.shrink_back ~obs d else d in
-  let base_graph =
-    if plan.asym then
-      Obs.Recorder.span obs "asym-removal" (fun () -> Discovery.core shrunk)
-    else Discovery.closure shrunk
+  (* op1 cuts rows in (tag, link power, id) order, which the kernel's
+     are in; a distributed discovery's need not be (a nearer neighbor
+     can be acked at a later step).  No later stage depends on the
+     order within a row. *)
+  let by_tag = Array.map (List.stable_sort Neighbor.compare_by_tag) d.neighbors in
+  let graph, radius =
+    optimize ~obs plan (Soa.of_discovery { d with neighbors = by_tag })
   in
-  let graph =
-    match plan.pairwise with
-    | `None -> base_graph
-    | (`Practical | `All) as mode ->
-        Optimize.pairwise ~positions:d.positions ~obs ~mode base_graph
-  in
-  {
-    plan;
-    discovery = d;
-    shrunk;
-    graph;
-    radius = Discovery.radius_in shrunk graph;
-  }
+  { plan; discovery = d; graph; radius }
 
-let run_oracle ?pool ?obs ?env pathloss positions plan =
-  of_discovery ?obs (Geo.run ?pool ?obs ?env plan.config pathloss positions) plan
+let run_oracle ?pool ?(obs = Obs.Recorder.nil) ?env pathloss positions plan =
+  if plan.asym then check_asym plan.config;
+  let s = Geo.run_flat ?pool ~obs ?env plan.config pathloss positions in
+  let discovery = Soa.to_discovery s in
+  let graph, radius = optimize ~obs plan s in
+  { plan; discovery; graph; radius }
 
 let avg_degree t =
   let n = Graphkit.Ugraph.nb_nodes t.graph in

@@ -47,3 +47,36 @@ let to_discovery t =
     power = Array.copy t.power;
     boundary = Array.copy t.boundary;
   }
+
+let of_discovery (d : Discovery.t) =
+  let n = Discovery.nb_nodes d in
+  let off = Array.make (n + 1) 0 in
+  for u = 0 to n - 1 do
+    off.(u + 1) <- off.(u) + List.length d.neighbors.(u)
+  done;
+  let ids = Array.make off.(n) 0 in
+  let dirs = Array.make off.(n) 0. in
+  let links = Array.make off.(n) 0. in
+  let tags = Array.make off.(n) 0. in
+  for u = 0 to n - 1 do
+    List.iteri
+      (fun r (nb : Neighbor.t) ->
+        let i = off.(u) + r in
+        ids.(i) <- nb.id;
+        dirs.(i) <- nb.dir;
+        links.(i) <- nb.link_power;
+        tags.(i) <- nb.tag)
+      d.neighbors.(u)
+  done;
+  {
+    config = d.config;
+    pathloss = d.pathloss;
+    positions = Array.copy d.positions;
+    off;
+    ids;
+    dirs;
+    links;
+    tags;
+    power = Array.copy d.power;
+    boundary = Array.copy d.boundary;
+  }

@@ -11,8 +11,9 @@
     an unboxed float array slot costs 8 bytes where each boxed
     [Neighbor.t] list element costs ~seven words plus pointer chasing.
     {!Geo.run_flat} produces this type; {!to_discovery} converts to the
-    list-of-records form, and the conversion is pinned bit-identical to
-    the list-based pipeline by the differential tests. *)
+    list-of-records form, {!of_discovery} converts back, and the
+    construction pipeline after discovery ({!Pipeline}) runs on these
+    rows. *)
 
 type t = {
   config : Config.t;
@@ -44,3 +45,9 @@ val iter_neighbors :
     the result is bit-identical to what the list-based oracle returns
     for the same inputs. *)
 val to_discovery : t -> Discovery.t
+
+(** [of_discovery d] packs [d]'s neighbor lists into rows, in list
+    order; [of_discovery (to_discovery t)] equals [t] bit for bit.  It
+    is how {!Pipeline.of_discovery} runs on a discovery state given as
+    lists (e.g. one produced by the distributed protocol). *)
+val of_discovery : Discovery.t -> t

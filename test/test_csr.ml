@@ -92,6 +92,29 @@ let prop_run_flat_matches_spec =
         (Cbtc.Soa.to_discovery (Cbtc.Geo.run_flat config pl positions))
         (Spec_geo.run config pl positions))
 
+let bits_eq a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
+
+let prop_of_discovery_round_trip =
+  QCheck.Test.make ~count:100
+    ~name:"Soa.of_discovery (Soa.to_discovery s) = s, bit-exact"
+    (QCheck.make QCheck.Gen.(pair positions_gen growth_gen))
+    (fun (positions, growth) ->
+      let config = Cbtc.Config.make ~growth alpha56 in
+      let s = Cbtc.Geo.run_flat config pl positions in
+      let r = Cbtc.Soa.of_discovery (Cbtc.Soa.to_discovery s) in
+      let xs (t : Cbtc.Soa.t) = Array.map (fun (p : Geom.Vec2.t) -> p.x) t.positions in
+      let ys (t : Cbtc.Soa.t) = Array.map (fun (p : Geom.Vec2.t) -> p.y) t.positions in
+      r.config = s.config && r.pathloss = s.pathloss
+      && bits_eq (xs r) (xs s) && bits_eq (ys r) (ys s)
+      && r.off = s.off && r.ids = s.ids
+      && bits_eq r.dirs s.dirs && bits_eq r.links s.links
+      && bits_eq r.tags s.tags && bits_eq r.power s.power
+      && r.boundary = s.boundary)
+
 let prop_run_flat_rows_sorted =
   QCheck.Test.make ~count:100
     ~name:"run_flat rows sorted by (link power, id); iter streams them"
@@ -401,6 +424,7 @@ let () =
         :: qsuite
              [
                prop_run_flat_matches_spec;
+               prop_of_discovery_round_trip;
                prop_run_flat_rows_sorted;
                prop_run_flat_pool_identical;
              ] );

@@ -1,6 +1,11 @@
 (* Tests for the three optimizations of Section 3: shrink-back,
    asymmetric edge removal (via Discovery.core), and pairwise redundant
-   edge removal. *)
+   edge removal.  The shrink-back cases and properties state op1 on the
+   list oracle (Spec_optimize.shrink_back, which keeps the lowered
+   powers); the pairwise cases run the library's flat op3
+   (Cbtc.Optimize.pairwise) and check it against the list oracle on
+   every call.  test_pipeline.ml pins the flat pipeline to the oracle
+   as a whole. *)
 
 let check_float ?(eps = 1e-9) msg expected actual =
   if Float.abs (expected -. actual) > eps then
@@ -30,7 +35,7 @@ let test_shrink_drops_non_contributing_far_node () =
   Alcotest.(check bool) "node 0 is boundary" true d.boundary.(0);
   Alcotest.(check (list int)) "before: all four" [ 1; 2; 3; 4 ] (neighbor_ids d 0);
   check_float "before: max power" (Radio.Pathloss.max_power pl) d.power.(0);
-  let s = Cbtc.Optimize.shrink_back d in
+  let s = Spec_optimize.shrink_back d in
   Alcotest.(check (list int)) "after: far node dropped" [ 1; 2; 3 ]
     (neighbor_ids s 0);
   check_float "after: power p(5)" (Radio.Pathloss.power_for_distance pl 5.)
@@ -44,7 +49,7 @@ let test_shrink_keeps_contributing_far_node () =
        Geom.Vec2.make 0. (-80.) |]
   in
   let d = run positions in
-  let s = Cbtc.Optimize.shrink_back d in
+  let s = Spec_optimize.shrink_back d in
   Alcotest.(check (list int)) "far contributor kept" [ 1; 2; 3 ]
     (neighbor_ids s 0)
 
@@ -64,7 +69,7 @@ let prop_shrink_is_reduction =
     (QCheck.make positions_gen)
     (fun positions ->
       let d = run ~growth:(Cbtc.Config.Double 25.) positions in
-      let s = Cbtc.Optimize.shrink_back d in
+      let s = Spec_optimize.shrink_back d in
       let ok = ref true in
       for u = 0 to Array.length positions - 1 do
         if s.power.(u) > d.power.(u) +. 1e-9 then ok := false;
@@ -82,8 +87,8 @@ let prop_shrink_idempotent =
     (QCheck.make positions_gen)
     (fun positions ->
       let d = run ~growth:(Cbtc.Config.Double 25.) positions in
-      let s1 = Cbtc.Optimize.shrink_back d in
-      let s2 = Cbtc.Optimize.shrink_back s1 in
+      let s1 = Spec_optimize.shrink_back d in
+      let s2 = Spec_optimize.shrink_back s1 in
       let ok = ref true in
       for u = 0 to Array.length positions - 1 do
         if neighbor_ids s1 u <> neighbor_ids s2 u then ok := false;
@@ -97,7 +102,7 @@ let prop_shrink_preserves_coverage =
     (QCheck.make positions_gen)
     (fun positions ->
       let d = run positions in
-      let s = Cbtc.Optimize.shrink_back d in
+      let s = Spec_optimize.shrink_back d in
       let cover (x : Cbtc.Discovery.t) u =
         Geom.Dirset.cover ~alpha:alpha56
           (Cbtc.Neighbor.directions x.neighbors.(u))
@@ -161,45 +166,83 @@ let prop_shrink_preserves_connectivity =
     (fun positions ->
       let d = run positions in
       let gr = Cbtc.Geo.max_power_graph pl positions in
-      let s = Cbtc.Optimize.shrink_back d in
-      Graphkit.Traversal.same_partition gr (Cbtc.Discovery.closure s))
+      let r = Cbtc.Pipeline.of_discovery d (Cbtc.Pipeline.with_shrink d.config) in
+      Graphkit.Traversal.same_partition gr r.Cbtc.Pipeline.graph)
+
+(* Lattice points 20 apart: many equal distances, so rows carry
+   link-power ties, and under Double growth many neighbors share one
+   tag. *)
+let lattice_gen =
+  QCheck.Gen.(
+    int_range 2 40 >>= fun n ->
+    list_repeat n (pair (int_bound 12) (int_bound 12)) >|= fun pts ->
+    Array.of_list
+      (List.map
+         (fun (i, j) ->
+           Geom.Vec2.make (20. *. Stdlib.float_of_int i) (20. *. Stdlib.float_of_int j))
+         pts))
+
+let prop_shrink_keeps_row_prefix =
+  QCheck.Test.make ~count:100
+    ~name:"op1 keeps a prefix of each kernel row, ties and shared tags"
+    (QCheck.make QCheck.Gen.(pair lattice_gen (oneofl [ 10.; 25.; 200. ])))
+    (fun (positions, p0) ->
+      let config = Cbtc.Config.make ~growth:(Cbtc.Config.Double p0) alpha56 in
+      let s = Cbtc.Geo.run_flat config pl positions in
+      let shrunk = Spec_optimize.shrink_back (Cbtc.Soa.to_discovery s) in
+      (* shrink_cut raises on a row out of (tag, link power, id) order *)
+      let cut = Cbtc.Optimize.shrink_cut s in
+      List.for_all
+        (fun u ->
+          let kept =
+            List.map (fun (nb : Cbtc.Neighbor.t) -> nb.id) shrunk.neighbors.(u)
+          in
+          let k = List.length kept in
+          cut.(u) = s.off.(u) + k
+          && kept = List.init k (fun r -> s.ids.(s.off.(u) + r)))
+        (List.init (Array.length positions) Fun.id))
 
 (* ---------- pairwise (redundant edge) removal ---------- *)
 
-(* Definition 3.5 restated as Optimize documents it, the test-side
-   oracle for op3: (u,v) is redundant from u when a neighbor w <> v of
-   u, not coincident with u, lies at an angle under pi/3 (less the 1e-9
-   margin) from v with a smaller squared-distance eid, (max ID, min ID)
-   breaking ties. *)
-let spec_redundant_from ~positions g u v =
-  let eid u v =
-    (Geom.Vec2.dist2 positions.(u) positions.(v), Stdlib.max u v, Stdlib.min u v)
+(* Op3 on a Ugraph through the library's flat rows: [g] as an
+   Optimize.topology, pruned by Optimize.pairwise, read back.  Every
+   call also runs the list oracle and fails unless both remove the same
+   edges. *)
+let pairwise ~positions ?obs ~mode g =
+  let n = Graphkit.Ugraph.nb_nodes g in
+  let off = Array.make (n + 1) 0 in
+  for u = 0 to n - 1 do
+    off.(u + 1) <- off.(u) + Graphkit.Ugraph.degree g u
+  done;
+  let adj =
+    Array.concat
+      (List.init n (fun u -> Array.of_list (Graphkit.Ugraph.neighbors g u)))
   in
-  let dir w = Geom.Vec2.direction ~from:positions.(u) ~toward:positions.(w) in
-  List.exists
-    (fun w ->
-      w <> v
-      && (let d2, _, _ = eid u w in
-          d2 > 0.)
-      && Geom.Angle.diff (dir v) (dir w) < Geom.Angle.pi_three -. 1e-9
-      && compare (eid u w) (eid u v) < 0)
-    (Graphkit.Ugraph.neighbors g u)
-
-(* the redundant edges of g, each as (u, v) with u < v *)
-let spec_redundant_edges ~positions g =
-  List.filter
-    (fun (u, v) ->
-      spec_redundant_from ~positions g u v || spec_redundant_from ~positions g v u)
-    (Graphkit.Ugraph.edges g)
+  let d2 = Array.make off.(n) 0. in
+  for u = 0 to n - 1 do
+    for a = off.(u) to off.(u + 1) - 1 do
+      d2.(a) <- Geom.Vec2.dist2 positions.(u) positions.(adj.(a))
+    done
+  done;
+  let t = Cbtc.Optimize.pairwise ?obs ~mode positions { off; adj; d2 } in
+  let got = Graphkit.Ugraph.create n in
+  for u = 0 to n - 1 do
+    for a = t.off.(u) to t.off.(u + 1) - 1 do
+      if t.adj.(a) > u then Graphkit.Ugraph.add_edge got u t.adj.(a)
+    done
+  done;
+  if not (Graphkit.Ugraph.equal got (Spec_optimize.pairwise ~positions ~mode g))
+  then Alcotest.fail "flat pairwise differs from Spec_optimize.pairwise";
+  got
 
 (* The hand cases' redundant edges, from the oracle; op3 in `All mode
    must remove exactly those. *)
 let redundant_edges ~positions g =
-  let red = spec_redundant_edges ~positions g in
+  let red = Spec_optimize.spec_redundant_edges ~positions g in
   Alcotest.(check (list (pair int int)))
     "`All removes exactly the redundant edges"
     (List.filter (fun e -> not (List.mem e red)) (Graphkit.Ugraph.edges g))
-    (Graphkit.Ugraph.edges (Cbtc.Optimize.pairwise ~positions ~mode:`All g));
+    (Graphkit.Ugraph.edges (pairwise ~positions ~mode:`All g));
   red
 
 let triangle_positions =
@@ -218,7 +261,7 @@ let test_redundant_edge_detected () =
 
 let test_pairwise_all_removes () =
   let g' =
-    Cbtc.Optimize.pairwise ~positions:triangle_positions ~mode:`All
+    pairwise ~positions:triangle_positions ~mode:`All
       (full_triangle ())
   in
   Alcotest.(check (list (pair int int))) "edge removed, path remains"
@@ -262,7 +305,7 @@ let test_mutual_pair_loses_one_edge () =
     [| Geom.Vec2.zero; Geom.Vec2.make 10. 1.; Geom.Vec2.make 10. (-1.) |]
   in
   let g' =
-    Cbtc.Optimize.pairwise ~positions ~mode:`All (full_triangle ())
+    pairwise ~positions ~mode:`All (full_triangle ())
   in
   Alcotest.(check (list (pair int int))) "exactly one of the pair removed"
     [ (0, 1); (1, 2) ]
@@ -286,7 +329,7 @@ let test_coincident_witness_cannot_isolate () =
      (node 1, seen from node 0) is coincident. *)
   Alcotest.(check (list (pair int int)))
     "only the edge with a non-degenerate witness is redundant" [ (1, 2) ] red;
-  let g' = Cbtc.Optimize.pairwise ~positions ~mode:`All (full_triangle ()) in
+  let g' = pairwise ~positions ~mode:`All (full_triangle ()) in
   Alcotest.(check bool) "node 2 still reachable" true
     (Graphkit.Traversal.is_connected g')
 
@@ -309,7 +352,7 @@ let prop_pairwise_no_mutual_removal_with_duplicates =
     (fun positions ->
       let d = run ~growth:(Cbtc.Config.Double 25.) positions in
       let g = Cbtc.Discovery.closure d in
-      let all = Cbtc.Optimize.pairwise ~positions ~mode:`All g in
+      let all = pairwise ~positions ~mode:`All g in
       Graphkit.Traversal.same_partition g all)
 
 let test_pairwise_practical_spares_short_edges () =
@@ -322,8 +365,8 @@ let test_pairwise_practical_spares_short_edges () =
        Geom.Vec2.make (-80.) 0. |]
   in
   let g = Graphkit.Ugraph.of_edges 4 [ (0, 1); (0, 2); (1, 2); (0, 3) ] in
-  let all = Cbtc.Optimize.pairwise ~positions ~mode:`All g in
-  let practical = Cbtc.Optimize.pairwise ~positions ~mode:`Practical g in
+  let all = pairwise ~positions ~mode:`All g in
+  let practical = pairwise ~positions ~mode:`Practical g in
   Alcotest.(check bool) "`All removes (0,1)" false
     (Graphkit.Ugraph.mem_edge all 0 1);
   Alcotest.(check bool) "`Practical keeps (0,1): node 0 still reaches 80 away"
@@ -339,8 +382,8 @@ let prop_pairwise_preserves_connectivity =
     (fun positions ->
       let d = run positions in
       let g = Cbtc.Discovery.closure d in
-      let all = Cbtc.Optimize.pairwise ~positions ~mode:`All g in
-      let practical = Cbtc.Optimize.pairwise ~positions ~mode:`Practical g in
+      let all = pairwise ~positions ~mode:`All g in
+      let practical = pairwise ~positions ~mode:`Practical g in
       Graphkit.Traversal.same_partition g all
       && Graphkit.Traversal.same_partition g practical
       && Graphkit.Ugraph.is_subgraph all g
@@ -353,16 +396,17 @@ let prop_practical_between_all_and_original =
     (fun positions ->
       let d = run positions in
       let g = Cbtc.Discovery.closure d in
-      let all = Cbtc.Optimize.pairwise ~positions ~mode:`All g in
-      let practical = Cbtc.Optimize.pairwise ~positions ~mode:`Practical g in
+      let all = pairwise ~positions ~mode:`All g in
+      let practical = pairwise ~positions ~mode:`Practical g in
       Graphkit.Ugraph.is_subgraph all practical)
 
-(* Op3 in two passes, the oracle for Optimize.pairwise's single pass:
+(* Op3 in two passes, the oracle for the single pass of
+   Optimize.pairwise and Spec_optimize.pairwise:
    list the redundant edges, then re-evaluate each one's verdicts for the
    practical filter. *)
 let two_pass_pairwise ~positions ~mode g =
-  let redundant_from = spec_redundant_from ~positions g in
-  let redundant = spec_redundant_edges ~positions g in
+  let redundant_from = Spec_optimize.spec_redundant_from ~positions g in
+  let redundant = Spec_optimize.spec_redundant_edges ~positions g in
   let to_remove =
     match mode with
     | `All -> redundant
@@ -398,7 +442,7 @@ let prop_pairwise_matches_two_pass =
           List.for_all
             (fun mode ->
               let obs = Obs.Recorder.create () in
-              let got = Cbtc.Optimize.pairwise ~positions ~obs ~mode g in
+              let got = pairwise ~positions ~obs ~mode g in
               let want, redundant, removed = two_pass_pairwise ~positions ~mode g in
               Graphkit.Ugraph.equal got want
               && Obs.Recorder.counter obs "pairwise.redundant_edges" = redundant
@@ -441,6 +485,7 @@ let () =
             prop_shrink_idempotent;
             prop_shrink_preserves_coverage;
             prop_shrink_preserves_connectivity;
+            prop_shrink_keeps_row_prefix;
             prop_pairwise_preserves_connectivity;
             prop_practical_between_all_and_original;
             prop_pairwise_no_mutual_removal_with_duplicates;

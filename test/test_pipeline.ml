@@ -1,6 +1,7 @@
 (* Tests for the end-to-end pipeline: the paper's Table 1 configurations,
-   inclusion relations among the produced graphs, radius semantics, and
-   golden values on a fixed seed. *)
+   inclusion relations among the produced graphs, radius semantics,
+   golden values on a fixed seed, and the flat pipeline against its
+   list oracle (Spec_optimize.pipeline). *)
 
 let alpha56 = Geom.Angle.five_pi_six
 
@@ -135,7 +136,16 @@ let test_stepped_pipeline () =
   in
   let gr = Cbtc.Geo.max_power_graph pl positions in
   Alcotest.(check bool) "distributed + all ops preserves" true
-    (Metrics.Connectivity.preserves ~reference:gr r.Cbtc.Pipeline.graph)
+    (Metrics.Connectivity.preserves ~reference:gr r.Cbtc.Pipeline.graph);
+  (* the protocol converges to the oracle's discovery here, so the
+     pipeline on its lists (through Soa.of_discovery) and on the
+     kernel's rows agree *)
+  let oracle = Cbtc.Pipeline.run_oracle pl positions (Cbtc.Pipeline.all_ops config) in
+  Alcotest.(check (list (pair int int))) "distributed graph = oracle graph"
+    (Graphkit.Ugraph.edges oracle.Cbtc.Pipeline.graph)
+    (Graphkit.Ugraph.edges r.Cbtc.Pipeline.graph);
+  Alcotest.(check (array (float 0.))) "distributed radius = oracle radius"
+    oracle.Cbtc.Pipeline.radius r.Cbtc.Pipeline.radius
 
 let positions_gen =
   QCheck.Gen.(
@@ -163,6 +173,96 @@ let prop_all_plans_preserve =
           Cbtc.Pipeline.all_ops c23;
         ])
 
+(* ---------- flat pipeline = list oracle ---------- *)
+
+let bits_eq a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
+
+(* Every Table 1 preset, op2 without op1, and op3 in `All mode, for
+   both cone degrees under [growth]. *)
+let plans growth =
+  let c56 = Cbtc.Config.make ~growth alpha56 in
+  let c23 = Cbtc.Config.make ~growth alpha23 in
+  let open Cbtc.Pipeline in
+  [
+    basic c56;
+    with_shrink c56;
+    all_ops c56;
+    { (all_ops c56) with pairwise = `All };
+    basic c23;
+    with_shrink c23;
+    shrink_asym c23;
+    all_ops c23;
+    { (basic c23) with asym = true };
+    { (all_ops c23) with pairwise = `All };
+  ]
+
+(* [d] with each row's tags reversed: rows out of (tag, link power, id)
+   order, which of_discovery sorts before op1 cuts a prefix *)
+let reverse_tags (d : Cbtc.Discovery.t) =
+  let neighbors =
+    Array.map
+      (fun row ->
+        let tags = List.rev_map (fun (nb : Cbtc.Neighbor.t) -> nb.tag) row in
+        List.map2 (fun (nb : Cbtc.Neighbor.t) tag -> { nb with tag }) row tags)
+      d.neighbors
+  in
+  { d with neighbors }
+
+(* The graph, the radii bit for bit, and every counter of the flat
+   pipeline against the list oracle. *)
+let matches_spec (d : Cbtc.Discovery.t) plan =
+  let flat_obs = Obs.Recorder.create () and spec_obs = Obs.Recorder.create () in
+  let r = Cbtc.Pipeline.of_discovery ~obs:flat_obs d plan in
+  let graph, radius = Spec_optimize.pipeline ~obs:spec_obs d plan in
+  Graphkit.Ugraph.equal r.graph graph
+  && bits_eq r.radius radius
+  && Obs.Recorder.counters flat_obs = Obs.Recorder.counters spec_obs
+
+(* 2..35 nodes on a 400 x 400 field, one of them possibly moved onto
+   another; the σ > 0 case draws an environment with obstacles *)
+let flat_case_gen =
+  QCheck.Gen.(
+    Gen_common.positions_gen >>= fun positions ->
+    let n = Array.length positions in
+    pair bool (pair (int_bound (n - 1)) (int_bound (n - 1))) >>= fun (dup, (src, dst)) ->
+    let positions = Array.copy positions in
+    if dup then positions.(dst) <- positions.(src);
+    opt (Gen_common.env_gen ~max_range:150. n) >>= fun env ->
+    bool >|= fun exact -> (positions, env, exact))
+
+let prop_flat_matches_spec =
+  QCheck.Test.make ~count:60
+    ~name:"flat pipeline = list spec: graph, radius bits, counters"
+    (QCheck.make
+       ~print:(fun (positions, env, exact) ->
+         Fmt.str "%s@.env: %b, exact: %b" (Gen_common.positions_print positions)
+           (Option.is_some env) exact)
+       flat_case_gen)
+    (fun (positions, env, exact) ->
+      let pl =
+        match env with
+        | Some env -> Radio.Env.pathloss env
+        | None -> Radio.Pathloss.make ~max_range:150. ()
+      in
+      let growth =
+        if exact then Cbtc.Config.Exact
+        else Cbtc.Config.Double (Radio.Pathloss.max_power pl /. 64.)
+      in
+      List.for_all
+        (fun (plan : Cbtc.Pipeline.plan) ->
+          let d = Cbtc.Geo.run ?env plan.config pl positions in
+          let oracle = Cbtc.Pipeline.run_oracle ?env pl positions plan in
+          let graph, radius = Spec_optimize.pipeline d plan in
+          matches_spec d plan
+          && matches_spec (reverse_tags d) plan
+          && Graphkit.Ugraph.equal oracle.graph graph
+          && bits_eq oracle.radius radius)
+        (plans growth))
+
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 
 let () =
@@ -182,5 +282,5 @@ let () =
           Alcotest.test_case "golden seed 42" `Quick test_golden_seed_42;
           Alcotest.test_case "stepped pipeline" `Quick test_stepped_pipeline;
         ] );
-      ("properties", qsuite [ prop_all_plans_preserve ]);
+      ("properties", qsuite [ prop_all_plans_preserve; prop_flat_matches_spec ]);
     ]
