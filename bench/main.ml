@@ -219,7 +219,7 @@ let run_figures () =
   let ex = Cbtc.Constructions.example_2_1 ~alpha:alpha56 () in
   let pl = Radio.Pathloss.make ~max_range:ex.Cbtc.Constructions.max_range () in
   let d =
-    Cbtc.Geo.run (Cbtc.Config.make alpha56) pl ex.Cbtc.Constructions.positions
+    Cbtc.Geo.run_flat (Cbtc.Config.make alpha56) pl ex.Cbtc.Constructions.positions
   in
   let nbrs = Cbtc.Discovery.neighbor_ids d in
   let names = [| "u0"; "u1"; "u2"; "u3"; "v" |] in
@@ -250,13 +250,13 @@ let run_figures () =
       let gr = Cbtc.Geo.max_power_graph pl positions in
       let galpha =
         Cbtc.Discovery.closure
-          (Cbtc.Geo.run
+          (Cbtc.Geo.run_flat
              (Cbtc.Config.make th.Cbtc.Constructions.alpha)
              pl positions)
       in
       let gthr =
         Cbtc.Discovery.closure
-          (Cbtc.Geo.run (Cbtc.Config.make alpha56) pl positions)
+          (Cbtc.Geo.run_flat (Cbtc.Config.make alpha56) pl positions)
       in
       Fmt.pr
         "  eps=%-5g GR connected: %b | G(5pi/6+eps) connected: %b | \
@@ -338,7 +338,7 @@ let run_connectivity ~pool ~seeds =
         let positions = Workload.Scenario.positions sc in
         let gr = Baselines.Proximity.max_power pl positions in
         let closure =
-          Cbtc.Discovery.closure (Cbtc.Geo.run config pl positions)
+          Cbtc.Discovery.closure (Cbtc.Geo.run_flat config pl positions)
         in
         let all =
           Cbtc.Pipeline.run_oracle pl positions (Cbtc.Pipeline.all_ops config)
@@ -367,7 +367,7 @@ let run_connectivity ~pool ~seeds =
   let pl = Radio.Pathloss.make ~max_range:th.Cbtc.Constructions.max_range () in
   let g =
     Cbtc.Discovery.closure
-      (Cbtc.Geo.run
+      (Cbtc.Geo.run_flat
          (Cbtc.Config.make th.Cbtc.Constructions.alpha)
          pl th.Cbtc.Constructions.positions)
   in
@@ -406,7 +406,7 @@ let run_ablations ~pool ~seeds =
         let sc = Workload.Scenario.paper ~seed in
         let pl = Workload.Scenario.pathloss sc in
         let positions = Workload.Scenario.positions sc in
-        let d = Cbtc.Geo.run config pl positions in
+        let d = Cbtc.Geo.run_flat config pl positions in
         let n = Stdlib.float_of_int (Array.length positions) in
         let closure = Cbtc.Discovery.closure d in
         ( Array.fold_left ( +. ) 0. d.power /. n,
@@ -496,7 +496,7 @@ let run_ablations ~pool ~seeds =
   (* A boundary node (terminates at max power with a cone gap) should sit
      near the field edge; check how many lie on the convex hull and how
      far from it the rest are. *)
-  let d = Cbtc.Geo.run c56 pl positions in
+  let d = Cbtc.Geo.run_flat c56 pl positions in
   let hull = Geom.Hull.hull_indices positions in
   let boundary =
     List.filter (fun u -> d.Cbtc.Discovery.boundary.(u))
@@ -921,11 +921,8 @@ let run_perf_scaling ~fast ~out_dir =
       let huge = n > 10000 in
       let unless_huge f = if huge then None else Some f in
       record "discovery (oracle CBTC 5pi/6)" n ~reps
-        ~grid:(fun () -> Cbtc.Geo.run c56 pl positions)
-        ~brute:(unless_huge (fun () -> Spec_geo.run c56 pl positions));
-      record "discovery flat (SoA, no list shim)" n ~reps
         ~grid:(fun () -> Cbtc.Geo.run_flat c56 pl positions)
-        ~brute:None;
+        ~brute:(unless_huge (fun () -> Spec_geo.run c56 pl positions));
       record "max-power graph (G_R)" n ~reps
         ~grid:(fun () -> Cbtc.Geo.max_power_graph pl positions)
         ~brute:
@@ -943,20 +940,15 @@ let run_perf_scaling ~fast ~out_dir =
         ~grid:(fun () -> Metrics.Interference.coverage positions ~radius)
         ~brute:(unless_huge (fun () -> Spec_geo.coverage positions ~radius)))
     sizes;
-  (* n = 1M: discovery only — the feasibility row for one machine.  The
-     flat (SoA) pass is the headline; the list-shim run shows what the
-     compatibility layer costs at this scale. *)
+  (* n = 1M: discovery only — the feasibility row for one machine. *)
   if not fast then begin
     let n = 1_000_000 in
     let side = 1500. *. Float.sqrt (Stdlib.float_of_int n /. 100.) in
     let sc = Workload.Scenario.make ~n ~width:side ~height:side ~seed:42 () in
     let pl = Workload.Scenario.pathloss sc in
     let positions = Workload.Scenario.positions sc in
-    record "discovery flat (SoA, no list shim)" n ~reps:1
-      ~grid:(fun () -> Cbtc.Geo.run_flat c56 pl positions)
-      ~brute:None;
     record "discovery (oracle CBTC 5pi/6)" n ~reps:1
-      ~grid:(fun () -> Cbtc.Geo.run c56 pl positions)
+      ~grid:(fun () -> Cbtc.Geo.run_flat c56 pl positions)
       ~brute:None
   end;
   Fmt.pr "%a@." Metrics.Table.pp table;
@@ -1411,14 +1403,14 @@ let run_parallel_bench ~fast ~out_dir =
   let pl_big = Workload.Scenario.pathloss sc_big in
   let pos_big = Workload.Scenario.positions sc_big in
   let discovery_digest pool =
-    let d = Cbtc.Geo.run ~pool c56 pl_big pos_big in
+    let d = Cbtc.Geo.run_flat ~pool c56 pl_big pos_big in
     let buf = Buffer.create (16 * n_big) in
     Array.iteri
       (fun u p ->
         Buffer.add_string buf
           (Fmt.str "%d:%.17g:%b:%d;" u p
              d.Cbtc.Discovery.boundary.(u)
-             (List.length d.Cbtc.Discovery.neighbors.(u))))
+             (Cbtc.Discovery.degree d u)))
       d.Cbtc.Discovery.power;
     Digest.to_hex (Digest.string (Buffer.contents buf))
   in
@@ -1495,7 +1487,7 @@ let run_perf ~fast () =
   let sc = Workload.Scenario.paper ~seed:42 in
   let pl = Workload.Scenario.pathloss sc in
   let positions = Workload.Scenario.positions sc in
-  let d56 = Cbtc.Geo.run c56 pl positions in
+  let d56 = Cbtc.Geo.run_flat c56 pl positions in
   let closure = Cbtc.Discovery.closure d56 in
   let dirs =
     List.init 24 (fun i -> Stdlib.float_of_int i *. Geom.Angle.two_pi /. 24.)
@@ -1506,7 +1498,7 @@ let run_perf ~fast () =
       Test.make ~name:"gap-test (24 dirs)"
         (Staged.stage (fun () -> Geom.Dirset.has_gap ~alpha:alpha56 dirs));
       Test.make ~name:"oracle CBTC(5pi/6), 100 nodes"
-        (Staged.stage (fun () -> Cbtc.Geo.run c56 pl positions));
+        (Staged.stage (fun () -> Cbtc.Geo.run_flat c56 pl positions));
       Test.make ~name:"shrink-back, 100 nodes"
         (Staged.stage (fun () ->
              Cbtc.Pipeline.of_discovery d56 (Cbtc.Pipeline.with_shrink c56)));

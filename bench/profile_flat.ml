@@ -26,15 +26,13 @@ let () =
         Geom.Grid.create ~range:(Radio.Pathloss.max_range pl) positions)
   in
   ignore (Sys.opaque_identity grid);
-  let soa = phase "run_flat (total)" (fun () -> Cbtc.Geo.run_flat config pl positions) in
-  Fmt.pr "rows: %d@." (Array.length soa.Cbtc.Soa.ids);
-  let d = phase "to_discovery" (fun () -> Cbtc.Soa.to_discovery soa) in
-  ignore (Sys.opaque_identity d);
-  let cut = phase "op1 shrink_cut" (fun () -> Cbtc.Optimize.shrink_cut soa) in
+  let d = phase "run_flat (total)" (fun () -> Cbtc.Geo.run_flat config pl positions) in
+  Fmt.pr "rows: %d@." (Array.length d.Cbtc.Discovery.ids);
+  let cut = phase "op1 shrink_cut" (fun () -> Cbtc.Optimize.shrink_cut d) in
   let t =
-    phase "closure (topology)" (fun () -> Cbtc.Optimize.topology ~both:false soa ~cut)
+    phase "closure (topology)" (fun () -> Cbtc.Discovery.topology ~both:false d ~cut)
   in
-  let edges (t : Cbtc.Optimize.topology) = t.off.(Array.length t.off - 1) / 2 in
+  let edges (t : Cbtc.Discovery.topology) = t.off.(Array.length t.off - 1) / 2 in
   Fmt.pr "closure edges: %d@." (edges t);
   let t = phase "op3 pairwise" (fun () -> Cbtc.Optimize.pairwise positions t) in
   Fmt.pr "kept edges: %d@." (edges t);

@@ -1349,7 +1349,7 @@ let theory_cmd =
     let ex = Cbtc.Constructions.example_2_1 ~alpha:Geom.Angle.five_pi_six () in
     let pl = Radio.Pathloss.make ~max_range:ex.Cbtc.Constructions.max_range () in
     let d =
-      Cbtc.Geo.run
+      Cbtc.Geo.run_flat
         (Cbtc.Config.make Geom.Angle.five_pi_six)
         pl ex.Cbtc.Constructions.positions
     in
@@ -1362,7 +1362,7 @@ let theory_cmd =
     let gr = Cbtc.Geo.max_power_graph pl th.Cbtc.Constructions.positions in
     let g =
       Cbtc.Discovery.closure
-        (Cbtc.Geo.run
+        (Cbtc.Geo.run_flat
            (Cbtc.Config.make th.Cbtc.Constructions.alpha)
            pl th.Cbtc.Constructions.positions)
     in

@@ -125,7 +125,7 @@ let constructions () =
   let gr = Cbtc.Geo.max_power_graph pl th.Cbtc.Constructions.positions in
   let g =
     Cbtc.Discovery.closure
-      (Cbtc.Geo.run
+      (Cbtc.Geo.run_flat
          (Cbtc.Config.make th.Cbtc.Constructions.alpha)
          pl th.Cbtc.Constructions.positions)
   in

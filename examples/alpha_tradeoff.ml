@@ -18,8 +18,8 @@ let () =
   let positions = Workload.Scenario.positions scenario in
   let c56 = Cbtc.Config.make Geom.Angle.five_pi_six in
   let c23 = Cbtc.Config.make Geom.Angle.two_pi_three in
-  let d56 = Cbtc.Geo.run c56 pathloss positions in
-  let d23 = Cbtc.Geo.run c23 pathloss positions in
+  let d56 = Cbtc.Geo.run_flat c56 pathloss positions in
+  let d23 = Cbtc.Geo.run_flat c23 pathloss positions in
   let n = Array.length positions in
 
   (* claim 1: per-node convergence power is monotone in alpha *)

@@ -26,7 +26,7 @@ let () =
   pr_dist positions names 1 4;
 
   let pathloss = Radio.Pathloss.make ~max_range:ex.Cbtc.Constructions.max_range () in
-  let d = Cbtc.Geo.run (Cbtc.Config.make alpha) pathloss positions in
+  let d = Cbtc.Geo.run_flat (Cbtc.Config.make alpha) pathloss positions in
   let nbrs = Cbtc.Discovery.neighbor_ids d in
   Fmt.pr "  CBTC(5pi/6) outcome:@.";
   Array.iteri
@@ -59,7 +59,7 @@ let () =
   let pathloss = Radio.Pathloss.make ~max_range:th.Cbtc.Constructions.max_range () in
   let gr = Cbtc.Geo.max_power_graph pathloss positions in
   let run a =
-    Cbtc.Discovery.closure (Cbtc.Geo.run (Cbtc.Config.make a) pathloss positions)
+    Cbtc.Discovery.closure (Cbtc.Geo.run_flat (Cbtc.Config.make a) pathloss positions)
   in
   let above = run th.Cbtc.Constructions.alpha in
   let at = run Geom.Angle.five_pi_six in

@@ -69,14 +69,12 @@ let () =
   Fmt.pr "@.full protocol on the same network:@.";
   let config = Cbtc.Config.make ~growth:(Cbtc.Config.Double 10_000.) alpha in
   let outcome = Cbtc.Distributed.run config pathloss positions in
-  Array.iteri
-    (fun u (ns : Cbtc.Neighbor.t list) ->
-      Fmt.pr "  node %d: power %.0f%s, neighbors {%s}@." u
-        outcome.Cbtc.Distributed.discovery.power.(u)
-        (if outcome.Cbtc.Distributed.discovery.boundary.(u) then " (boundary)"
-         else "")
-        (String.concat ", "
-           (List.map
-              (fun (n : Cbtc.Neighbor.t) -> string_of_int n.Cbtc.Neighbor.id)
-              ns)))
-    outcome.Cbtc.Distributed.discovery.neighbors
+  let d = outcome.Cbtc.Distributed.discovery in
+  for u = 0 to Cbtc.Discovery.nb_nodes d - 1 do
+    let ids = ref [] in
+    Cbtc.Discovery.iter_neighbors d u (fun ~id ~dir:_ ~link_power:_ ~tag:_ ->
+        ids := string_of_int id :: !ids);
+    Fmt.pr "  node %d: power %.0f%s, neighbors {%s}@." u d.power.(u)
+      (if d.boundary.(u) then " (boundary)" else "")
+      (String.concat ", " (List.rev !ids))
+  done

@@ -365,14 +365,10 @@ let run ?(obs = Obs.Recorder.nil) ?(channel = Dsim.Channel.reliable)
       nodes
   in
   let discovery =
-    {
-      Discovery.config;
-      pathloss;
-      positions = Array.copy positions;
-      neighbors;
-      power = Array.map (fun node -> node.power) nodes;
-      boundary = Array.map (fun node -> node.boundary) nodes;
-    }
+    Discovery.pack ~config ~pathloss ~positions:(Array.copy positions)
+      ~power:(Array.map (fun node -> node.power) nodes)
+      ~boundary:(Array.map (fun node -> node.boundary) nodes)
+      neighbors
   in
   let core_neighbors =
     Array.map

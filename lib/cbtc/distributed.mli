@@ -81,7 +81,7 @@ type stats = {
 type outcome = {
   discovery : Discovery.t;
       (** converged per-node state; crashed nodes are reported with empty
-          neighbor lists *)
+          rows *)
   core_neighbors : int list array;
       (** per-node [N_alpha(u)] after incoming Remove notifications — the
           distributed materialization of [E-_alpha].  Meaningful only for

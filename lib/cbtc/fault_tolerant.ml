@@ -5,7 +5,7 @@ let alpha_for ~k =
 let config ?growth ~k () = Config.make ?growth (alpha_for ~k)
 
 let run ~k pathloss positions =
-  Discovery.closure (Geo.run (config ~k ()) pathloss positions)
+  Discovery.closure (Geo.run_flat (config ~k ()) pathloss positions)
 
 let check ~k pathloss positions =
   let gr = Geo.max_power_graph pathloss positions in

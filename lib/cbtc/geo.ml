@@ -435,7 +435,7 @@ let run_flat ?pool ?(obs = Obs.Recorder.nil) ?env config pathloss positions =
     done
   end;
   {
-    Soa.config;
+    Discovery.config;
     pathloss;
     positions = Array.copy positions;
     off;
@@ -446,6 +446,3 @@ let run_flat ?pool ?(obs = Obs.Recorder.nil) ?env config pathloss positions =
     power;
     boundary;
   }
-
-let run ?pool ?obs ?env config pathloss positions =
-  Soa.to_discovery (run_flat ?pool ?obs ?env config pathloss positions)

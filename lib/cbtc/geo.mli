@@ -10,8 +10,8 @@
     With the [Exact] growth schedule this is the continuous-growth limit
     and produces the paper's Table 1 topologies.
 
-    One flat kernel computes every node's discovery: {!run},
-    {!run_flat} and {!grow_into} all go through it.  The list-based
+    One flat kernel computes every node's discovery: {!run_flat} and
+    {!grow_into} both go through it.  The list-based
     statement of the rule (a {!Neighbor.t} list per node, rebuilt at
     every power step) is kept in [test/spec_geo.ml] as the oracle the
     kernel is property-tested against, bit for bit.
@@ -27,11 +27,13 @@
     result arrays, so the outcome is bit-identical to the sequential
     pass for any pool size. *)
 
-(** [run ?pool ?obs config pathloss positions] runs the oracle for every
-    node.  Internally builds one spatial index over [positions] and
-    reuses it for every node's discovery, so a full pass is
-    O(n · local density) instead of O(n²); with [?pool] the nodes are
-    processed in parallel chunks (same result, property-tested).
+(** [run_flat ?pool ?obs config pathloss positions] runs the oracle for
+    every node and returns the converged state in the CSR row form of
+    {!Discovery.t} it is computed in.  Internally builds one spatial
+    index over [positions] and reuses it for every node's discovery, so
+    a full pass is O(n · local density) instead of O(n²); with [?pool]
+    the nodes are processed in parallel chunks (same result,
+    property-tested).
 
     When [obs] is given, the pass is wrapped in a [discovery] span and
     records [discovery.nodes] / [discovery.power_steps] /
@@ -49,25 +51,11 @@
     pure-pathloss oracles in test/test_env.ml).
     @raise Invalid_argument when [env] was built over a pathloss other
     than [pathloss]. *)
-val run :
-  ?pool:Parallel.Pool.t ->
-  ?obs:Obs.Recorder.t ->
-  ?env:Radio.Env.t ->
-  Config.t -> Radio.Pathloss.t -> Geom.Vec2.t array -> Discovery.t
-
-(** [run_flat ?pool ?obs config pathloss positions] is {!run} without
-    the final expansion to per-node neighbor lists: the converged state
-    stays in the struct-of-arrays form ({!Soa.t}) it is computed in.
-    [run] is [Soa.to_discovery] of this, so
-    [Soa.to_discovery (run_flat ...)] is bit-identical to
-    [run ...] (property-tested); at n = 10⁵–10⁶ prefer [run_flat] to
-    avoid allocating millions of boxed [Neighbor.t] records.  Spans,
-    counters and histograms recorded on [obs] are the same as {!run}'s. *)
 val run_flat :
   ?pool:Parallel.Pool.t ->
   ?obs:Obs.Recorder.t ->
   ?env:Radio.Env.t ->
-  Config.t -> Radio.Pathloss.t -> Geom.Vec2.t array -> Soa.t
+  Config.t -> Radio.Pathloss.t -> Geom.Vec2.t array -> Discovery.t
 
 (** {2 Flat per-node kernel}
 

@@ -34,24 +34,56 @@ let shrink_neighbors ~alpha neighbors =
       let tag = by_tag.(j - 1).tag in
       (List.filter (fun (nb : Neighbor.t) -> nb.tag <= tag) neighbors, Some tag)
 
-(* Are slots [lo, hi) of [s] in (tag, link power, id) order, the order
-   of [Neighbor.compare_by_tag]? *)
-let in_tag_order (s : Soa.t) lo hi =
-  let ordered i =
-    match Float.compare s.tags.(i) s.tags.(i + 1) with
-    | 0 -> (
-        match Float.compare s.links.(i) s.links.(i + 1) with
-        | 0 -> s.ids.(i) <= s.ids.(i + 1)
-        | c -> c < 0)
-    | c -> c < 0
+(* Is slot [i] of [s] after slot [j] in (tag, link power, id) order, the
+   order of [Neighbor.compare_by_tag]? *)
+let after_by_tag (s : Discovery.t) i j =
+  match Float.compare s.tags.(i) s.tags.(j) with
+  | 0 -> (
+      match Float.compare s.links.(i) s.links.(j) with
+      | 0 -> s.ids.(i) > s.ids.(j)
+      | c -> c > 0)
+  | c -> c > 0
+
+(* Are slots [lo, hi) of [s] in that order? *)
+let in_tag_order s lo hi =
+  let rec from i =
+    i + 1 >= hi || ((not (after_by_tag s i (i + 1))) && from (i + 1))
   in
-  let rec from i = i + 1 >= hi || (ordered i && from (i + 1)) in
   from lo
 
-let shrink_cut ?(obs = Obs.Recorder.nil) (s : Soa.t) =
+(* A stable insertion sort of each row of a copy: a no-op pass on rows
+   already in order, such as the kernel's. *)
+let by_tag (d : Discovery.t) =
+  let s =
+    { d with
+      ids = Array.copy d.ids;
+      dirs = Array.copy d.dirs;
+      links = Array.copy d.links;
+      tags = Array.copy d.tags }
+  in
+  let swap a i j =
+    let x = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- x
+  in
+  for u = 0 to Discovery.nb_nodes s - 1 do
+    for i = s.off.(u) + 1 to s.off.(u + 1) - 1 do
+      let j = ref i in
+      while !j > s.off.(u) && after_by_tag s (!j - 1) !j do
+        swap s.ids (!j - 1) !j;
+        swap s.dirs (!j - 1) !j;
+        swap s.links (!j - 1) !j;
+        swap s.tags (!j - 1) !j;
+        decr j
+      done
+    done
+  done;
+  s
+
+let shrink_cut ?(obs = Obs.Recorder.nil) (s : Discovery.t) =
   Obs.Recorder.span obs "shrink-back" @@ fun () ->
   let alpha = s.config.Config.alpha in
-  let n = Soa.nb_nodes s in
+  let n = Discovery.nb_nodes s in
   let cut = Array.make n 0 in
   let shrunk = ref 0 and dropped = ref 0 in
   for u = 0 to n - 1 do
@@ -80,77 +112,6 @@ let shrink_cut ?(obs = Obs.Recorder.nil) (s : Soa.t) =
   end;
   cut
 
-type topology = { off : int array; adj : int array; d2 : float array }
-
-(* Every kept slot u -> v goes into row u as code 2v (u lists v) and
-   into row v as code 2u+1 (u lists v, seen from v).  Sorted, a row's
-   codes group by neighbor id: the closure keeps v when either code is
-   there, the core when both are.  Repeated ids collapse. *)
-let topology ~both (s : Soa.t) ~cut =
-  let n = Soa.nb_nodes s in
-  let start = Array.make (n + 1) 0 in
-  for u = 0 to n - 1 do
-    for i = s.off.(u) to cut.(u) - 1 do
-      let v = s.ids.(i) in
-      if v = u || v < 0 || v >= n then
-        invalid_arg "Optimize.topology: a row lists its own node or a bad id";
-      start.(u + 1) <- start.(u + 1) + 1;
-      start.(v + 1) <- start.(v + 1) + 1
-    done
-  done;
-  for u = 1 to n do
-    start.(u) <- start.(u) + start.(u - 1)
-  done;
-  let codes = Array.make start.(n) 0 in
-  let fill = Array.sub start 0 n in
-  for u = 0 to n - 1 do
-    for i = s.off.(u) to cut.(u) - 1 do
-      let v = s.ids.(i) in
-      codes.(fill.(u)) <- 2 * v;
-      fill.(u) <- fill.(u) + 1;
-      codes.(fill.(v)) <- (2 * u) + 1;
-      fill.(v) <- fill.(v) + 1
-    done
-  done;
-  (* sort each row (rows are short: insertion sort) and compact the
-     kept ids in place; the write index never passes the read index *)
-  let off = Array.make (n + 1) 0 in
-  let w = ref 0 in
-  for u = 0 to n - 1 do
-    let lo = start.(u) and hi = start.(u + 1) in
-    for i = lo + 1 to hi - 1 do
-      let x = codes.(i) in
-      let j = ref (i - 1) in
-      while !j >= lo && codes.(!j) > x do
-        codes.(!j + 1) <- codes.(!j);
-        decr j
-      done;
-      codes.(!j + 1) <- x
-    done;
-    let i = ref lo in
-    while !i < hi do
-      let v = codes.(!i) lsr 1 in
-      let sides = ref 0 in
-      while !i < hi && codes.(!i) lsr 1 = v do
-        sides := !sides lor (1 lsl (codes.(!i) land 1));
-        incr i
-      done;
-      if (not both) || !sides = 3 then begin
-        codes.(!w) <- v;
-        incr w
-      end
-    done;
-    off.(u + 1) <- !w
-  done;
-  let d2 = Array.make !w 0. in
-  for u = 0 to n - 1 do
-    let pu = s.positions.(u) in
-    for a = off.(u) to off.(u + 1) - 1 do
-      d2.(a) <- Geom.Vec2.dist2 pu s.positions.(codes.(a))
-    done
-  done;
-  { off; adj = codes; d2 }
-
 type pairwise_mode = [ `All | `Practical ]
 
 (* Definition 3.5: (u,v) is redundant when some neighbor w of u satisfies
@@ -172,7 +133,7 @@ let angle_margin = 1e-9
    holds each slot's direction from its row's node.  The witness test
    compares edge ids before the angle: the conjunction is the same, and
    the id test is the cheaper one. *)
-let redundant_from (t : topology) dirs u a =
+let redundant_from (t : Discovery.topology) dirs u a =
   let v = t.adj.(a) in
   let d2_uv = t.d2.(a) and dir_v = dirs.(a) in
   let hi_v = Int.max u v and lo_v = Int.min u v in
@@ -200,7 +161,7 @@ let redundant_from (t : topology) dirs u a =
    increasing (u, v) order, [a] and [b] being its slots in rows u and v.
    Row v's slots below v come up in increasing order as the rows u < v
    are visited, so one cursor per row finds [b]. *)
-let iter_edges (t : topology) f =
+let iter_edges (t : Discovery.topology) f =
   let n = Array.length t.off - 1 in
   let mate = Array.sub t.off 0 n in
   for u = 0 to n - 1 do
@@ -215,7 +176,7 @@ let iter_edges (t : topology) f =
   done
 
 let pairwise ?(obs = Obs.Recorder.nil) ?(mode = `Practical) positions
-    (t : topology) =
+    (t : Discovery.topology) =
   Obs.Recorder.span obs "pairwise-removal" @@ fun () ->
   let practical = match mode with `Practical -> true | `All -> false in
   let n = Array.length t.off - 1 in
@@ -282,4 +243,4 @@ let pairwise ?(obs = Obs.Recorder.nil) ?(mode = `Practical) positions
     done;
     off.(u + 1) <- !w
   done;
-  { off; adj; d2 }
+  { Discovery.off; adj; d2 }

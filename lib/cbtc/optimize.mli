@@ -1,8 +1,8 @@
 (** The paper's three optimizations (Section 3), each proved there to
-    preserve connectivity, over the flat rows of a {!Soa.t}.
+    preserve connectivity, over the rows of a {!Discovery.t}.
     {!Pipeline} composes them; their list-based statement
-    ([shrink_back] and [pairwise] on [Discovery.t] / [Ugraph.t]) lives in
-    [test/spec_optimize.ml] as the oracle these are property-tested
+    ([shrink_back] and [pairwise] on neighbor lists / [Ugraph.t]) lives
+    in [test/spec_optimize.ml] as the oracle these are property-tested
     against, bit for bit.
 
     - {!shrink_cut} (op1, Theorem 3.1): every node drops its
@@ -12,8 +12,8 @@
       schedules it also trims non-boundary nodes.
     - asymmetric edge removal (op2, Theorem 3.2, [alpha <= 2pi/3] only):
       use [E-_alpha] (edges discovered in {e both} directions) instead of
-      the symmetric closure [E_alpha] — {!topology} with [~both:true],
-      the flat form of {!Discovery.core}.
+      the symmetric closure [E_alpha] — {!Discovery.topology} with
+      [~both:true], as {!Discovery.core}.
     - {!pairwise} (op3, Theorem 3.6): remove {e redundant} edges — [(u,v)]
       such that some neighbor [w] of [u] has [angle(v,u,w) < pi/3] and a
       lexicographically smaller edge id [eid(u,w) < eid(u,v)], where
@@ -43,23 +43,14 @@ val shrink_neighbors :
     [shrink-back] span and counts [shrink.nodes_shrunk] /
     [shrink.neighbors_dropped].
     @raise Invalid_argument when a row is out of that order. *)
-val shrink_cut : ?obs:Obs.Recorder.t -> Soa.t -> int array
+val shrink_cut : ?obs:Obs.Recorder.t -> Discovery.t -> int array
 
-(** An undirected topology as CSR rows: row [u] is
-    [adj.(off.(u)) .. adj.(off.(u+1)-1)], strictly increasing ids, each
-    edge listed in both of its rows; [d2] holds each slot's squared
-    distance, [Geom.Vec2.dist2] from the row's node.  Slots from
-    [off.(n)] on, if any, are unused. *)
-type topology = { off : int array; adj : int array; d2 : float array }
-
-(** [topology ~both s ~cut] is the topology over the kept prefixes
-    [off.(u) .. cut.(u)-1] of the rows of [s]: [E_alpha] (an edge where
-    either end lists the other, {!Discovery.closure}) or, with [~both],
-    [E-_alpha] (both ends list each other, {!Discovery.core}).  Repeated
-    ids collapse.
-    @raise Invalid_argument when a kept row lists its own node or an id
-    outside [0 .. n-1]. *)
-val topology : both:bool -> Soa.t -> cut:int array -> topology
+(** [by_tag d] is a copy of [d] with each row reordered into (tag, link
+    power, id) order, the order {!shrink_cut} needs, by a stable
+    insertion sort (a no-op pass on kernel rows).  {!Pipeline.of_discovery}
+    runs it on discoveries whose rows may be out of that order, such as
+    the distributed protocol's. *)
+val by_tag : Discovery.t -> Discovery.t
 
 (** Which redundant edges {!pairwise} removes. *)
 type pairwise_mode =
@@ -81,5 +72,5 @@ val pairwise :
   ?obs:Obs.Recorder.t ->
   ?mode:pairwise_mode ->
   Geom.Vec2.t array ->
-  topology ->
-  topology
+  Discovery.topology ->
+  Discovery.topology

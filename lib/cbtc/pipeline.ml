@@ -37,16 +37,16 @@ type t = {
    row to a prefix, the closure (or under op2 the core) of the kept
    prefixes becomes id-sorted CSR rows, op3 prunes those, and the
    result graph and radii are read off the final rows once. *)
-let optimize ~obs plan (s : Soa.t) =
+let optimize ~obs plan (s : Discovery.t) =
   let cut =
     if plan.shrink then Optimize.shrink_cut ~obs s
-    else Array.sub s.off 1 (Soa.nb_nodes s)
+    else Array.sub s.off 1 (Discovery.nb_nodes s)
   in
   let topology =
     if plan.asym then
       Obs.Recorder.span obs "asym-removal" (fun () ->
-          Optimize.topology ~both:true s ~cut)
-    else Optimize.topology ~both:false s ~cut
+          Discovery.topology ~both:true s ~cut)
+    else Discovery.topology ~both:false s ~cut
   in
   let topology =
     match plan.pairwise with
@@ -54,17 +54,15 @@ let optimize ~obs plan (s : Soa.t) =
     | (`Practical | `All) as mode ->
         Optimize.pairwise ~obs ~mode s.positions topology
   in
-  let n = Soa.nb_nodes s in
-  let graph = Graphkit.Ugraph.create n in
-  let radius = Array.make n 0. in
-  for u = 0 to n - 1 do
-    for a = topology.off.(u) to topology.off.(u + 1) - 1 do
-      let v = topology.adj.(a) in
-      if v > u then Graphkit.Ugraph.add_edge graph u v;
-      radius.(u) <- Float.max radius.(u) (sqrt topology.d2.(a))
-    done
-  done;
-  (graph, radius)
+  let radius =
+    Array.init (Discovery.nb_nodes s) (fun u ->
+        let r = ref 0. in
+        for a = topology.off.(u) to topology.off.(u + 1) - 1 do
+          r := Float.max !r (sqrt topology.d2.(a))
+        done;
+        !r)
+  in
+  (Discovery.graph topology, radius)
 
 let of_discovery ?(obs = Obs.Recorder.nil) (d : Discovery.t) plan =
   if plan.config <> d.config then
@@ -74,17 +72,13 @@ let of_discovery ?(obs = Obs.Recorder.nil) (d : Discovery.t) plan =
      are in; a distributed discovery's need not be (a nearer neighbor
      can be acked at a later step).  No later stage depends on the
      order within a row. *)
-  let by_tag = Array.map (List.stable_sort Neighbor.compare_by_tag) d.neighbors in
-  let graph, radius =
-    optimize ~obs plan (Soa.of_discovery { d with neighbors = by_tag })
-  in
+  let graph, radius = optimize ~obs plan (Optimize.by_tag d) in
   { plan; discovery = d; graph; radius }
 
 let run_oracle ?pool ?(obs = Obs.Recorder.nil) ?env pathloss positions plan =
   if plan.asym then check_asym plan.config;
-  let s = Geo.run_flat ?pool ~obs ?env plan.config pathloss positions in
-  let discovery = Soa.to_discovery s in
-  let graph, radius = optimize ~obs plan s in
+  let discovery = Geo.run_flat ?pool ~obs ?env plan.config pathloss positions in
+  let graph, radius = optimize ~obs plan discovery in
   { plan; discovery; graph; radius }
 
 let avg_degree t =

@@ -25,11 +25,11 @@ val shrink_asym : Config.t -> plan
     [alpha <= 2pi/3], practical pairwise removal. *)
 val all_ops : Config.t -> plan
 
-(** One pipeline run.  Every stage after discovery runs on the flat
-    rows of a {!Soa.t}: op1 cuts each row to a prefix
+(** One pipeline run.  Every stage after discovery runs on the rows of
+    the {!Discovery.t}: op1 cuts each row to a prefix
     ({!Optimize.shrink_cut}), the kept prefixes become one id-sorted
     CSR topology — [E_alpha], or [E-_alpha] under op2
-    ({!Optimize.topology}) — op3, when enabled, prunes it
+    ({!Discovery.topology}) — op3, when enabled, prunes it
     ({!Optimize.pairwise}), and [graph] and [radius] are built once,
     from the final rows.  No intermediate discovery or graph is kept.
     The beacon radius [rad_{u,alpha}] that Section 4 requires under
@@ -46,15 +46,15 @@ type t = {
 
 (** [of_discovery ?obs d plan] applies [plan]'s optimizations to an
     existing discovery state (e.g. one produced by the distributed
-    protocol): each neighbor list is stably sorted into (tag, link
-    power, id) order, as op1 needs, and packed into rows by
-    {!Soa.of_discovery}.  [plan.config]
+    protocol): a copy of its rows is reordered in place into (tag, link
+    power, id) order, as op1 needs ({!Optimize.by_tag});
+    [t.discovery] is [d] itself.  [plan.config]
     must equal [d.config].  When [obs] is given, each enabled
     optimization runs inside its own span ([shrink-back],
     [asym-removal], [pairwise-removal]) with the counters documented in
     {!Optimize}.  The list-based statement of the same stages
-    (shrink-back on [Discovery.t], {!Discovery.closure} /
-    {!Discovery.core}, pairwise removal on [Ugraph.t]) is the oracle in
+    (shrink-back on neighbor lists, [E_alpha] / [E-_alpha] built edge by
+    edge, pairwise removal on [Ugraph.t]) is the oracle in
     [test/spec_optimize.ml]: graphs, radii and counters agree bit for
     bit (property-tested).
     @raise Invalid_argument on config mismatch or an inapplicable op2. *)
@@ -63,8 +63,8 @@ val of_discovery : ?obs:Obs.Recorder.t -> Discovery.t -> plan -> t
 (** [run_oracle ?pool ?obs ?env pathloss positions plan] = oracle
     discovery + [plan], threading [pool], [obs] and the optional
     propagation environment [env] through {!Geo.run_flat}, whose rows
-    the optimizations run on directly; [discovery] is
-    [Soa.to_discovery] of them, as {!Geo.run} returns.  The optimization
+    the optimizations run on directly and [discovery] holds, with no
+    copy.  The optimization
     phases operate on the discovered link powers (already env-realized),
     so no further env plumbing is needed past discovery. *)
 val run_oracle :

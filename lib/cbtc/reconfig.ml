@@ -460,25 +460,13 @@ let neighbor_list t node =
       node.neighbors []
     |> List.sort Neighbor.compare_by_link_power
 
-let topology t =
-  let g = Graphkit.Ugraph.create (nb_nodes t) in
-  Array.iter
-    (fun node ->
-      List.iter
-        (fun (nb : Neighbor.t) -> Graphkit.Ugraph.add_edge g node.id nb.id)
-        (neighbor_list t node))
-    t.nodes;
-  g
-
 let discovery t =
-  {
-    Discovery.config = t.config;
-    pathloss = t.pathloss;
-    positions = positions t;
-    neighbors = Array.map (neighbor_list t) t.nodes;
-    power = Array.map (fun node -> node.power) t.nodes;
-    boundary = Array.map (fun node -> node.boundary) t.nodes;
-  }
+  Discovery.pack ~config:t.config ~pathloss:t.pathloss ~positions:(positions t)
+    ~power:(Array.map (fun node -> node.power) t.nodes)
+    ~boundary:(Array.map (fun node -> node.boundary) t.nodes)
+    (Array.map (neighbor_list t) t.nodes)
+
+let topology t = Discovery.closure (discovery t)
 
 (* Invariant adapter for the schedule-exploration harness: after the
    network has settled, the survivors' converged state must satisfy the

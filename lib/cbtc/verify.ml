@@ -23,29 +23,29 @@ let check ?(obs = Obs.Recorder.nil) ?(complete = false) ?(minimal = false)
   let max_power = Radio.Pathloss.max_power pathloss in
   let fail fmt = Fmt.kstr failwith fmt in
   let eps = 1e-9 in
+  let listed = if complete then Array.make n (-1) else [||] in
   for u = 0 to n - 1 do
     if alive u then begin
       let pos_u = d.positions.(u) in
       let power = d.power.(u) in
-      let true_dir (nb : Neighbor.t) =
-        Geom.Vec2.direction ~from:pos_u ~toward:d.positions.(nb.id)
+      let lo = d.off.(u) and hi = d.off.(u + 1) in
+      let true_dir i =
+        Geom.Vec2.direction ~from:pos_u ~toward:d.positions.(d.ids.(i))
       in
-      List.iter
-        (fun (nb : Neighbor.t) ->
-          if not (alive nb.id) then
-            fail "Verify: surviving node %d lists crashed neighbor %d" u nb.id;
-          let dist = Geom.Vec2.dist pos_u d.positions.(nb.id) in
-          if not (in_range_uv ~u ~v:nb.id ~dist) then
-            fail "Verify: node %d lists out-of-range neighbor %d (d=%g)" u
-              nb.id dist;
-          if not (reaches_uv ~power ~u ~v:nb.id ~dist) then
-            fail "Verify: node %d cannot reach neighbor %d at power %g" u
-              nb.id power;
-          if nb.tag > power *. (1. +. eps) +. eps then
-            fail "Verify: node %d neighbor %d tagged %g above power %g" u
-              nb.id nb.tag power)
-        d.neighbors.(u);
-      let dirs = List.map true_dir d.neighbors.(u) in
+      for i = lo to hi - 1 do
+        let v = d.ids.(i) in
+        if not (alive v) then
+          fail "Verify: surviving node %d lists crashed neighbor %d" u v;
+        let dist = Geom.Vec2.dist pos_u d.positions.(v) in
+        if not (in_range_uv ~u ~v ~dist) then
+          fail "Verify: node %d lists out-of-range neighbor %d (d=%g)" u v dist;
+        if not (reaches_uv ~power ~u ~v ~dist) then
+          fail "Verify: node %d cannot reach neighbor %d at power %g" u v power;
+        if d.tags.(i) > power *. (1. +. eps) +. eps then
+          fail "Verify: node %d neighbor %d tagged %g above power %g" u v
+            d.tags.(i) power
+      done;
+      let dirs = List.init (hi - lo) (fun r -> true_dir (lo + r)) in
       if d.boundary.(u) then begin
         if power < max_power *. (1. -. 1e-9) then
           fail "Verify: boundary node %d converged below max power (%g < %g)" u
@@ -53,32 +53,34 @@ let check ?(obs = Obs.Recorder.nil) ?(complete = false) ?(minimal = false)
       end
       else if Geom.Dirset.has_gap ~alpha dirs then
         fail "Verify: non-boundary node %d has a true geometric %g-gap" u alpha;
-      if complete then
+      if complete then begin
+        (* mark row u's ids; a reachable unmarked survivor was missed *)
+        for i = lo to hi - 1 do
+          listed.(d.ids.(i)) <- u
+        done;
         for v = 0 to n - 1 do
           if
             v <> u && alive v
             && reaches_uv ~power ~u ~v
                  ~dist:(Geom.Vec2.dist pos_u d.positions.(v))
-            && not
-                 (List.exists
-                    (fun (nb : Neighbor.t) -> nb.id = v)
-                    d.neighbors.(u))
+            && listed.(v) <> u
           then
             fail "Verify: node %d should have discovered reachable node %d" u v
-        done;
+        done
+      end;
       if minimal && not d.boundary.(u) then begin
         (* Exact growth: the strictly-closer prefix must still have a gap,
            otherwise the node could have stopped earlier. *)
         let strictly_below =
           List.filter
-            (fun (nb : Neighbor.t) ->
-              link_power_uv ~u ~v:nb.id
-                ~dist:(Geom.Vec2.dist pos_u d.positions.(nb.id))
+            (fun i ->
+              let v = d.ids.(i) in
+              link_power_uv ~u ~v ~dist:(Geom.Vec2.dist pos_u d.positions.(v))
               < power *. (1. -. 1e-12))
-            d.neighbors.(u)
+            (List.init (hi - lo) (fun r -> lo + r))
         in
         if
-          List.length strictly_below < List.length d.neighbors.(u)
+          List.length strictly_below < hi - lo
           && not
                (Geom.Dirset.has_gap ~alpha (List.map true_dir strictly_below))
         then fail "Verify: node %d converged above the minimal power" u
@@ -113,12 +115,11 @@ let degradation ?reference ?env (o : Distributed.outcome) =
   let residual_gap_nodes = ref [] in
   for u = n - 1 downto 0 do
     if alive.(u) && not d.boundary.(u) then begin
+      let lo = d.off.(u) in
       let dirs =
-        List.map
-          (fun (nb : Neighbor.t) ->
+        List.init (Discovery.degree d u) (fun r ->
             Geom.Vec2.direction ~from:d.positions.(u)
-              ~toward:d.positions.(nb.id))
-          d.neighbors.(u)
+              ~toward:d.positions.(d.ids.(lo + r)))
       in
       if Geom.Dirset.has_gap ~alpha dirs then
         residual_gap_nodes := u :: !residual_gap_nodes
@@ -133,11 +134,10 @@ let degradation ?reference ?env (o : Distributed.outcome) =
   let closure = Graphkit.Unionfind.create n in
   for u = 0 to n - 1 do
     if alive.(u) then
-      List.iter
-        (fun (nb : Neighbor.t) ->
-          if alive.(nb.id) then
-            ignore (Graphkit.Unionfind.union closure u nb.id : bool))
-        d.neighbors.(u)
+      for i = d.off.(u) to d.off.(u + 1) - 1 do
+        if alive.(d.ids.(i)) then
+          ignore (Graphkit.Unionfind.union closure u d.ids.(i) : bool)
+      done
   done;
   (* the fair post-fault baseline is the survivors' G_R partition: edges
      through crashed nodes are gone for any algorithm.  Both number
@@ -193,9 +193,6 @@ let check_surviving ?complete ?env ~alive (d : Discovery.t) =
   guard (fun () -> surviving ?complete ?env ~alive d)
 
 let discovery_equal ~oracle (d : Discovery.t) =
-  let ids nbs =
-    List.map (fun (nb : Neighbor.t) -> nb.id) nbs |> List.sort Int.compare
-  in
   (* no break hints: these messages must stay single-line (they are
      embedded in one-line JSON replay artifacts) *)
   let pp_ids = Fmt.(list ~sep:(any ", ") int) in
@@ -207,8 +204,8 @@ let discovery_equal ~oracle (d : Discovery.t) =
     let err = ref None in
     let fail u msg = if !err = None then err := Some (u, msg) in
     for u = 0 to n - 1 do
-      let a = ids oracle.Discovery.neighbors.(u)
-      and b = ids d.Discovery.neighbors.(u) in
+      let a = Discovery.neighbor_ids oracle u
+      and b = Discovery.neighbor_ids d u in
       if a <> b then
         fail u (Fmt.str "N differs: oracle {%a} vs {%a}" pp_ids a pp_ids b);
       if Float.abs (oracle.Discovery.power.(u) -. d.Discovery.power.(u)) > 1e-6

@@ -67,7 +67,7 @@ let run ?obs ?(policy = Dsim.Eventq.Fifo) t =
     ~start_spread:t.start_spread ~reliability ~faults:t.faults ~policy
     ~mutant:t.mutant (config t) (pathloss t) t.positions
 
-let oracle t = Cbtc.Geo.run (config t) (pathloss t) t.positions
+let oracle t = Cbtc.Geo.run_flat (config t) (pathloss t) t.positions
 
 (* Under loss or injected faults a node may legitimately discover fewer
    reachable peers than the fault-free oracle, so completeness is only
@@ -105,20 +105,17 @@ let check ?oracle:orc t o =
 let digest (o : Cbtc.Distributed.outcome) =
   let d = o.Cbtc.Distributed.discovery in
   let b = Buffer.create 1024 in
-  Array.iteri
-    (fun u nbs ->
-      Buffer.add_string b (Printf.sprintf "n%d:" u);
-      List.iter
-        (fun (nb : Cbtc.Neighbor.t) ->
-          Buffer.add_string b (string_of_int nb.Cbtc.Neighbor.id);
-          Buffer.add_char b ',')
-        nbs;
-      Buffer.add_string b
-        (Printf.sprintf "p=%.17g;b=%b;a=%b\n"
-           d.Cbtc.Discovery.power.(u)
-           d.Cbtc.Discovery.boundary.(u)
-           o.Cbtc.Distributed.alive.(u)))
-    d.Cbtc.Discovery.neighbors;
+  for u = 0 to Cbtc.Discovery.nb_nodes d - 1 do
+    Buffer.add_string b (Printf.sprintf "n%d:" u);
+    Cbtc.Discovery.iter_neighbors d u (fun ~id ~dir:_ ~link_power:_ ~tag:_ ->
+        Buffer.add_string b (string_of_int id);
+        Buffer.add_char b ',');
+    Buffer.add_string b
+      (Printf.sprintf "p=%.17g;b=%b;a=%b\n"
+         d.Cbtc.Discovery.power.(u)
+         d.Cbtc.Discovery.boundary.(u)
+         o.Cbtc.Distributed.alive.(u))
+  done;
   Buffer.add_string b (Printf.sprintf "removals=%d" o.Cbtc.Distributed.removals);
   Digest.to_hex (Digest.string (Buffer.contents b))
 

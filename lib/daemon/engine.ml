@@ -356,23 +356,36 @@ let commit ?pool t =
     end
   end
 
-(* Expand node [u]'s flat rows back into the sorted Neighbor.t list the
-   list-typed views present. *)
-let neighbor_list t u =
-  let ids = t.nbr_ids.(u) and data = t.nbr_data.(u) in
-  List.init (Array.length ids) (fun r ->
-      Cbtc.Neighbor.make ~id:ids.(r)
-        ~dir:data.((3 * r) + 1)
-        ~link_power:data.(3 * r)
-        ~tag:data.((3 * r) + 2))
-
+(* Pack the engine's per-node rows into one discovery's CSR slots; row
+   u's triples are (link power, dir, tag). *)
 let discovery t =
   let n = nb_nodes t in
+  let off = Array.make (n + 1) 0 in
+  for u = 0 to n - 1 do
+    off.(u + 1) <- off.(u) + Array.length t.nbr_ids.(u)
+  done;
+  let ids = Array.make off.(n) 0 in
+  let dirs = Array.make off.(n) 0. in
+  let links = Array.make off.(n) 0. in
+  let tags = Array.make off.(n) 0. in
+  for u = 0 to n - 1 do
+    let row = t.nbr_ids.(u) and data = t.nbr_data.(u) in
+    Array.blit row 0 ids off.(u) (Array.length row);
+    for r = 0 to Array.length row - 1 do
+      links.(off.(u) + r) <- data.(3 * r);
+      dirs.(off.(u) + r) <- data.((3 * r) + 1);
+      tags.(off.(u) + r) <- data.((3 * r) + 2)
+    done
+  done;
   {
     Cbtc.Discovery.config = t.config;
     pathloss = t.pathloss;
     positions = Array.copy t.positions;
-    neighbors = Array.init n (fun u -> neighbor_list t u);
+    off;
+    ids;
+    dirs;
+    links;
+    tags;
     power = Array.init n (fun u -> fget t.power u);
     boundary = Array.copy t.boundary;
   }

@@ -84,13 +84,14 @@ val commit :
 
 (** {1 Snapshots and invariants} *)
 
-(** Copy of the tracked state as a {!Cbtc.Discovery.t} (dead nodes carry
-    empty neighbor sets and power 0 — {!Cbtc.Verify.check_surviving} skips
-    them). *)
+(** Copy of the tracked state as a {!Cbtc.Discovery.t}: the engine's
+    per-node rows packed into its CSR slots, no per-neighbor records
+    (dead nodes carry empty rows and power 0 —
+    {!Cbtc.Verify.check_surviving} skips them). *)
 val discovery : t -> Cbtc.Discovery.t
 
-(** [G_alpha] restricted to the tracked state: symmetric closure of the
-    discovered-neighbor relation. *)
+(** [G_alpha] restricted to the tracked state: {!Cbtc.Discovery.closure}
+    of {!discovery}. *)
 val topology : t -> Graphkit.Ugraph.t
 
 (** [partition ~alive t] is the component partition of {!topology}

@@ -145,8 +145,28 @@ let run ?env config pathloss positions =
     power.(u) <- p;
     boundary.(u) <- b
   done;
-  { Discovery.config; pathloss; positions = Array.copy positions; neighbors;
-    power; boundary }
+  Discovery.pack ~config ~pathloss ~positions:(Array.copy positions) ~power
+    ~boundary neighbors
+
+(* [rows d] expands [d]'s rows into one Neighbor.t list per node, in row
+   order: the list form the oracles here and in test/spec_optimize.ml
+   state the rules on.  [Discovery.pack] packs them back. *)
+let rows (d : Discovery.t) =
+  Array.init (Discovery.nb_nodes d) (fun u ->
+      let acc = ref [] in
+      Discovery.iter_neighbors d u (fun ~id ~dir ~link_power ~tag ->
+          acc := { Neighbor.id; dir; link_power; tag } :: !acc);
+      List.rev !acc)
+
+(* [with_rows d rows] is [d] with its rows replaced by [rows]. *)
+let with_rows (d : Discovery.t) rows =
+  Discovery.pack ~config:d.config ~pathloss:d.pathloss ~positions:d.positions
+    ~power:d.power ~boundary:d.boundary rows
+
+(* Float-exact equality of two discoveries' rows, powers and flags. *)
+let equal (a : Discovery.t) (b : Discovery.t) =
+  a.off = b.off && a.ids = b.ids && a.dirs = b.dirs && a.links = b.links
+  && a.tags = b.tags && a.power = b.power && a.boundary = b.boundary
 
 (* ---------- G_R, its partition and the baselines, pure Pathloss ---------- *)
 

@@ -1,10 +1,11 @@
 (* The paper's optimizations stated on lists and sets, as the oracle the
-   library's flat pipeline (Cbtc.Optimize over Soa rows, composed by
-   Cbtc.Pipeline) is tested against, bit for bit: op1 on Discovery.t
-   neighbor lists, op2 through Discovery.core, op3 on a Set-backed
-   Ugraph with each verdict recomputing its directions and edge ids.
-   [pipeline] is the whole of Pipeline.of_discovery in this form, with
-   the same spans and counters. *)
+   library's flat pipeline (Cbtc.Optimize over Discovery rows, composed
+   by Cbtc.Pipeline) is tested against, bit for bit: op1 on per-node
+   Neighbor.t lists, E_alpha and E-_alpha built edge by edge from those
+   lists, op3 on a Set-backed Ugraph with each verdict recomputing its
+   directions and edge ids.  [pipeline] is the whole of
+   Pipeline.of_discovery in this form, with the same spans and
+   counters. *)
 
 open Cbtc
 
@@ -14,7 +15,7 @@ open Cbtc
 let shrink_back ?(obs = Obs.Recorder.nil) (d : Discovery.t) =
   Obs.Recorder.span obs "shrink-back" @@ fun () ->
   let alpha = d.config.Config.alpha in
-  let neighbors = Array.copy d.neighbors in
+  let neighbors = Spec_geo.rows d in
   let power = Array.copy d.power in
   for u = 0 to Discovery.nb_nodes d - 1 do
     match Optimize.shrink_neighbors ~alpha neighbors.(u) with
@@ -28,7 +29,31 @@ let shrink_back ?(obs = Obs.Recorder.nil) (d : Discovery.t) =
         power.(u) <- Float.min power.(u) tag
     | _, None -> ()
   done;
-  { d with neighbors; power }
+  Spec_geo.with_rows { d with power } neighbors
+
+(* E_alpha over per-node neighbor lists: {u,v} when either lists the
+   other. *)
+let closure rows =
+  let g = Graphkit.Ugraph.create (Array.length rows) in
+  Array.iteri
+    (fun u row ->
+      List.iter (fun (nb : Neighbor.t) -> Graphkit.Ugraph.add_edge g u nb.id) row)
+    rows;
+  g
+
+(* E-_alpha over per-node neighbor lists: {u,v} when both list the
+   other. *)
+let core rows =
+  let g = Graphkit.Ugraph.create (Array.length rows) in
+  Array.iteri
+    (fun u row ->
+      List.iter
+        (fun (nb : Neighbor.t) ->
+          if List.exists (fun (w : Neighbor.t) -> w.id = u) rows.(nb.id) then
+            Graphkit.Ugraph.add_edge g u nb.id)
+        row)
+    rows;
+  g
 
 (* eid(u,v) = (d(u,v), max ID, min ID), the distance as the exact
    squared distance, compared lexicographically. *)
@@ -101,8 +126,9 @@ let pipeline ?(obs = Obs.Recorder.nil) (d : Discovery.t) (plan : Pipeline.plan) 
   let shrunk = if plan.shrink then shrink_back ~obs d else d in
   let base =
     if plan.asym then
-      Obs.Recorder.span obs "asym-removal" (fun () -> Discovery.core shrunk)
-    else Discovery.closure shrunk
+      Obs.Recorder.span obs "asym-removal" (fun () ->
+          core (Spec_geo.rows shrunk))
+    else closure (Spec_geo.rows shrunk)
   in
   let graph =
     match plan.pairwise with

@@ -12,7 +12,7 @@ let pl = Radio.Pathloss.make ~max_range:100. ()
 let max_p = Radio.Pathloss.max_power pl
 
 let neighbor_ids (d : Cbtc.Discovery.t) u =
-  List.map (fun (n : Cbtc.Neighbor.t) -> n.Cbtc.Neighbor.id) d.neighbors.(u)
+  List.init (Cbtc.Discovery.degree d u) (fun r -> d.ids.(d.off.(u) + r))
 
 (* ---------- Config ---------- *)
 
@@ -95,7 +95,7 @@ let test_neighbor_ordering () =
 (* ---------- Geo oracle on hand layouts ---------- *)
 
 let run ?growth positions =
-  Cbtc.Geo.run (Cbtc.Config.make ?growth alpha56) pl positions
+  Cbtc.Geo.run_flat (Cbtc.Config.make ?growth alpha56) pl positions
 
 let test_single_node () =
   let d = run [| Geom.Vec2.zero |] in
@@ -189,13 +189,11 @@ let test_stepped_growth_overshoots () =
     [ 1; 2; 3; 4; 5; 6; 7 ]
     (List.sort Int.compare (neighbor_ids d 0));
   (* tags record the discovery step *)
-  List.iter
-    (fun (n : Cbtc.Neighbor.t) ->
+  Cbtc.Discovery.iter_neighbors d 0 (fun ~id ~dir:_ ~link_power:_ ~tag ->
       Alcotest.(check bool)
-        (Fmt.str "tag of %d is a schedule step" n.Cbtc.Neighbor.id)
+        (Fmt.str "tag of %d is a schedule step" id)
         true
-        (List.mem n.Cbtc.Neighbor.tag [ 36.; 72.; 144. ]))
-    d.neighbors.(0);
+        (List.mem tag [ 36.; 72.; 144. ]));
   Cbtc.Discovery.check_invariants d
 
 let test_candidates () =
@@ -244,6 +242,31 @@ let test_verify_accepts_oracle () =
   Cbtc.Verify.run ~complete:true
     (run ~growth:(Cbtc.Config.Double 25.) positions)
 
+(* One corrupted discovery per Verify clause, each pinned to its exact
+   message (the messages are embedded in one-line replay artifacts and
+   daemon reports).  The layout is a plus: node 0 at the center with
+   nodes 1-4 at distance 20 on the axes, so node 0 converges gap-free
+   at p(20) = 400 and nodes 1-4 are boundary nodes at P = 10000; [extra]
+   appends nodes after them.  Each corruption hits the first node the
+   verifier visits that it changes, and only the clause under test. *)
+let plus extra =
+  Array.append
+    [| Geom.Vec2.zero; Geom.Vec2.make 20. 0.; Geom.Vec2.make 0. 20.;
+       Geom.Vec2.make (-20.) 0.; Geom.Vec2.make 0. (-20.) |]
+    (Array.of_list extra)
+
+(* [with_row d u f] is [d] with row [u] replaced by [f] of its neighbor
+   records, in row order. *)
+let with_row (d : Cbtc.Discovery.t) u f =
+  let a = Spec_geo.rows d in
+  a.(u) <- f a.(u);
+  Spec_geo.with_rows d a
+
+let with_power (d : Cbtc.Discovery.t) u p =
+  let a = Array.copy d.power in
+  a.(u) <- p;
+  { d with power = a }
+
 let test_verify_rejects_corruption () =
   let positions =
     [| Geom.Vec2.zero; Geom.Vec2.make 20. 0.; Geom.Vec2.make 0. 20.;
@@ -251,12 +274,7 @@ let test_verify_rejects_corruption () =
   in
   let d = run positions in
   (* corrupt: steal the center's neighbors -> its cones are uncovered *)
-  let corrupted =
-    { d with Cbtc.Discovery.neighbors =
-        (let a = Array.copy d.Cbtc.Discovery.neighbors in
-         a.(0) <- [ List.hd a.(0) ];
-         a) }
-  in
+  let corrupted = with_row d 0 (fun r -> [ List.hd r ]) in
   (match Cbtc.Verify.run corrupted with
   | exception Failure _ -> ()
   | () -> Alcotest.fail "verification accepted an uncovered node");
@@ -270,6 +288,101 @@ let test_verify_rejects_corruption () =
   match Cbtc.Verify.run low_power with
   | exception Failure _ -> ()
   | () -> Alcotest.fail "verification accepted an underpowered boundary node"
+
+let verify_fails msg f =
+  match f () with
+  | () -> Alcotest.failf "verification accepted a discovery failing %S" msg
+  | exception Failure got -> Alcotest.(check string) "message" msg got
+
+let nb id ~tag = Cbtc.Neighbor.make ~id ~dir:0. ~link_power:tag ~tag
+
+let test_clause_crashed () =
+  let alive = [| true; false; true; true; true |] in
+  verify_fails "Verify: surviving node 0 lists crashed neighbor 1" (fun () ->
+      Cbtc.Verify.surviving ~alive (run (plus [])))
+
+let test_clause_out_of_range () =
+  let d = with_row (run (plus [ Geom.Vec2.make 150. 0. ])) 0 (fun r ->
+      r @ [ nb 5 ~tag:400. ])
+  in
+  verify_fails "Verify: node 0 lists out-of-range neighbor 5 (d=150)" (fun () ->
+      Cbtc.Verify.run d)
+
+let test_clause_unreachable () =
+  verify_fails "Verify: node 0 cannot reach neighbor 1 at power 100" (fun () ->
+      Cbtc.Verify.run (with_power (run (plus [])) 0 100.))
+
+let test_clause_tag_above_power () =
+  let d = with_row (run (plus [])) 0 (function
+      | first :: rest -> { first with Cbtc.Neighbor.tag = 500. } :: rest
+      | [] -> Alcotest.fail "empty row")
+  in
+  verify_fails "Verify: node 0 neighbor 1 tagged 500 above power 400" (fun () ->
+      Cbtc.Verify.run d)
+
+let test_clause_boundary_below_max () =
+  verify_fails
+    "Verify: boundary node 1 converged below max power (5000 < 10000)"
+    (fun () -> Cbtc.Verify.run (with_power (run (plus [])) 1 5000.))
+
+let test_clause_gap () =
+  let d = with_row (run (plus [])) 0 (fun r -> [ List.hd r ]) in
+  verify_fails "Verify: non-boundary node 0 has a true geometric 2.61799-gap"
+    (fun () -> Cbtc.Verify.run d)
+
+let test_clause_incomplete () =
+  let d = with_row (run (plus [])) 1 (fun r ->
+      List.filter (fun (n : Cbtc.Neighbor.t) -> n.Cbtc.Neighbor.id <> 3) r)
+  in
+  verify_fails "Verify: node 1 should have discovered reachable node 3"
+    (fun () -> Cbtc.Verify.run ~complete:true d)
+
+let test_clause_not_minimal () =
+  let d = run (plus [ Geom.Vec2.make 0. (-25.) ]) in
+  let d = with_row d 0 (fun r -> r @ [ nb 5 ~tag:625. ]) in
+  verify_fails "Verify: node 0 converged above the minimal power" (fun () ->
+      Cbtc.Verify.run ~minimal:true (with_power d 0 625.))
+
+(* ---------- Discovery.check_invariants: CSR shape ---------- *)
+
+(* One malformed CSR per shape clause of check_invariants, each pinned
+   to its message.  [run (plus [])] has five rows of four slots each:
+   off = [0; 4; 8; 12; 16; 20]. *)
+let invariants_fail msg (d : Cbtc.Discovery.t) =
+  match Cbtc.Discovery.check_invariants d with
+  | () -> Alcotest.failf "check_invariants accepted a discovery failing %S" msg
+  | exception Failure got -> Alcotest.(check string) "message" msg got
+
+let with_off (d : Cbtc.Discovery.t) f =
+  let off = Array.copy d.off in
+  f off;
+  { d with off }
+
+let test_shape_off_start () =
+  let d = run (plus []) in
+  Cbtc.Discovery.check_invariants d;
+  invariants_fail "Discovery: off.(0) = 1, not 0"
+    (with_off d (fun off -> Array.iteri (fun i o -> off.(i) <- o + 1) off))
+
+let test_shape_off_decreasing () =
+  invariants_fail "Discovery: off decreases at node 1"
+    (with_off (run (plus [])) (fun off -> off.(2) <- 3))
+
+let test_shape_off_end () =
+  invariants_fail "Discovery: off.(5) = 19, not the slot count 20"
+    (with_off (run (plus [])) (fun off -> off.(5) <- 19))
+
+let test_shape_row_arrays () =
+  let d = run (plus []) in
+  invariants_fail "Discovery: row array length mismatch"
+    { d with tags = Array.sub d.tags 0 19 }
+
+let test_shape_node_arrays () =
+  let d = run (plus []) in
+  invariants_fail "Discovery: array length mismatch"
+    { d with power = Array.sub d.power 0 4 };
+  invariants_fail "Discovery: array length mismatch"
+    { d with off = Array.sub d.off 0 5 }
 
 (* ---------- fault tolerance (follow-up extension) ---------- *)
 
@@ -349,14 +462,11 @@ let prop_nalpha_within_range =
     (fun positions ->
       let d = run positions in
       let ok = ref true in
-      Array.iteri
-        (fun u ns ->
-          List.iter
-            (fun (n : Cbtc.Neighbor.t) ->
-              let dist = Geom.Vec2.dist positions.(u) positions.(n.Cbtc.Neighbor.id) in
-              if not (Radio.Pathloss.in_range pl ~dist) then ok := false)
-            ns)
-        d.Cbtc.Discovery.neighbors;
+      for u = 0 to Cbtc.Discovery.nb_nodes d - 1 do
+        Cbtc.Discovery.iter_neighbors d u (fun ~id ~dir:_ ~link_power:_ ~tag:_ ->
+            let dist = Geom.Vec2.dist positions.(u) positions.(id) in
+            if not (Radio.Pathloss.in_range pl ~dist) then ok := false)
+      done;
       !ok)
 
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
@@ -390,6 +500,26 @@ let () =
         [
           Alcotest.test_case "accepts oracle output" `Quick test_verify_accepts_oracle;
           Alcotest.test_case "rejects corruption" `Quick test_verify_rejects_corruption;
+          Alcotest.test_case "clause: crashed neighbor" `Quick test_clause_crashed;
+          Alcotest.test_case "clause: out-of-range neighbor" `Quick
+            test_clause_out_of_range;
+          Alcotest.test_case "clause: unreachable at power" `Quick
+            test_clause_unreachable;
+          Alcotest.test_case "clause: tag above power" `Quick
+            test_clause_tag_above_power;
+          Alcotest.test_case "clause: boundary below max power" `Quick
+            test_clause_boundary_below_max;
+          Alcotest.test_case "clause: gap" `Quick test_clause_gap;
+          Alcotest.test_case "clause: incomplete" `Quick test_clause_incomplete;
+          Alcotest.test_case "clause: not minimal" `Quick test_clause_not_minimal;
+        ] );
+      ( "csr shape",
+        [
+          Alcotest.test_case "off.(0) is 0" `Quick test_shape_off_start;
+          Alcotest.test_case "off nondecreasing" `Quick test_shape_off_decreasing;
+          Alcotest.test_case "off.(n) is the slot count" `Quick test_shape_off_end;
+          Alcotest.test_case "parallel row arrays" `Quick test_shape_row_arrays;
+          Alcotest.test_case "per-node arrays" `Quick test_shape_node_arrays;
         ] );
       ( "fault-tolerant",
         [

@@ -69,26 +69,13 @@ let growth_gen =
     [ Cbtc.Config.Exact; Cbtc.Config.Double 25.;
       Cbtc.Config.Mult { p0 = 100.; factor = 3. } ]
 
-let neighbor_eq (a : Cbtc.Neighbor.t) (b : Cbtc.Neighbor.t) =
-  a.id = b.id && a.dir = b.dir && a.link_power = b.link_power && a.tag = b.tag
-
-let discovery_eq (a : Cbtc.Discovery.t) (b : Cbtc.Discovery.t) =
-  let n = Cbtc.Discovery.nb_nodes a in
-  n = Cbtc.Discovery.nb_nodes b
-  && Array.for_all2 (List.equal neighbor_eq) a.neighbors b.neighbors
-  && a.power = b.power && a.boundary = b.boundary
-
-let soa_eq (a : Cbtc.Soa.t) (b : Cbtc.Soa.t) =
-  a.off = b.off && a.ids = b.ids && a.dirs = b.dirs && a.links = b.links
-  && a.tags = b.tags && a.power = b.power && a.boundary = b.boundary
-
 let prop_run_flat_matches_spec =
   QCheck.Test.make ~count:150
     ~name:"Soa.to_discovery (Geo.run_flat) = Spec_geo.run, bit-exact"
     (QCheck.make QCheck.Gen.(pair positions_gen growth_gen))
     (fun (positions, growth) ->
       let config = Cbtc.Config.make ~growth alpha56 in
-      discovery_eq
+      Spec_geo.equal
         (Cbtc.Soa.to_discovery (Cbtc.Geo.run_flat config pl positions))
         (Spec_geo.run config pl positions))
 
@@ -98,19 +85,15 @@ let bits_eq a b =
        (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
        a b
 
-let prop_of_discovery_round_trip =
+let prop_pack_round_trip =
   QCheck.Test.make ~count:100
-    ~name:"Soa.of_discovery (Soa.to_discovery s) = s, bit-exact"
+    ~name:"Discovery.pack (Spec_geo.rows s) = s, bit-exact"
     (QCheck.make QCheck.Gen.(pair positions_gen growth_gen))
     (fun (positions, growth) ->
       let config = Cbtc.Config.make ~growth alpha56 in
       let s = Cbtc.Geo.run_flat config pl positions in
-      let r = Cbtc.Soa.of_discovery (Cbtc.Soa.to_discovery s) in
-      let xs (t : Cbtc.Soa.t) = Array.map (fun (p : Geom.Vec2.t) -> p.x) t.positions in
-      let ys (t : Cbtc.Soa.t) = Array.map (fun (p : Geom.Vec2.t) -> p.y) t.positions in
-      r.config = s.config && r.pathloss = s.pathloss
-      && bits_eq (xs r) (xs s) && bits_eq (ys r) (ys s)
-      && r.off = s.off && r.ids = s.ids
+      let r = Spec_geo.with_rows s (Spec_geo.rows s) in
+      r.off = s.off && r.ids = s.ids
       && bits_eq r.dirs s.dirs && bits_eq r.links s.links
       && bits_eq r.tags s.tags && bits_eq r.power s.power
       && r.boundary = s.boundary)
@@ -121,12 +104,12 @@ let prop_run_flat_rows_sorted =
     (QCheck.make QCheck.Gen.(pair positions_gen growth_gen))
     (fun (positions, growth) ->
       let config = Cbtc.Config.make ~growth alpha56 in
-      let soa = Cbtc.Geo.run_flat config pl positions in
+      let d = Cbtc.Geo.run_flat config pl positions in
       let ok = ref true in
-      for u = 0 to Cbtc.Soa.nb_nodes soa - 1 do
+      for u = 0 to Cbtc.Discovery.nb_nodes d - 1 do
         let prev = ref neg_infinity and prev_id = ref (-1) in
         let k = ref 0 in
-        Cbtc.Soa.iter_neighbors soa u
+        Cbtc.Discovery.iter_neighbors d u
           (fun ~id ~dir:_ ~link_power ~tag:_ ->
             if
               link_power < !prev
@@ -135,7 +118,7 @@ let prop_run_flat_rows_sorted =
             prev := link_power;
             prev_id := id;
             incr k);
-        if !k <> Cbtc.Soa.degree soa u then ok := false
+        if !k <> Cbtc.Discovery.degree d u then ok := false
       done;
       !ok)
 
@@ -149,15 +132,15 @@ let prop_run_flat_pool_identical =
       List.for_all
         (fun jobs ->
           Parallel.Pool.with_pool ~jobs (fun pool ->
-              soa_eq seq (Cbtc.Geo.run_flat ~pool config pl positions)))
+              Spec_geo.equal seq (Cbtc.Geo.run_flat ~pool config pl positions)))
         [ 2; 4 ])
 
 let test_run_flat_degenerate () =
   let check_case name positions =
     let config = Cbtc.Config.make alpha56 in
     Alcotest.(check bool) name true
-      (discovery_eq
-         (Cbtc.Soa.to_discovery (Cbtc.Geo.run_flat config pl positions))
+      (Spec_geo.equal
+         (Cbtc.Geo.run_flat config pl positions)
          (Spec_geo.run config pl positions))
   in
   check_case "n = 0" [||];
@@ -424,7 +407,7 @@ let () =
         :: qsuite
              [
                prop_run_flat_matches_spec;
-               prop_of_discovery_round_trip;
+               prop_pack_round_trip;
                prop_run_flat_rows_sorted;
                prop_run_flat_pool_identical;
              ] );

@@ -12,7 +12,6 @@ let scenario ~n ~seed =
   let sc = Workload.Scenario.make ~n ~seed () in
   (Workload.Scenario.pathloss sc, Workload.Scenario.positions sc)
 
-let ids l = List.map (fun (n : Cbtc.Neighbor.t) -> n.Cbtc.Neighbor.id) l
 
 let check_discovery_equal ~msg (a : Cbtc.Discovery.t) (b : Cbtc.Discovery.t) =
   let n = Cbtc.Discovery.nb_nodes a in
@@ -20,8 +19,8 @@ let check_discovery_equal ~msg (a : Cbtc.Discovery.t) (b : Cbtc.Discovery.t) =
   for u = 0 to n - 1 do
     Alcotest.(check (list int))
       (Fmt.str "%s: N(%d)" msg u)
-      (List.sort Int.compare (ids a.neighbors.(u)))
-      (List.sort Int.compare (ids b.neighbors.(u)));
+      (Cbtc.Discovery.neighbor_ids a u)
+      (Cbtc.Discovery.neighbor_ids b u);
     if Float.abs (a.power.(u) -. b.power.(u)) > 1e-6 then
       Alcotest.failf "%s: power(%d) %g vs %g" msg u a.power.(u) b.power.(u);
     Alcotest.(check bool)
@@ -34,7 +33,7 @@ let test_matches_oracle () =
     (fun seed ->
       let pl, positions = scenario ~n:50 ~seed in
       let config = Cbtc.Config.make ~growth alpha56 in
-      let oracle = Cbtc.Geo.run config pl positions in
+      let oracle = Cbtc.Geo.run_flat config pl positions in
       let outcome = Cbtc.Distributed.run config pl positions in
       check_discovery_equal
         ~msg:(Fmt.str "seed %d" seed)
@@ -45,7 +44,7 @@ let test_matches_oracle () =
 let test_matches_oracle_alpha23 () =
   let pl, positions = scenario ~n:50 ~seed:9 in
   let config = Cbtc.Config.make ~growth alpha23 in
-  let oracle = Cbtc.Geo.run config pl positions in
+  let oracle = Cbtc.Geo.run_flat config pl positions in
   let outcome = Cbtc.Distributed.run config pl positions in
   check_discovery_equal ~msg:"alpha23" oracle outcome.Cbtc.Distributed.discovery
 
@@ -54,7 +53,7 @@ let test_async_starts_match_oracle () =
      unchanged: every Hello is eventually acked within the eval window. *)
   let pl, positions = scenario ~n:40 ~seed:4 in
   let config = Cbtc.Config.make ~growth alpha56 in
-  let oracle = Cbtc.Geo.run config pl positions in
+  let oracle = Cbtc.Geo.run_flat config pl positions in
   let outcome = Cbtc.Distributed.run ~start_spread:50. config pl positions in
   check_discovery_equal ~msg:"async" oracle outcome.Cbtc.Distributed.discovery
 
@@ -62,7 +61,7 @@ let test_random_delays_match_oracle () =
   let channel = Dsim.Channel.make ~min_delay:0.5 ~max_delay:2. () in
   let pl, positions = scenario ~n:40 ~seed:5 in
   let config = Cbtc.Config.make ~growth alpha56 in
-  let oracle = Cbtc.Geo.run config pl positions in
+  let oracle = Cbtc.Geo.run_flat config pl positions in
   let outcome = Cbtc.Distributed.run ~channel config pl positions in
   check_discovery_equal ~msg:"delays" oracle outcome.Cbtc.Distributed.discovery
 
@@ -70,7 +69,7 @@ let test_duplication_is_idempotent () =
   let channel = Dsim.Channel.make ~duplicate:0.7 () in
   let pl, positions = scenario ~n:40 ~seed:6 in
   let config = Cbtc.Config.make ~growth alpha56 in
-  let oracle = Cbtc.Geo.run config pl positions in
+  let oracle = Cbtc.Geo.run_flat config pl positions in
   let outcome = Cbtc.Distributed.run ~channel config pl positions in
   check_discovery_equal ~msg:"dup" oracle outcome.Cbtc.Distributed.discovery
 
@@ -135,7 +134,7 @@ let test_survivors_match_survivor_oracle () =
   let config = Cbtc.Config.make ~growth alpha56 in
   (* crash = remove the last five nodes *)
   let survivors = Array.sub positions 0 35 in
-  let oracle = Cbtc.Geo.run config pl survivors in
+  let oracle = Cbtc.Geo.run_flat config pl survivors in
   let outcome = Cbtc.Distributed.run config pl survivors in
   check_discovery_equal ~msg:"survivors" oracle
     outcome.Cbtc.Distributed.discovery
@@ -166,7 +165,7 @@ let test_mult_growth_matches_oracle () =
     Cbtc.Config.make ~growth:(Cbtc.Config.Mult { p0 = 50.; factor = 5. })
       alpha56
   in
-  let oracle = Cbtc.Geo.run config pl positions in
+  let oracle = Cbtc.Geo.run_flat config pl positions in
   let outcome = Cbtc.Distributed.run config pl positions in
   check_discovery_equal ~msg:"mult growth" oracle
     outcome.Cbtc.Distributed.discovery
@@ -177,7 +176,7 @@ let test_combined_asynchrony () =
   let channel = Dsim.Channel.make ~duplicate:0.4 ~min_delay:0.2 ~max_delay:1.5 () in
   let pl, positions = scenario ~n:40 ~seed:17 in
   let config = Cbtc.Config.make ~growth alpha56 in
-  let oracle = Cbtc.Geo.run config pl positions in
+  let oracle = Cbtc.Geo.run_flat config pl positions in
   let outcome =
     Cbtc.Distributed.run ~channel ~start_spread:30. config pl positions
   in
@@ -233,7 +232,7 @@ let test_two_isolated_nodes () =
   let config = Cbtc.Config.make ~growth:(Cbtc.Config.Double 1.) Geom.Angle.five_pi_six in
   let outcome = Cbtc.Distributed.run config pl positions in
   let d = outcome.Cbtc.Distributed.discovery in
-  Alcotest.(check (list int)) "no neighbors" [] (ids d.neighbors.(0));
+  Alcotest.(check (list int)) "no neighbors" [] (Cbtc.Discovery.neighbor_ids d 0);
   Alcotest.(check bool) "both boundary" true (d.boundary.(0) && d.boundary.(1));
   Cbtc.Discovery.check_invariants d
 
@@ -247,7 +246,7 @@ let prop_matches_oracle =
     Gen_common.positions_arb
     (fun positions ->
       let config = Cbtc.Config.make ~growth alpha56 in
-      let oracle = Cbtc.Geo.run config pl120 positions in
+      let oracle = Cbtc.Geo.run_flat config pl120 positions in
       let outcome = Cbtc.Distributed.run config pl120 positions in
       match
         Cbtc.Verify.check_oracle ~oracle outcome

@@ -3,7 +3,7 @@
 
    The load-bearing contract is bit-identity: under a trivial
    environment (sigma = 0, no obstacles, no height loss) every wired
-   site — Geo.run / Geo.run_flat, G_R and its partition, the
+   site — Geo.run_flat, G_R and its partition, the
    proximity/Yao/SMECN baselines, and the daemon engine — must equal a
    pure-Pathloss oracle at every pool size, and every Env link function
    its Pathloss counterpart at the reach boundary.  On top of that, the
@@ -37,18 +37,6 @@ let env_gen = Gen_common.env_gen ~max_range:(Radio.Pathloss.max_range pl)
 
 (* ---------- structural equality helpers (float-exact) ---------- *)
 
-let neighbor_eq (a : Cbtc.Neighbor.t) (b : Cbtc.Neighbor.t) =
-  a.id = b.id && a.dir = b.dir && a.link_power = b.link_power && a.tag = b.tag
-
-let discovery_eq (a : Cbtc.Discovery.t) (b : Cbtc.Discovery.t) =
-  Cbtc.Discovery.nb_nodes a = Cbtc.Discovery.nb_nodes b
-  && Array.for_all2 (List.equal neighbor_eq) a.neighbors b.neighbors
-  && a.power = b.power && a.boundary = b.boundary
-
-let soa_eq (a : Cbtc.Soa.t) (b : Cbtc.Soa.t) =
-  a.off = b.off && a.ids = b.ids && a.dirs = b.dirs && a.links = b.links
-  && a.tags = b.tags && a.power = b.power && a.boundary = b.boundary
-
 let graph_eq a b =
   let n = Graphkit.Ugraph.nb_nodes a in
   n = Graphkit.Ugraph.nb_nodes b
@@ -80,24 +68,6 @@ let heights_env =
 
 let trivial_envs = [ None; Some trivial_env; Some heights_env ]
 
-let prop_trivial_run_identical =
-  QCheck.Test.make ~count:80
-    ~name:"Geo.run: trivial env = no env, bit-exact, at -j 1/2/4"
-    (QCheck.make QCheck.Gen.(pair positions_gen growth_gen))
-    (fun (positions, growth) ->
-      let config = Cbtc.Config.make ~growth alpha56 in
-      let spec = Spec_geo.run config pl positions in
-      List.for_all
-        (fun env ->
-          discovery_eq spec (Cbtc.Geo.run ?env config pl positions)
-          && List.for_all
-               (fun jobs ->
-                 Parallel.Pool.with_pool ~jobs (fun pool ->
-                     discovery_eq spec
-                       (Cbtc.Geo.run ~pool ?env config pl positions)))
-               [ 2; 4 ])
-        trivial_envs)
-
 let prop_trivial_run_flat_identical =
   QCheck.Test.make ~count:80
     ~name:"Geo.run_flat: trivial env = no env, array-exact"
@@ -105,12 +75,16 @@ let prop_trivial_run_flat_identical =
     (fun (positions, growth) ->
       let config = Cbtc.Config.make ~growth alpha56 in
       let spec = Spec_geo.run config pl positions in
-      let plain = Cbtc.Geo.run_flat config pl positions in
-      discovery_eq spec (Cbtc.Soa.to_discovery plain)
-      && List.for_all
-           (fun env ->
-             soa_eq plain (Cbtc.Geo.run_flat ?env config pl positions))
-           trivial_envs)
+      List.for_all
+        (fun env ->
+          Spec_geo.equal spec (Cbtc.Geo.run_flat ?env config pl positions)
+          && List.for_all
+               (fun jobs ->
+                 Parallel.Pool.with_pool ~jobs (fun pool ->
+                     Spec_geo.equal spec
+                       (Cbtc.Geo.run_flat ~pool ?env config pl positions)))
+               [ 2; 4 ])
+        trivial_envs)
 
 (* Each builder is compared twice: under the default dispatch (the
    all-pairs kernels for inputs this small) and with the grid forced by
@@ -188,7 +162,7 @@ let prop_trivial_engine_identical =
       let plain = engine () in
       let final = Array.init n (Daemon.Engine.position plain) in
       let digest = Daemon.Engine.digest plain in
-      discovery_eq
+      Spec_geo.equal
         (Spec_geo.run config pl final)
         (Daemon.Engine.discovery plain)
       && List.for_all
@@ -361,7 +335,7 @@ let prop_env_run_flat_matches_spec =
     (fun (positions, growth, env) ->
       let config = Cbtc.Config.make ~growth alpha56 in
       let pl = Radio.Env.pathloss env in
-      discovery_eq
+      Spec_geo.equal
         (Cbtc.Soa.to_discovery (Cbtc.Geo.run_flat ~env config pl positions))
         (Spec_geo.run ~env config pl positions))
 
@@ -380,7 +354,7 @@ let prop_env_pool_identical =
       List.for_all
         (fun jobs ->
           Parallel.Pool.with_pool ~jobs (fun pool ->
-              soa_eq seq (Cbtc.Geo.run_flat ~pool ~env config pl positions)))
+              Spec_geo.equal seq (Cbtc.Geo.run_flat ~pool ~env config pl positions)))
         [ 2; 4 ])
 
 (* The daemon under a non-trivial env: incremental regrowth must still
@@ -582,8 +556,8 @@ let test_resolve () =
   in
   rejects "resolve" (fun () -> ignore (Radio.Env.resolve ~env:other pl));
   let positions = [| v2 0. 0.; v2 50. 0.; v2 0. 50. |] in
-  rejects "Geo.run" (fun () ->
-      ignore (Cbtc.Geo.run ~env:other (Cbtc.Config.make alpha56) pl positions));
+  rejects "Geo.run_flat" (fun () ->
+      ignore (Cbtc.Geo.run_flat ~env:other (Cbtc.Config.make alpha56) pl positions));
   rejects "Proximity.max_power" (fun () ->
       ignore (Baselines.Proximity.max_power ~env:other pl positions))
 
@@ -662,7 +636,6 @@ let () =
       ( "sigma = 0 bit-identity",
         qsuite
           [
-            prop_trivial_run_identical;
             prop_trivial_run_flat_identical;
             prop_trivial_baselines_identical;
             prop_trivial_engine_identical;

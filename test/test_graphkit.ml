@@ -47,19 +47,17 @@ let test_ugraph_subgraph_copy () =
 (* ---------- Directed relation: closure and core ---------- *)
 
 (* A discovery state whose rows list exactly [rows] (ids in row order,
-   repeats allowed).  [closure] and [core] read only [neighbors]; the
+   repeats allowed).  [closure] and [core] read only the row ids; the
    other fields are placeholders. *)
 let of_rows rows =
   let n = Array.length rows in
   let nb id = Cbtc.Neighbor.make ~id ~dir:0. ~link_power:1. ~tag:1. in
-  {
-    Cbtc.Discovery.config = Cbtc.Config.make Geom.Angle.five_pi_six;
-    pathloss = Radio.Pathloss.make ~max_range:1. ();
-    positions = Array.make n Geom.Vec2.zero;
-    neighbors = Array.map (List.map nb) rows;
-    power = Array.make n 1.;
-    boundary = Array.make n true;
-  }
+  Cbtc.Discovery.pack
+    ~config:(Cbtc.Config.make Geom.Angle.five_pi_six)
+    ~pathloss:(Radio.Pathloss.make ~max_range:1. ())
+    ~positions:(Array.make n Geom.Vec2.zero)
+    ~power:(Array.make n 1.) ~boundary:(Array.make n true)
+    (Array.map (List.map nb) rows)
 
 let test_closure_vs_core () =
   (* The paper's E_alpha (closure) vs E-_alpha (core) on an asymmetric

@@ -266,7 +266,7 @@ let traced_run ~jobs positions =
   Parallel.Pool.with_pool ~jobs (fun pool ->
       let obs = Obs.Recorder.create () in
       let d =
-        Cbtc.Geo.run ~pool ~obs
+        Cbtc.Geo.run_flat ~pool ~obs
           (Cbtc.Config.make Geom.Angle.five_pi_six)
           pl positions
       in

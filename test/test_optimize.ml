@@ -1,5 +1,5 @@
 (* Tests for the three optimizations of Section 3: shrink-back,
-   asymmetric edge removal (via Discovery.core), and pairwise redundant
+   asymmetric edge removal (Discovery.core), and pairwise redundant
    edge removal.  The shrink-back cases and properties state op1 on the
    list oracle (Spec_optimize.shrink_back, which keeps the lowered
    powers); the pairwise cases run the library's flat op3
@@ -16,7 +16,7 @@ let alpha56 = Geom.Angle.five_pi_six
 let pl = Radio.Pathloss.make ~max_range:100. ()
 
 let run ?growth positions =
-  Cbtc.Geo.run (Cbtc.Config.make ?growth alpha56) pl positions
+  Cbtc.Geo.run_flat (Cbtc.Config.make ?growth alpha56) pl positions
 
 let neighbor_ids = Cbtc.Discovery.neighbor_ids
 
@@ -105,7 +105,7 @@ let prop_shrink_preserves_coverage =
       let s = Spec_optimize.shrink_back d in
       let cover (x : Cbtc.Discovery.t) u =
         Geom.Dirset.cover ~alpha:alpha56
-          (Cbtc.Neighbor.directions x.neighbors.(u))
+          (Cbtc.Neighbor.directions (Spec_geo.rows x).(u))
       in
       let ok = ref true in
       for u = 0 to Array.length positions - 1 do
@@ -151,10 +151,11 @@ let prop_shrink_neighbors_matches_spec =
     (QCheck.make positions_gen)
     (fun positions ->
       let d = run ~growth:(Cbtc.Config.Double 25.) positions in
+      let rows = Spec_geo.rows d in
       let ok = ref true in
       for u = 0 to Array.length positions - 1 do
-        let got = Cbtc.Optimize.shrink_neighbors ~alpha:alpha56 d.neighbors.(u) in
-        let want = shrink_neighbors_spec ~alpha:alpha56 d.neighbors.(u) in
+        let got = Cbtc.Optimize.shrink_neighbors ~alpha:alpha56 rows.(u) in
+        let want = shrink_neighbors_spec ~alpha:alpha56 rows.(u) in
         if got <> want then ok := false
       done;
       !ok)
@@ -189,13 +190,14 @@ let prop_shrink_keeps_row_prefix =
     (fun (positions, p0) ->
       let config = Cbtc.Config.make ~growth:(Cbtc.Config.Double p0) alpha56 in
       let s = Cbtc.Geo.run_flat config pl positions in
-      let shrunk = Spec_optimize.shrink_back (Cbtc.Soa.to_discovery s) in
+      let shrunk = Spec_optimize.shrink_back s in
       (* shrink_cut raises on a row out of (tag, link power, id) order *)
       let cut = Cbtc.Optimize.shrink_cut s in
       List.for_all
         (fun u ->
           let kept =
-            List.map (fun (nb : Cbtc.Neighbor.t) -> nb.id) shrunk.neighbors.(u)
+            List.init (Cbtc.Discovery.degree shrunk u) (fun r ->
+                shrunk.ids.(shrunk.off.(u) + r))
           in
           let k = List.length kept in
           cut.(u) = s.off.(u) + k
@@ -205,7 +207,7 @@ let prop_shrink_keeps_row_prefix =
 (* ---------- pairwise (redundant edge) removal ---------- *)
 
 (* Op3 on a Ugraph through the library's flat rows: [g] as an
-   Optimize.topology, pruned by Optimize.pairwise, read back.  Every
+   Discovery.topology, pruned by Optimize.pairwise, read back.  Every
    call also runs the list oracle and fails unless both remove the same
    edges. *)
 let pairwise ~positions ?obs ~mode g =
@@ -224,13 +226,10 @@ let pairwise ~positions ?obs ~mode g =
       d2.(a) <- Geom.Vec2.dist2 positions.(u) positions.(adj.(a))
     done
   done;
-  let t = Cbtc.Optimize.pairwise ?obs ~mode positions { off; adj; d2 } in
-  let got = Graphkit.Ugraph.create n in
-  for u = 0 to n - 1 do
-    for a = t.off.(u) to t.off.(u + 1) - 1 do
-      if t.adj.(a) > u then Graphkit.Ugraph.add_edge got u t.adj.(a)
-    done
-  done;
+  let got =
+    Cbtc.Discovery.graph
+      (Cbtc.Optimize.pairwise ?obs ~mode positions { off; adj; d2 })
+  in
   if not (Graphkit.Ugraph.equal got (Spec_optimize.pairwise ~positions ~mode g))
   then Alcotest.fail "flat pairwise differs from Spec_optimize.pairwise";
   got

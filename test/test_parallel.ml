@@ -143,16 +143,9 @@ let positions_of ~seed ~n =
   let sc = Workload.Scenario.make ~n ~width:400. ~height:400. ~seed () in
   (Workload.Scenario.pathloss sc, Workload.Scenario.positions sc)
 
-let neighbor_eq (a : Cbtc.Neighbor.t) (b : Cbtc.Neighbor.t) =
-  a.id = b.id && a.dir = b.dir && a.link_power = b.link_power && a.tag = b.tag
-
-let discovery_eq (a : Cbtc.Discovery.t) (b : Cbtc.Discovery.t) =
-  Array.for_all2 (List.equal neighbor_eq) a.neighbors b.neighbors
-  && a.power = b.power && a.boundary = b.boundary
-
 let prop_pooled_constructions_identical =
   QCheck.Test.make ~count:20
-    ~name:"Geo.run/Proximity/Yao/Interference: pooled = sequential"
+    ~name:"Geo.run_flat/Proximity/Yao/Interference: pooled = sequential"
     (QCheck.make
        QCheck.Gen.(
          triple (oneofl [ 2; 4 ]) (int_range 2 80) (int_range 0 10_000)))
@@ -163,9 +156,9 @@ let prop_pooled_constructions_identical =
         Array.map (fun _ -> Radio.Pathloss.max_range pathloss) positions
       in
       Parallel.Pool.with_pool ~jobs (fun pool ->
-          discovery_eq
-            (Cbtc.Geo.run config pathloss positions)
-            (Cbtc.Geo.run ~pool config pathloss positions)
+          Spec_geo.equal
+            (Cbtc.Geo.run_flat config pathloss positions)
+            (Cbtc.Geo.run_flat ~pool config pathloss positions)
           && Graphkit.Ugraph.equal
                (Cbtc.Geo.max_power_graph pathloss positions)
                (Cbtc.Geo.max_power_graph ~pool pathloss positions)

@@ -37,14 +37,14 @@ let test_asym_guard () =
   Alcotest.check_raises "of_discovery with bad plan"
     (Invalid_argument "Pipeline: asymmetric edge removal requires alpha <= 2pi/3")
     (fun () ->
-      let d = Cbtc.Geo.run c56 pl positions in
+      let d = Cbtc.Geo.run_flat c56 pl positions in
       ignore
         (Cbtc.Pipeline.of_discovery d
            { (Cbtc.Pipeline.basic c56) with Cbtc.Pipeline.asym = true }))
 
 let test_config_mismatch_guard () =
   let pl, positions = scenario 1 in
-  let d = Cbtc.Geo.run c56 pl positions in
+  let d = Cbtc.Geo.run_flat c56 pl positions in
   Alcotest.check_raises "config mismatch"
     (Invalid_argument "Pipeline.of_discovery: config mismatch") (fun () ->
       ignore (Cbtc.Pipeline.of_discovery d (Cbtc.Pipeline.basic c23)))
@@ -138,7 +138,7 @@ let test_stepped_pipeline () =
   Alcotest.(check bool) "distributed + all ops preserves" true
     (Metrics.Connectivity.preserves ~reference:gr r.Cbtc.Pipeline.graph);
   (* the protocol converges to the oracle's discovery here, so the
-     pipeline on its lists (through Soa.of_discovery) and on the
+     pipeline on its rows (reordered by tag in of_discovery) and on the
      kernel's rows agree *)
   let oracle = Cbtc.Pipeline.run_oracle pl positions (Cbtc.Pipeline.all_ops config) in
   Alcotest.(check (list (pair int int))) "distributed graph = oracle graph"
@@ -203,14 +203,12 @@ let plans growth =
 (* [d] with each row's tags reversed: rows out of (tag, link power, id)
    order, which of_discovery sorts before op1 cuts a prefix *)
 let reverse_tags (d : Cbtc.Discovery.t) =
-  let neighbors =
-    Array.map
-      (fun row ->
-        let tags = List.rev_map (fun (nb : Cbtc.Neighbor.t) -> nb.tag) row in
-        List.map2 (fun (nb : Cbtc.Neighbor.t) tag -> { nb with tag }) row tags)
-      d.neighbors
-  in
-  { d with neighbors }
+  Spec_geo.with_rows d
+    (Array.map
+       (fun row ->
+         let tags = List.rev_map (fun (nb : Cbtc.Neighbor.t) -> nb.tag) row in
+         List.map2 (fun (nb : Cbtc.Neighbor.t) tag -> { nb with tag }) row tags)
+       (Spec_geo.rows d))
 
 (* The graph, the radii bit for bit, and every counter of the flat
    pipeline against the list oracle. *)
@@ -254,7 +252,7 @@ let prop_flat_matches_spec =
       in
       List.for_all
         (fun (plan : Cbtc.Pipeline.plan) ->
-          let d = Cbtc.Geo.run ?env plan.config pl positions in
+          let d = Cbtc.Geo.run_flat ?env plan.config pl positions in
           let oracle = Cbtc.Pipeline.run_oracle ?env pl positions plan in
           let graph, radius = Spec_optimize.pipeline d plan in
           matches_spec d plan

@@ -173,12 +173,11 @@ let test_discovery_snapshot () =
   Alcotest.(check int) "node count" 30 (Cbtc.Discovery.nb_nodes d);
   (* snapshot agrees with the one-shot distributed protocol run *)
   let oneshot = Cbtc.Distributed.run config pl positions in
-  let ids l = List.sort Int.compare (List.map (fun (n : Cbtc.Neighbor.t) -> n.Cbtc.Neighbor.id) l) in
   for u = 0 to 29 do
     Alcotest.(check (list int))
       (Fmt.str "N(%d)" u)
-      (ids oneshot.Cbtc.Distributed.discovery.neighbors.(u))
-      (ids d.neighbors.(u))
+      (Cbtc.Discovery.neighbor_ids oneshot.Cbtc.Distributed.discovery u)
+      (Cbtc.Discovery.neighbor_ids d u)
   done
 
 let test_lossy_beacons_still_converge () =

@@ -11,7 +11,7 @@ let alpha23 = Geom.Angle.two_pi_three
 let example_discovery alpha =
   let ex = Cbtc.Constructions.example_2_1 ~alpha () in
   let pl = Radio.Pathloss.make ~max_range:ex.Cbtc.Constructions.max_range () in
-  (ex, Cbtc.Geo.run (Cbtc.Config.make alpha) pl ex.Cbtc.Constructions.positions)
+  (ex, Cbtc.Geo.run_flat (Cbtc.Config.make alpha) pl ex.Cbtc.Constructions.positions)
 
 let test_example_2_1_distances () =
   let ex = Cbtc.Constructions.example_2_1 ~alpha:alpha56 () in
@@ -82,7 +82,7 @@ let test_theorem_2_4_disconnects () =
         true
         (Graphkit.Traversal.is_connected gr);
       let d =
-        Cbtc.Geo.run (Cbtc.Config.make th.Cbtc.Constructions.alpha) pl positions
+        Cbtc.Geo.run_flat (Cbtc.Config.make th.Cbtc.Constructions.alpha) pl positions
       in
       let galpha = Cbtc.Discovery.closure d in
       Alcotest.(check bool)
@@ -105,7 +105,7 @@ let test_theorem_2_4_boundary_alpha_is_safe () =
   let pl = Radio.Pathloss.make ~max_range:th.Cbtc.Constructions.max_range () in
   let positions = th.Cbtc.Constructions.positions in
   let gr = Cbtc.Geo.max_power_graph pl positions in
-  let d = Cbtc.Geo.run (Cbtc.Config.make alpha56) pl positions in
+  let d = Cbtc.Geo.run_flat (Cbtc.Config.make alpha56) pl positions in
   Alcotest.(check bool) "connected at the threshold" true
     (Metrics.Connectivity.preserves ~reference:gr (Cbtc.Discovery.closure d))
 
@@ -113,7 +113,7 @@ let test_theorem_2_4_u0_stops_short () =
   let th = Cbtc.Constructions.theorem_2_4 ~epsilon:0.1 () in
   let pl = Radio.Pathloss.make ~max_range:th.Cbtc.Constructions.max_range () in
   let d =
-    Cbtc.Geo.run
+    Cbtc.Geo.run_flat
       (Cbtc.Config.make th.Cbtc.Constructions.alpha)
       pl th.Cbtc.Constructions.positions
   in
@@ -122,10 +122,7 @@ let test_theorem_2_4_u0_stops_short () =
   Alcotest.(check bool) "u0 power below P" true
     (d.power.(th_u0) < Radio.Pathloss.max_power pl);
   Alcotest.(check (list int)) "N(u0) = u-cluster" [ th_u1; th_u2; th_u3 ]
-    (List.sort Int.compare
-       (List.map
-          (fun (n : Cbtc.Neighbor.t) -> n.Cbtc.Neighbor.id)
-          d.neighbors.(th_u0)))
+    (Cbtc.Discovery.neighbor_ids d th_u0)
 
 let test_theorem_2_4_validation () =
   Alcotest.check_raises "epsilon 0"
@@ -144,7 +141,7 @@ let pl300 = Radio.Pathloss.make ~max_range:120. ()
 let positions_arb = Gen_common.positions_arb
 
 let preserves_at alpha positions =
-  let d = Cbtc.Geo.run (Cbtc.Config.make alpha) pl300 positions in
+  let d = Cbtc.Geo.run_flat (Cbtc.Config.make alpha) pl300 positions in
   let gr = Cbtc.Geo.max_power_graph pl300 positions in
   Metrics.Connectivity.preserves ~reference:gr (Cbtc.Discovery.closure d)
 
@@ -164,7 +161,7 @@ let prop_theorem_3_2 =
     (fun positions ->
       List.for_all
         (fun alpha ->
-          let d = Cbtc.Geo.run (Cbtc.Config.make alpha) pl300 positions in
+          let d = Cbtc.Geo.run_flat (Cbtc.Config.make alpha) pl300 positions in
           let gr = Cbtc.Geo.max_power_graph pl300 positions in
           Metrics.Connectivity.preserves ~reference:gr (Cbtc.Discovery.core d))
         [ alpha23; 1.5 ])
@@ -174,7 +171,7 @@ let prop_corollary_2_3 =
     ~name:"Corollary 2.3: every GR edge is bridged by shorter E_alpha edges"
     positions_arb
     (fun positions ->
-      let d = Cbtc.Geo.run (Cbtc.Config.make alpha56) pl300 positions in
+      let d = Cbtc.Geo.run_flat (Cbtc.Config.make alpha56) pl300 positions in
       let galpha = Cbtc.Discovery.closure d in
       let gr = Cbtc.Geo.max_power_graph pl300 positions in
       let ok = ref true in
