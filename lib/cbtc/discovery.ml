@@ -108,11 +108,14 @@ let topology ~both (s : t) ~cut =
     done;
     off.(u + 1) <- !w
   done;
+  (* [Geom.Vec2.dist2], spelled inline so no float is boxed *)
   let d2 = Array.make !w 0. in
   for u = 0 to n - 1 do
-    let pu = s.positions.(u) in
+    let pu : Geom.Vec2.t = s.positions.(u) in
     for a = off.(u) to off.(u + 1) - 1 do
-      d2.(a) <- Geom.Vec2.dist2 pu s.positions.(codes.(a))
+      let pv : Geom.Vec2.t = s.positions.(codes.(a)) in
+      let dx = pv.x -. pu.x and dy = pv.y -. pu.y in
+      d2.(a) <- (dx *. dx) +. (dy *. dy)
     done
   done;
   { off; adj = codes; d2 }

@@ -121,6 +121,15 @@ val row_link : scratch -> int -> float
 val row_dir : scratch -> int -> float
 val row_tag : scratch -> int -> float
 
+(** [gap_trace ~alpha dirs] inserts the normalized directions [dirs]
+    one at a time into the kernel's sorted-unique direction set, whose
+    alpha-gap test keeps a count of its gaps at or above
+    [alpha - 1e-9] instead of rescanning the set, and returns, after
+    each insertion, whether that test reports a gap.  It exists so the
+    count can be checked against a full rescan of the set (the test
+    suite's [max_gap_ba]) insertion by insertion. *)
+val gap_trace : alpha:float -> float array -> bool array
+
 (** [max_power_graph ?pool pathloss positions] is [G_R]: the graph
     induced by every node transmitting at maximum power.  It is
     [Baselines.Proximity.max_power], the library's one G_R builder:

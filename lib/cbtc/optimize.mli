@@ -28,6 +28,10 @@
     minimal power-tag prefix of [neighbors] whose [cover_alpha] equals
     that of the whole list, paired with the largest kept tag (the node's
     new sufficient power).  Returns [(\[\], None)] on an empty list.
+    Coverage is compared by a gap walk over the sorted arc endpoints
+    (no direction of the list strictly inside a wide gap of the prefix),
+    with the 1e-9 boundary rule of the arc sets in
+    [test/arcset.ml], against which it is tested decision for decision.
     Used by the reconfiguration rules for join and aChange events
     (Section 4). *)
 val shrink_neighbors :
@@ -35,8 +39,8 @@ val shrink_neighbors :
 
 (** [shrink_cut ?obs s] applies op1 to every row of [s]: node [u]
     keeps the prefix [off.(u) .. cut.(u)-1] of its row, the set
-    {!shrink_neighbors} keeps, decided with the same [Geom.Arcset]
-    calls in the same order.  Op1 keeps whole tag classes from the
+    {!shrink_neighbors} keeps, decided by the same walk, with no
+    allocation per row.  Op1 keeps whole tag classes from the
     lowest, so its kept set is a prefix of a row in (tag, link power,
     id) order, and every row of [s] must be in that order: kernel rows
     ({!Geo.run_flat}) are.  When [obs] is given, runs inside a
@@ -64,8 +68,8 @@ type pairwise_mode =
 (** [pairwise ?obs ?mode positions t] removes redundant edges from [t]
     (default mode [`Practical]).  Redundancy is evaluated with respect to
     [t] itself, simultaneously for all edges, as in the proof of
-    Theorem 3.6; each slot's direction is computed once, with
-    [Geom.Vec2.direction].  When [obs] is given, runs inside a
+    Theorem 3.6; each slot's direction is computed once, as
+    [Geom.Vec2.direction] computes it, and no float is boxed per edge.  When [obs] is given, runs inside a
     [pairwise-removal] span and counts [pairwise.redundant_edges] /
     [pairwise.removed_edges]. *)
 val pairwise :

@@ -28,27 +28,3 @@ let max_gap dirs =
    conservative side: near-boundary gaps count as gaps and trigger
    growth rather than being waved through). *)
 let has_gap ?(eps = 1e-9) ~alpha dirs = max_gap dirs >= alpha -. eps
-
-(* Variant over an already sorted-unique prefix [dirs.(0..len-1)] of
-   normalized directions in a float64 Bigarray — the storage the SoA
-   discovery core maintains its direction set in, incrementally.  Same
-   float operations as the list path above — consecutive [b -. a] plus
-   the [wrap_gap] wrap — so the results are bit-identical. *)
-let max_gap_ba (dirs : (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t) len =
-  if len <= 1 then Angle.two_pi
-  else begin
-    let get = Bigarray.Array1.unsafe_get dirs in
-    let best = ref (wrap_gap (get (len - 1)) (get 0)) in
-    for i = 0 to len - 2 do
-      let g = get (i + 1) -. get i in
-      if g > !best then best := g
-    done;
-    !best
-  end
-
-let has_gap_ba ?(eps = 1e-9) ~alpha dirs len = max_gap_ba dirs len >= alpha -. eps
-
-let cover ~alpha dirs = Arcset.of_directions ~alpha dirs
-
-let covers_circle ?eps ~alpha dirs =
-  match dirs with [] -> false | _ :: _ -> not (has_gap ?eps ~alpha dirs)

@@ -5,7 +5,7 @@ type arc = { start : float; len : float }
    always split there, which makes the representation canonical. *)
 type t = Full | Ivals of (float * float) list
 
-let two_pi = Angle.two_pi
+let two_pi = Geom.Angle.two_pi
 
 let merge_eps = 1e-9
 
@@ -20,7 +20,7 @@ let split_arc { start; len } =
   if len < 0. then invalid_arg "Arcset: negative arc length";
   if len = 0. then []
   else
-    let s = Angle.normalize start in
+    let s = Geom.Angle.normalize start in
     let e = s +. len in
     if e <= two_pi then [ (s, e) ] else [ (s, two_pi); (0., e -. two_pi) ]
 
@@ -65,7 +65,7 @@ let contains_angle ?(eps = 1e-9) t theta =
   match t with
   | Full -> true
   | Ivals ivals ->
-      let th = Angle.normalize theta in
+      let th = Geom.Angle.normalize theta in
       let inside (s, e) =
         (s -. eps <= th && th <= e +. eps)
         || (s -. eps <= th +. two_pi && th +. two_pi <= e +. eps)

@@ -7,9 +7,13 @@
 
     Arc sets implement the paper's coverage operator
     [cover_alpha(dir) = { theta : exists theta' in dir, |theta - theta'| mod 2pi <= alpha/2 }]
-    used by the shrink-back optimization: removing a discovered neighbor is
+    behind the shrink-back optimization: removing a discovered neighbor is
     allowed exactly when coverage is unchanged, i.e. when the removed
-    neighbor's arc is contained in the union of the remaining arcs. *)
+    neighbor's arc is contained in the union of the remaining arcs.  The
+    library decides op1 with a gap walk over sorted arc endpoints
+    ([Cbtc.Optimize]); this module is the coverage-set statement it is
+    tested against, and its 1e-9 tolerance is the boundary rule the walk
+    reproduces. *)
 
 type arc = { start : float; len : float }
 

@@ -1,13 +1,41 @@
 (* The paper's optimizations stated on lists and sets, as the oracle the
    library's flat pipeline (Cbtc.Optimize over Discovery rows, composed
    by Cbtc.Pipeline) is tested against, bit for bit: op1 on per-node
-   Neighbor.t lists, E_alpha and E-_alpha built edge by edge from those
-   lists, op3 on a Set-backed Ugraph with each verdict recomputing its
-   directions and edge ids.  [pipeline] is the whole of
+   Neighbor.t lists as an arc-set prefix recomputation (independent of
+   the library's gap walk), E_alpha and E-_alpha built edge by edge from
+   those lists, op3 on a Set-backed Ugraph with each verdict recomputing
+   its directions and edge ids.  [pipeline] is the whole of
    Pipeline.of_discovery in this form, with the same spans and
    counters. *)
 
 open Cbtc
+
+(* Op1 for one node, written as Section 3.1 states it: try each tag
+   prefix from the lowest, recomputing its whole coverage as an arc set,
+   until it equals the coverage of all the neighbors.  Returns the kept
+   neighbors and the largest kept tag ([(\[\], None)] on an empty
+   list). *)
+let shrink_neighbors ~alpha neighbors =
+  match neighbors with
+  | [] -> ([], None)
+  | _ :: _ ->
+      let full_cover = Spec_dirset.cover ~alpha (Neighbor.directions neighbors) in
+      let tags =
+        List.sort_uniq Float.compare
+          (List.map (fun (nb : Neighbor.t) -> nb.tag) neighbors)
+      in
+      let keep_up_to tag =
+        List.filter (fun (nb : Neighbor.t) -> nb.tag <= tag) neighbors
+      in
+      let tag =
+        List.find
+          (fun tag ->
+            Arcset.equal
+              (Spec_dirset.cover ~alpha (Neighbor.directions (keep_up_to tag)))
+              full_cover)
+          tags
+      in
+      (keep_up_to tag, Some tag)
 
 (* Op1, Theorem 3.1: every node keeps the minimal power-tag prefix of
    its neighbors with unchanged coverage and lowers its power to the
@@ -18,7 +46,7 @@ let shrink_back ?(obs = Obs.Recorder.nil) (d : Discovery.t) =
   let neighbors = Spec_geo.rows d in
   let power = Array.copy d.power in
   for u = 0 to Discovery.nb_nodes d - 1 do
-    match Optimize.shrink_neighbors ~alpha neighbors.(u) with
+    match shrink_neighbors ~alpha neighbors.(u) with
     | kept, Some tag ->
         let dropped = List.length neighbors.(u) - List.length kept in
         if dropped > 0 then begin

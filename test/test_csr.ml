@@ -336,6 +336,143 @@ let test_grow_into_rejects_out_of_range () =
         (Cbtc.Geo.grow_into ~schedule scratch config pl positions
            (Array.length positions)))
 
+(* ---------- the power walk: gap count and lazy heap ---------- *)
+
+let two_pi = Geom.Angle.two_pi
+
+let rec ulps k x =
+  if k > 0 then ulps (k - 1) (Float.succ x)
+  else if k < 0 then ulps (k + 1) (Float.pred x)
+  else x
+
+(* Direction sequences for the gap count: 0..12 normalized directions,
+   each equal to the previous, a few ulps from it, a gap of
+   alpha - 1e-9 (the threshold) +- a few ulps past it, or anywhere;
+   seeded on the 0/2pi seam as often as not, so ulp-apart pairs across
+   the seam make the wrap gap round to 0 (read as 2pi). *)
+let gap_case_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        oneofl [ alpha56; Geom.Angle.two_pi_three; two_pi ];
+        float_range 0.1 6.2;
+      ]
+    >>= fun alpha ->
+    let step =
+      frequency
+        [
+          (1, return (fun d -> d));
+          (2, map (fun k d -> ulps k d) (int_range (-3) 3));
+          ( 3,
+            map
+              (fun k d -> ulps k (d +. (alpha -. 1e-9)))
+              (int_range (-2) 2) );
+          (2, map (fun x d -> d +. x) (float_bound_exclusive two_pi));
+        ]
+    in
+    oneof
+      [
+        oneofl [ 0.; -0.; Float.pred two_pi; Float.succ 0.; 1. ];
+        float_bound_exclusive two_pi;
+      ]
+    >>= fun first ->
+    int_range 0 12 >>= fun n ->
+    list_repeat n step >|= fun steps ->
+    let dirs =
+      List.rev
+        (List.fold_left (fun acc f -> f (List.hd acc) :: acc) [ first ] steps)
+    in
+    (alpha, Array.of_list (List.map Geom.Angle.normalize dirs)))
+
+let prop_gap_count_matches_rescan =
+  QCheck.Test.make ~count:2000
+    ~name:"gap count = max_gap_ba rescan after every insertion"
+    (QCheck.make
+       ~print:(fun (alpha, dirs) ->
+         Fmt.str "alpha %h: %a" alpha Fmt.(array ~sep:sp (fmt "%h")) dirs)
+       gap_case_gen)
+    (fun (alpha, dirs) ->
+      let flags = Cbtc.Geo.gap_trace ~alpha dirs in
+      Array.length flags = Array.length dirs
+      && List.for_all
+           (fun i ->
+             let set =
+               List.sort_uniq Float.compare
+                 (Array.to_list (Array.sub dirs 0 (i + 1)))
+             in
+             let ba =
+               Bigarray.Array1.of_array Bigarray.float64 Bigarray.c_layout
+                 (Array.of_list set)
+             in
+             flags.(i) = Spec_dirset.has_gap_ba ~alpha ba (List.length set))
+           (List.init (Array.length dirs) Fun.id))
+
+let test_gap_count_edges () =
+  let trace alpha dirs = Array.to_list (Cbtc.Geo.gap_trace ~alpha dirs) in
+  Alcotest.(check (list bool)) "no directions" [] (trace alpha56 [||]);
+  Alcotest.(check (list bool)) "one direction leaves the circle open" [ true ]
+    (trace alpha56 [| 1. |]);
+  Alcotest.(check (list bool)) "a duplicate changes nothing" [ true; true ]
+    (trace alpha56 [| 1.; 1. |]);
+  (* an ulp-apart pair: the wrap gap rounds to 0 and reads as 2pi *)
+  Alcotest.(check (list bool)) "ulp-apart pair, wrap gap 2pi" [ true; true ]
+    (trace two_pi [| 1.; Float.succ 1. |]);
+  (* three directions 2pi/3 apart close every gap of 5pi/6 *)
+  let third = two_pi /. 3. in
+  Alcotest.(check (list bool)) "regular triangle" [ true; true; false ]
+    (trace alpha56 [| 0.; third; 2. *. third |])
+
+(* Lattice points 20 apart (range 100): many equal distances and so
+   link-power ties, coincident nodes, and lattice corners that stay
+   gapped to the last step, where stepped growth drains every remaining
+   candidate. *)
+let lattice_gen =
+  QCheck.Gen.(
+    int_range 1 40 >>= fun n ->
+    list_repeat n (pair (int_bound 10) (int_bound 10)) >|= fun pts ->
+    Array.of_list
+      (List.map
+         (fun (i, j) ->
+           v2 (20. *. Stdlib.float_of_int i) (20. *. Stdlib.float_of_int j))
+         pts))
+
+let lattice_growths =
+  [
+    Cbtc.Config.Exact;
+    Cbtc.Config.Double 25.;
+    Cbtc.Config.Double 1000.;
+    Cbtc.Config.Mult { p0 = 100.; factor = 3. };
+  ]
+
+let prop_lattice_matches_spec =
+  QCheck.Test.make ~count:150
+    ~name:"lattice ties: run_flat = Spec_geo.run, every growth"
+    (QCheck.make lattice_gen)
+    (fun positions ->
+      List.for_all
+        (fun growth ->
+          let config = Cbtc.Config.make ~growth alpha56 in
+          Spec_geo.equal
+            (Cbtc.Geo.run_flat config pl positions)
+            (Spec_geo.run config pl positions))
+        lattice_growths)
+
+let test_lattice_drains () =
+  (* a 4 x 4 lattice: its corners see neighbors in one quadrant only,
+     so they walk every step and the last one drains *)
+  let positions =
+    Array.init 16 (fun i ->
+        v2 (20. *. Stdlib.float_of_int (i mod 4)) (20. *. Stdlib.float_of_int (i / 4)))
+  in
+  List.iter
+    (fun growth ->
+      let config = Cbtc.Config.make ~growth alpha56 in
+      let d = Cbtc.Geo.run_flat config pl positions in
+      Alcotest.(check bool) "corner 0 is a boundary node" true d.boundary.(0);
+      Alcotest.(check bool) "= Spec_geo.run" true
+        (Spec_geo.equal d (Spec_geo.run config pl positions)))
+    lattice_growths
+
 (* ---------- occupancy: one linear pass, sorted descending ---------- *)
 
 let test_occupancy_sorted_descending () =
@@ -419,11 +556,17 @@ let () =
                prop_grid_edits_match_fresh_rebuild;
              ] );
       ( "flat kernel",
-        Alcotest.test_case "node out of range" `Quick
-          test_grow_into_rejects_out_of_range
+        (Alcotest.test_case "node out of range" `Quick
+           test_grow_into_rejects_out_of_range
         :: qsuite
-             [ prop_grow_into_matches_spec; prop_grow_into_env_matches_spec ]
-      );
+             [ prop_grow_into_matches_spec; prop_grow_into_env_matches_spec ])
+        @ [
+            Alcotest.test_case "gap count edge cases" `Quick
+              test_gap_count_edges;
+            Alcotest.test_case "lattice corners drain" `Quick
+              test_lattice_drains;
+          ]
+        @ qsuite [ prop_gap_count_matches_rescan; prop_lattice_matches_spec ] );
       ( "occupancy",
         Alcotest.test_case "sorted descending" `Quick
           test_occupancy_sorted_descending

@@ -149,7 +149,7 @@ let test_gap_exact_pi_multiples () =
       Alcotest.(check bool)
         (Fmt.str "circle not covered at exactly %s" label)
         false
-        (Geom.Dirset.covers_circle ~alpha dirs))
+        (Spec_dirset.covers_circle ~alpha dirs))
     [ ("pi/6", pi /. 6., 12); ("pi/3", Geom.Angle.pi_three, 6);
       ("2pi/3", Geom.Angle.two_pi_three, 3) ]
 
@@ -180,7 +180,7 @@ let test_gap_pi_seam () =
       Alcotest.(check bool) name true (gap > two_pi -. 1e-9))
     [
       ("ulp-apart pair: max_gap", Geom.Dirset.max_gap dirs);
-      ("ulp-apart pair: max_gap_ba", Geom.Dirset.max_gap_ba ba 2);
+      ("ulp-apart pair: max_gap_ba", Spec_dirset.max_gap_ba ba 2);
     ]
 
 let test_covers_circle_gap_duality () =
@@ -190,15 +190,15 @@ let test_covers_circle_gap_duality () =
       Alcotest.(check bool)
         (Fmt.str "duality at alpha=%g" alpha)
         (not (Geom.Dirset.has_gap ~alpha dirs))
-        (Geom.Dirset.covers_circle ~alpha dirs))
+        (Spec_dirset.covers_circle ~alpha dirs))
     [ 1.0; 2.0; 2.28; 2.30; 3.0 ]
 
 (* ---------- Arcset ---------- *)
 
-let arc start len = { Geom.Arcset.start; len }
+let arc start len = { Arcset.start; len }
 
 let test_arcset_basic () =
-  let open Geom.Arcset in
+  let open Arcset in
   Alcotest.(check int) "empty" 0 (List.length (arcs empty));
   Alcotest.(check bool) "full" true (is_full full);
   let s = of_arcs [ arc 0. 1. ] in
@@ -208,7 +208,7 @@ let test_arcset_basic () =
   Alcotest.(check bool) "not outside" false (contains_angle s 1.5)
 
 let test_arcset_merge_and_wrap () =
-  let open Geom.Arcset in
+  let open Arcset in
   (* Two overlapping arcs merge; an arc crossing 2pi is split but still
      behaves circularly. *)
   let s = of_arcs [ arc 0. 1.; arc 0.5 1. ] in
@@ -222,14 +222,14 @@ let test_arcset_merge_and_wrap () =
   check_float "wrap length" 1. (total_length w)
 
 let test_arcset_full_detection () =
-  let open Geom.Arcset in
+  let open Arcset in
   let s = of_arcs [ arc 0. 3.5; arc 3. 3.5 ] in
   Alcotest.(check bool) "covers circle" true (is_full s);
   let almost = of_arcs [ arc 0. 3.; arc 3.5 2. ] in
   Alcotest.(check bool) "not full with hole" false (is_full almost)
 
 let test_arcset_contains_arc_subsume () =
-  let open Geom.Arcset in
+  let open Arcset in
   let s = of_arcs [ arc 0. 2.; arc 4. 1.5 ] in
   Alcotest.(check bool) "sub-arc inside" true (contains_arc s (arc 0.5 1.));
   Alcotest.(check bool) "arc spanning hole" false (contains_arc s (arc 1. 3.5));
@@ -239,7 +239,7 @@ let test_arcset_contains_arc_subsume () =
   Alcotest.(check bool) "partial does not subsume full" false (subsumes s full)
 
 let test_arcset_of_directions () =
-  let open Geom.Arcset in
+  let open Arcset in
   (* cover_alpha of one direction is an arc of width alpha centered there *)
   let s = of_directions ~alpha:1. [ pi ] in
   Alcotest.(check bool) "center" true (contains_angle s pi);
@@ -250,7 +250,7 @@ let test_arcset_of_directions () =
 
 let test_arcset_invalid () =
   Alcotest.check_raises "negative arc" (Invalid_argument "Arcset: negative arc length")
-    (fun () -> ignore (Geom.Arcset.of_arcs [ arc 0. (-1.) ]))
+    (fun () -> ignore (Arcset.of_arcs [ arc 0. (-1.) ]))
 
 (* ---------- Hull ---------- *)
 
@@ -353,15 +353,15 @@ let prop_cover_duality =
     (fun dirs ->
       QCheck.assume (dirs <> []);
       let alpha = 2.0 in
-      let full = Geom.Arcset.is_full (Geom.Dirset.cover ~alpha dirs) in
+      let full = Arcset.is_full (Spec_dirset.cover ~alpha dirs) in
       full = not (Geom.Dirset.has_gap ~alpha dirs))
 
 let prop_cover_contains_dirs =
   QCheck.Test.make ~count:200 ~name:"cover contains every source direction"
     QCheck.(make dirs_gen)
     (fun dirs ->
-      let cover = Geom.Dirset.cover ~alpha:0.8 dirs in
-      List.for_all (fun d -> Geom.Arcset.contains_angle cover d) dirs)
+      let cover = Spec_dirset.cover ~alpha:0.8 dirs in
+      List.for_all (fun d -> Arcset.contains_angle cover d) dirs)
 
 let prop_hull_contains_all =
   QCheck.Test.make ~count:100 ~name:"every input point lies inside its hull"
@@ -421,7 +421,7 @@ let prop_covers_circle_matches_gap_oracle =
       let alpha = Geom.Angle.two_pi_three in
       let gap = brute_max_gap dirs in
       QCheck.assume (Float.abs (gap -. alpha) > 1e-8);
-      Geom.Dirset.covers_circle ~alpha dirs = (gap < alpha))
+      Spec_dirset.covers_circle ~alpha dirs = (gap < alpha))
 
 let prop_cover_matches_pointwise_oracle =
   QCheck.Test.make ~count:300
@@ -437,7 +437,7 @@ let prop_cover_matches_pointwise_oracle =
       (* probes within tolerance of the arc boundary are excluded: there
          the closed-arc convention and eps legitimately disagree *)
       QCheck.assume (Float.abs (nearest -. (alpha /. 2.)) > 1e-8);
-      Geom.Arcset.contains_angle (Geom.Dirset.cover ~alpha dirs) probe
+      Arcset.contains_angle (Spec_dirset.cover ~alpha dirs) probe
       = (nearest < alpha /. 2.))
 
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests

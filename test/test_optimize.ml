@@ -104,46 +104,14 @@ let prop_shrink_preserves_coverage =
       let d = run positions in
       let s = Spec_optimize.shrink_back d in
       let cover (x : Cbtc.Discovery.t) u =
-        Geom.Dirset.cover ~alpha:alpha56
+        Spec_dirset.cover ~alpha:alpha56
           (Cbtc.Neighbor.directions (Spec_geo.rows x).(u))
       in
       let ok = ref true in
       for u = 0 to Array.length positions - 1 do
-        if not (Geom.Arcset.equal (cover d u) (cover s u)) then ok := false
+        if not (Arcset.equal (cover d u) (cover s u)) then ok := false
       done;
       !ok)
-
-(* Reference spec for shrink_neighbors, written exactly as Section 3.1
-   states it: try each tag prefix from the lowest, recomputing its whole
-   coverage, until coverage matches the full set.  The production code
-   walks tag classes incrementally; results must agree bit-for-bit. *)
-let shrink_neighbors_spec ~alpha neighbors =
-  match neighbors with
-  | [] -> ([], None)
-  | _ :: _ ->
-      let full_cover =
-        Geom.Dirset.cover ~alpha (Cbtc.Neighbor.directions neighbors)
-      in
-      let tags =
-        List.sort_uniq Float.compare
-          (List.map (fun (nb : Cbtc.Neighbor.t) -> nb.Cbtc.Neighbor.tag)
-             neighbors)
-      in
-      let keep_up_to tag =
-        List.filter
-          (fun (nb : Cbtc.Neighbor.t) -> nb.Cbtc.Neighbor.tag <= tag)
-          neighbors
-      in
-      let tag =
-        List.find
-          (fun tag ->
-            Geom.Arcset.equal
-              (Geom.Dirset.cover ~alpha
-                 (Cbtc.Neighbor.directions (keep_up_to tag)))
-              full_cover)
-          tags
-      in
-      (keep_up_to tag, Some tag)
 
 let prop_shrink_neighbors_matches_spec =
   QCheck.Test.make ~count:100
@@ -155,7 +123,7 @@ let prop_shrink_neighbors_matches_spec =
       let ok = ref true in
       for u = 0 to Array.length positions - 1 do
         let got = Cbtc.Optimize.shrink_neighbors ~alpha:alpha56 rows.(u) in
-        let want = shrink_neighbors_spec ~alpha:alpha56 rows.(u) in
+        let want = Spec_optimize.shrink_neighbors ~alpha:alpha56 rows.(u) in
         if got <> want then ok := false
       done;
       !ok)
@@ -203,6 +171,215 @@ let prop_shrink_keeps_row_prefix =
           cut.(u) = s.off.(u) + k
           && kept = List.init k (fun r -> s.ids.(s.off.(u) + r)))
         (List.init (Array.length positions) Fun.id))
+
+(* ---------- op1 boundary: the gap walk = the arc-set spec ---------- *)
+
+(* Op1's gap walk (Optimize.shrink_neighbors and shrink_cut) against
+   Spec_optimize's arc-set prefix recomputation on rows built to sit on
+   the 1e-9 boundary rule: ulp-apart and equal directions, gaps of
+   alpha +- 1e-9 and +-1-2 ulps around them, arcs whose start lands
+   within 1e-9 of the previous arc's end, the 0/2pi seam, and shared
+   tags, with wide gaps (boundary rows) as often as not. *)
+
+let two_pi = Geom.Angle.two_pi
+
+let rec ulps k x =
+  if k > 0 then ulps (k - 1) (Float.succ x)
+  else if k < 0 then ulps (k + 1) (Float.pred x)
+  else x
+
+(* How an adversarial row's next direction follows the previous one. *)
+type step =
+  | Same  (** an equal direction, as of a coincident node *)
+  | Ulps of int  (** that many ulps away *)
+  | Gap of float * int  (** alpha + the offset past it, then ulps *)
+  | Touch of float * int
+      (** its arc starting the offset past the previous arc's end, as
+          op1 computes both, then ulps *)
+  | Near of float * int  (** the offset past it, then ulps *)
+  | Free of float
+
+let next_dir ~alpha prev = function
+  | Same -> prev
+  | Ulps k -> ulps k prev
+  | Gap (off, k) -> ulps k (prev +. alpha +. off)
+  | Touch (off, k) ->
+      let half = alpha /. 2. in
+      let start = Geom.Angle.normalize (prev -. half) in
+      ulps k (start +. alpha +. off +. half)
+  | Near (off, k) -> ulps k (prev +. off)
+  | Free x -> prev +. x
+
+let boundary_row_gen =
+  QCheck.Gen.(
+    let offset = oneofl [ -2e-9; -1e-9; 0.; 1e-9; 2e-9 ] and k = int_range (-2) 2 in
+    let step =
+      frequency
+        [
+          (1, return Same);
+          (2, map (fun k -> Ulps k) (int_range (-3) 3));
+          (3, map2 (fun o k -> Gap (o, k)) offset k);
+          (3, map2 (fun o k -> Touch (o, k)) offset k);
+          (2, map2 (fun o k -> Near (o, k)) offset k);
+          (2, map (fun x -> Free x) (float_bound_exclusive Float.pi));
+        ]
+    in
+    oneof
+      [
+        oneofl
+          [ alpha56; Geom.Angle.two_pi_three; two_pi; Float.pred two_pi ];
+        float_range 0.2 6.2;
+      ]
+    >>= fun alpha ->
+    let half = alpha /. 2. in
+    (* first directions on the seam: 0, just below 2pi, an arc starting
+       at 0 or within ~1e-9 of it, an arc ending within ~1e-9 of 2pi *)
+    oneof
+      [
+        oneofl [ 0.; Float.pred two_pi; half ];
+        map2 (fun o k -> ulps k (half +. o)) offset k;
+        map2 (fun o k -> ulps k (two_pi -. half +. o)) offset k;
+        float_bound_exclusive two_pi;
+      ]
+    >>= fun first ->
+    int_range 0 9 >>= fun more ->
+    list_repeat more step >>= fun steps ->
+    list_repeat (more + 1) (pair (int_range 1 3) (float_bound_exclusive 1.))
+    >|= fun tags ->
+    let dirs =
+      List.rev
+        (List.fold_left
+           (fun acc st -> next_dir ~alpha (List.hd acc) st :: acc)
+           [ first ] steps)
+    in
+    let row =
+      List.mapi
+        (fun id (d, (tag, link_power)) ->
+          Cbtc.Neighbor.make ~id ~dir:(Geom.Angle.normalize d) ~link_power
+            ~tag:(Stdlib.float_of_int tag))
+        (List.combine dirs tags)
+    in
+    (alpha, row))
+
+let print_row (alpha, row) =
+  Fmt.str "alpha %h:@ %a" alpha
+    Fmt.(
+      list ~sep:sp (fun ppf (nb : Cbtc.Neighbor.t) ->
+          Fmt.pf ppf "(dir %h, tag %g)" nb.dir nb.tag))
+    row
+
+let prop_shrink_boundary_matches_spec =
+  QCheck.Test.make ~count:3000
+    ~name:"op1 gap walk = arc-set spec on 1e-9 boundary rows"
+    (QCheck.make ~print:print_row boundary_row_gen)
+    (fun (alpha, row) ->
+      let want = Spec_optimize.shrink_neighbors ~alpha row in
+      (* the same row as node 0 of a discovery, through shrink_cut *)
+      let k = List.length row in
+      let d =
+        Cbtc.Discovery.pack ~config:(Cbtc.Config.make alpha) ~pathloss:pl
+          ~positions:(Array.make (k + 1) Geom.Vec2.zero)
+          ~power:(Array.make (k + 1) 1.) ~boundary:(Array.make (k + 1) false)
+          (Array.init (k + 1) (fun u -> if u = 0 then row else []))
+      in
+      let cut = Cbtc.Optimize.shrink_cut (Cbtc.Optimize.by_tag d) in
+      Cbtc.Optimize.shrink_neighbors ~alpha row = want
+      && cut.(0) = List.length (fst want))
+
+(* The boundary rule on hand-built rows, each decided as the arc-set
+   spec decides it. *)
+let test_shrink_boundary_cases () =
+  let half = alpha56 /. 2. in
+  let nb id dir tag = Cbtc.Neighbor.make ~id ~dir ~link_power:tag ~tag in
+  let check name row kept =
+    let got = Cbtc.Optimize.shrink_neighbors ~alpha:alpha56 row in
+    Alcotest.(check bool) (name ^ ": = arc-set spec") true
+      (got = Spec_optimize.shrink_neighbors ~alpha:alpha56 row);
+    Alcotest.(check (list int)) (name ^ ": kept") kept
+      (List.map (fun (nb : Cbtc.Neighbor.t) -> nb.id) (fst got))
+  in
+  (* arcs a few ulps before or after a kept one add nothing within the
+     1e-9 margin (2 lies in [half, 2 half], so the arc starts keep the
+     ulps, and three of them survive the rounding of the arc ends) *)
+  check "arcs 3 ulps apart" [ nb 0 2. 1.; nb 1 (ulps (-3) 2.) 2.; nb 2 (ulps 3 2.) 2. ]
+    [ 0 ];
+  (* a direction whose arc starts exactly at [start], as op1 computes
+     arc starts (not every float is one: [d -. half] may round) *)
+  let start_of d = Geom.Angle.normalize (d -. half) in
+  let dir_with_start start =
+    List.find_opt
+      (fun d -> start_of d = start)
+      (List.init 17 (fun k -> ulps (k - 8) (start +. half)))
+  in
+  (* a first arc [s, s + alpha] and a second starting 1e-9 after its
+     end still merge, so a third arc between them adds nothing; a few
+     ulps further, the gap is wide and the third arc fills part of it *)
+  let arcs_apart ~ulps:k =
+    match
+      List.find_map
+        (fun j ->
+          let near = half +. (0.001 *. Stdlib.float_of_int j) in
+          Option.map
+            (fun far -> (near, far))
+            (dir_with_start (ulps k (start_of near +. alpha56 +. 1e-9))))
+        (List.init 100 Fun.id)
+    with
+    | Some dirs -> dirs
+    | None -> Alcotest.failf "no arcs 1e-9 + %d ulps apart" k
+  in
+  let near, far = arcs_apart ~ulps:0 in
+  check "arcs 1e-9 apart"
+    [ nb 0 near 1.; nb 1 far 1.; nb 2 (near +. half) 2. ]
+    [ 0; 1 ];
+  let near, far = arcs_apart ~ulps:2 in
+  check "arcs 1e-9 + 2 ulps apart"
+    [ nb 0 near 1.; nb 1 far 1.; nb 2 (near +. half) 2. ]
+    [ 0; 1; 2 ];
+  (* alpha an ulp below 2pi/3: the arc of 0x1.219c45a105461p+2 starts
+     exactly 1e-9 after the arc of 0x1.372367bd0d945p+1 ends, so the two
+     merge; the kept arc three ulps later does not, and the gap it
+     leaves is the dropped arc's to fill *)
+  let alpha = 0x1.0c152382d7365p+1 in
+  let row =
+    [ nb 0 0x1.372367bd0d945p+1 2.; nb 1 0x1.219c45a105461p+2 3.;
+      nb 2 0x1.219c45a105464p+2 2. ]
+  in
+  let got = Cbtc.Optimize.shrink_neighbors ~alpha row in
+  Alcotest.(check bool) "bridging arc: = arc-set spec" true
+    (got = Spec_optimize.shrink_neighbors ~alpha row);
+  Alcotest.(check (option (float 0.))) "bridging arc: kept up to tag 3" (Some 3.)
+    (snd got)
+
+(* ---------- allocation ---------- *)
+
+(* Op1 and op3 allocate nothing per node beyond their outputs, which
+   (like every array of more than 256 words) go straight to the major
+   heap; their fixed per-call cost comes to well under one minor word
+   per node at n = 2000.  A boxed float slipping back into either loop
+   costs two minor words per node at the least (one per slot or witness
+   test in practice), and fails the bound. *)
+let test_op1_op3_allocation () =
+  let n = 2000 in
+  let side = 1500. *. Float.sqrt (Stdlib.float_of_int n /. 100.) in
+  let sc =
+    Workload.Scenario.make ~n ~width:side ~height:side ~max_range:500. ~seed:42 ()
+  in
+  let pl = Workload.Scenario.pathloss sc in
+  let positions = Workload.Scenario.positions sc in
+  let d = Cbtc.Geo.run_flat (Cbtc.Config.make alpha56) pl positions in
+  let t =
+    Cbtc.Discovery.topology ~both:false d ~cut:(Cbtc.Optimize.shrink_cut d)
+  in
+  let per_node f =
+    ignore (Sys.opaque_identity (f ()));
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (f ()));
+    (Gc.minor_words () -. w0) /. Stdlib.float_of_int n
+  in
+  let op1 = per_node (fun () -> Cbtc.Optimize.shrink_cut d) in
+  let op3 = per_node (fun () -> Cbtc.Optimize.pairwise positions t) in
+  if op1 > 1. then Alcotest.failf "op1: %.3f minor words per node" op1;
+  if op3 > 1. then Alcotest.failf "op3: %.3f minor words per node" op3
 
 (* ---------- pairwise (redundant edge) removal ---------- *)
 
@@ -461,6 +638,12 @@ let () =
           Alcotest.test_case "keeps contributing far node" `Quick
             test_shrink_keeps_contributing_far_node;
           Alcotest.test_case "empty neighbor list" `Quick test_shrink_neighbors_empty;
+          Alcotest.test_case "1e-9 boundary rows" `Quick test_shrink_boundary_cases;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "op1 and op3 per node" `Quick
+            test_op1_op3_allocation;
         ] );
       ( "pairwise",
         [
@@ -485,6 +668,7 @@ let () =
             prop_shrink_preserves_coverage;
             prop_shrink_preserves_connectivity;
             prop_shrink_keeps_row_prefix;
+            prop_shrink_boundary_matches_spec;
             prop_pairwise_preserves_connectivity;
             prop_practical_between_all_and_original;
             prop_pairwise_no_mutual_removal_with_duplicates;

@@ -232,6 +232,28 @@ let flat_case_gen =
     opt (Gen_common.env_gen ~max_range:150. n) >>= fun env ->
     bool >|= fun exact -> (positions, env, exact))
 
+(* [prop_flat_matches_spec]'s check on one case. *)
+let flat_case_matches (positions, env, exact) =
+  let pl =
+    match env with
+    | Some env -> Radio.Env.pathloss env
+    | None -> Radio.Pathloss.make ~max_range:150. ()
+  in
+  let growth =
+    if exact then Cbtc.Config.Exact
+    else Cbtc.Config.Double (Radio.Pathloss.max_power pl /. 64.)
+  in
+  List.for_all
+    (fun (plan : Cbtc.Pipeline.plan) ->
+      let d = Cbtc.Geo.run_flat ?env plan.config pl positions in
+      let oracle = Cbtc.Pipeline.run_oracle ?env pl positions plan in
+      let graph, radius = Spec_optimize.pipeline d plan in
+      matches_spec d plan
+      && matches_spec (reverse_tags d) plan
+      && Graphkit.Ugraph.equal oracle.graph graph
+      && bits_eq oracle.radius radius)
+    (plans growth)
+
 let prop_flat_matches_spec =
   QCheck.Test.make ~count:60
     ~name:"flat pipeline = list spec: graph, radius bits, counters"
@@ -240,26 +262,22 @@ let prop_flat_matches_spec =
          Fmt.str "%s@.env: %b, exact: %b" (Gen_common.positions_print positions)
            (Option.is_some env) exact)
        flat_case_gen)
-    (fun (positions, env, exact) ->
-      let pl =
-        match env with
-        | Some env -> Radio.Env.pathloss env
-        | None -> Radio.Pathloss.make ~max_range:150. ()
-      in
-      let growth =
-        if exact then Cbtc.Config.Exact
-        else Cbtc.Config.Double (Radio.Pathloss.max_power pl /. 64.)
-      in
-      List.for_all
-        (fun (plan : Cbtc.Pipeline.plan) ->
-          let d = Cbtc.Geo.run_flat ?env plan.config pl positions in
-          let oracle = Cbtc.Pipeline.run_oracle ?env pl positions plan in
-          let graph, radius = Spec_optimize.pipeline d plan in
-          matches_spec d plan
-          && matches_spec (reverse_tags d) plan
-          && Graphkit.Ugraph.equal oracle.graph graph
-          && bits_eq oracle.radius radius)
-        (plans growth))
+    flat_case_matches
+
+(* The first case the property draws under QCHECK_SEED=345123221: 31
+   nodes with an environment, Double growth (shared tags), and node 19
+   moved onto node 14, so each sees the other at direction 0.  This
+   seed exposed a version of op1's gap rule that put its 1e-9 margins
+   on the directions instead of on the arcs' endpoints. *)
+let test_seed_345123221 () =
+  let ((positions, env, exact) as case) =
+    flat_case_gen (Random.State.make [| 345123221 |])
+  in
+  Alcotest.(check int) "31 nodes" 31 (Array.length positions);
+  Alcotest.(check bool) "with an environment" true (Option.is_some env);
+  Alcotest.(check bool) "Double growth" false exact;
+  Alcotest.(check bool) "node 19 on node 14" true (positions.(19) = positions.(14));
+  Alcotest.(check bool) "flat pipeline = list spec" true (flat_case_matches case)
 
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 
@@ -279,6 +297,7 @@ let () =
           Alcotest.test_case "avg metrics consistency" `Quick test_avg_metrics_consistency;
           Alcotest.test_case "golden seed 42" `Quick test_golden_seed_42;
           Alcotest.test_case "stepped pipeline" `Quick test_stepped_pipeline;
+          Alcotest.test_case "seed 345123221 placement" `Quick test_seed_345123221;
         ] );
       ("properties", qsuite [ prop_all_plans_preserve; prop_flat_matches_spec ]);
     ]
