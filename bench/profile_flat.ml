@@ -1,6 +1,8 @@
-(* Dev-only phase profiler for the flat discovery kernel and the
-   construction stages after it (op1, the closure, op3, then the whole
-   all-ops Pipeline.run_oracle); not wired into any alias.  Usage:
+(* Dev-only phase profiler for the flat discovery kernel (its sweep's
+   phases: the cell sort, the pair-once sweep with the power walk, and
+   the copy of the rows to id order) and the construction stages after
+   it (op1, the closure, op3, then the whole all-ops
+   Pipeline.run_oracle); not wired into any alias.  Usage:
    dune exec bench/profile_flat.exe -- [n] [sigma_db].  A positive
    sigma_db runs every stage under log-normal shadowing of that many dB
    (Radio.Env.make ~sigma_db, shadow seed 42), the environment of the
@@ -32,12 +34,26 @@ let () =
       ((a1 -. a0) /. 1048576.);
     r
   in
-  let grid =
-    phase "grid build" (fun () ->
-        Geom.Grid.create ~range:(Radio.Pathloss.max_range pl) positions)
+  (* [run_flat]'s phase marks: each closes the previous phase *)
+  let mark = ref None in
+  let close_phase () =
+    match !mark with
+    | None -> ()
+    | Some (name, t0, a0) ->
+        Fmt.pr "  %-26s %8.3f s  %8.1f MB alloc@." name
+          (Unix.gettimeofday () -. t0)
+          ((Gc.allocated_bytes () -. a0) /. 1048576.)
   in
-  ignore (Sys.opaque_identity grid);
-  let d = phase "run_flat (total)" (fun () -> Cbtc.Geo.run_flat ?env config pl positions) in
+  let on_phase name =
+    close_phase ();
+    mark :=
+      if name = "end" then None
+      else Some (name, Unix.gettimeofday (), Gc.allocated_bytes ())
+  in
+  let d =
+    phase "run_flat (total)" (fun () ->
+        Cbtc.Geo.run_flat ~phase:on_phase ?env config pl positions)
+  in
   Fmt.pr "rows: %d@." (Array.length d.Cbtc.Discovery.ids);
   let cut = phase "op1 shrink_cut" (fun () -> Cbtc.Optimize.shrink_cut d) in
   let t =

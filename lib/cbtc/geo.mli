@@ -16,44 +16,58 @@
     every power step) is kept in [test/spec_geo.ml] as the oracle the
     kernel is property-tested against, bit for bit.
 
-    All-pairs scans are accelerated by a [Geom.Grid] spatial index keyed
-    on the radio range; results are identical to the O(n²) full scans of
-    [test/spec_geo.ml] (property-tested), which are also the baseline
-    column of the [perf] benchmark.
+    {!run_flat} gathers every node's candidate links in one sweep over
+    the nodes sorted by grid cell (cell side [R]) that tests each pair
+    once, so a full pass is O(n · local density) instead of O(n²);
+    {!grow_into} probes a [Geom.Grid] for one node.  Both find exactly
+    the candidates of the O(n²) full scans of [test/spec_geo.ml]
+    (property-tested), which are also the baseline column of the
+    [perf] benchmark.
 
-    Every node's discovery is independent of every other's, so the
-    per-node loops optionally run chunked over a [Parallel.Pool]
-    ([?pool]); each chunk writes only its own slots of the preallocated
-    result arrays, so the outcome is bit-identical to the sequential
-    pass for any pool size. *)
+    With a [Parallel.Pool] ([?pool]) the sweep runs in bands of whole
+    cell columns, one per job; a pair that crosses a band boundary is
+    tested by both bands, and each band writes only its own nodes' slots
+    of the preallocated result arrays, so the outcome is bit-identical
+    to the sequential pass for any pool size. *)
 
-(** [run_flat ?pool ?obs config pathloss positions] runs the oracle for
-    every node and returns the converged state in the CSR row form of
-    {!Discovery.t} it is computed in.  Internally builds one spatial
-    index over [positions] and reuses it for every node's discovery, so
-    a full pass is O(n · local density) instead of O(n²); with [?pool]
-    the nodes are processed in parallel chunks (same result,
-    property-tested).
+(** [run_flat ?pool ?obs ?phase config pathloss positions] runs the
+    oracle for every node and returns the converged state in the CSR
+    row form of {!Discovery.t} it is computed in.
+
+    It sorts the nodes by grid cell into slots, with their coordinates
+    in two float lanes, and sweeps the slots in order.  Slot [a] tests
+    only the slots [b > a] its probe square covers, so each [G_R^env]
+    link is tested once ({!Radio.Env.link_into} is bit-symmetric in the
+    pair); the result joins [a]'s candidates and goes onto [b]'s
+    pending chain, which [b] drains when the sweep reaches it.  Each
+    node then runs the power walk and its rows are copied to their
+    id-order place.  With [?pool] the columns are split into one band
+    per job (same result, property-tested at pool sizes 1 to 4).
+    [?phase] is called with ["sort"], ["sweep"], ["copy"] and ["end"]
+    as the pass moves on, for profilers.
 
     When [obs] is given, the pass is wrapped in a [discovery] span and
     records [discovery.nodes] / [discovery.power_steps] /
     [discovery.boundary_nodes] counters plus [discovery.candidates],
-    [discovery.degree] and [grid.cell_occupancy] histograms.  Metrics
-    are folded in node order after the parallel loop, so they are
-    identical for every pool size.
+    [discovery.degree] and [grid.cell_occupancy] histograms (the sizes
+    of the occupied [R]-cells, as [Geom.Grid.occupancy] reports them).
+    Metrics are folded in node order after the parallel loop, so they
+    are identical for every pool size.
 
     [?env] (here and on every function below) is the per-link
     propagation environment of {!Radio.Env} discovery runs under,
-    resolved once per call ([Radio.Env.resolve]): grid prefilters probe
-    the env's [max_reach] radius while its exact link power decides
-    membership.  Omitting it means the trivial environment, whose link
-    powers and radii are the pure pathloss's bit for bit (pinned against
-    pure-pathloss oracles in test/test_env.ml).
+    resolved once per call ([Radio.Env.resolve]): the sweep and the
+    grid prefilters probe the env's [max_reach] radius while its exact
+    link power decides membership.  Omitting it means the trivial
+    environment, whose link powers and radii are the pure pathloss's
+    bit for bit (pinned against pure-pathloss oracles in
+    test/test_env.ml).
     @raise Invalid_argument when [env] was built over a pathloss other
-    than [pathloss]. *)
+    than [pathloss], or on a non-finite position. *)
 val run_flat :
   ?pool:Parallel.Pool.t ->
   ?obs:Obs.Recorder.t ->
+  ?phase:(string -> unit) ->
   ?env:Radio.Env.t ->
   Config.t -> Radio.Pathloss.t -> Geom.Vec2.t array -> Discovery.t
 
@@ -69,7 +83,9 @@ val run_flat :
     recompute.  Results are bit-identical to the list-based spec in
     [test/spec_geo.ml] — same candidate math, same (link power, id)
     order, same gap test — pinned by the differential properties in
-    test/test_csr.ml. *)
+    test/test_csr.ml.  The probe allocates nothing: a call allocates 8
+    words whatever the candidate count, its result triple and two boxed
+    floats (pinned in test/test_csr.ml). *)
 
 (** Reusable per-worker scratch buffers.  Not thread-safe: use one per
     domain. *)

@@ -245,7 +245,7 @@ let mark t u =
 
    [u] is the disturbed node and [p] the position of its disturbance
    (old or new).  The link goes through the kernel's own entry,
-   [Radio.Env.link_into] (as in [Geo.collect]; its excess is symmetric
+   [Radio.Env.link_into] (as in [Geo.grow_into]; its excess is symmetric
    in the pair), so the cut is exact, not tolerance-based: marked =
    possibly affected, unmarked = provably identical — the equivalence
    sweeps check this float-exactly.  A pair [link_into] rejects has
@@ -257,7 +257,7 @@ let mark t u =
    above only ever consults clean nodes' powers). *)
 let mark_around t u p =
   let px = p.Geom.Vec2.x and py = p.Geom.Vec2.y in
-  (* [Geo.collect]'s guard: past [t.reach] (plus the grid's probe slack)
+  (* [Geo.grow_into]'s guard: past [t.reach] (plus the grid's probe slack)
      the link power exceeds [t.reach_cap] >= every cut, so the corners
      of the probed cells skip the link power *)
   let pre = (t.reach *. (1. +. 1e-9)) +. 1e-9 in

@@ -317,16 +317,22 @@ let health t =
     compactions = t.n_compactions;
   }
 
-let probe_bounds t (p : Vec2.t) dist =
+(* The cell index of the padded probe square's low and high edge along
+   coordinate [x]: [@inline], so a query passes no float to a call and
+   builds no bounds tuple. *)
+let[@inline] probe_lo t x dist =
   let r = (dist *. (1. +. probe_slack)) +. probe_slack in
-  let lo x = int_of_float (Float.floor ((x -. r) /. t.cell)) in
-  let hi x = int_of_float (Float.floor ((x +. r) /. t.cell)) in
-  (lo p.x, hi p.x, lo p.y, hi p.y)
+  int_of_float (Float.floor ((x -. r) /. t.cell))
 
-let fold_in_range t p ~dist ~init ~f =
+let[@inline] probe_hi t x dist =
+  let r = (dist *. (1. +. probe_slack)) +. probe_slack in
+  int_of_float (Float.floor ((x +. r) /. t.cell))
+
+let fold_in_range t (p : Vec2.t) ~dist ~init ~f =
   if dist < 0. then init
   else begin
-    let cx0, cx1, cy0, cy1 = probe_bounds t p dist in
+    let cx0 = probe_lo t p.x dist and cx1 = probe_hi t p.x dist in
+    let cy0 = probe_lo t p.y dist and cy1 = probe_hi t p.y dist in
     let acc = ref init in
     let ny = t.ny in
     let has_overflow = t.n_overflow > 0 in
@@ -356,9 +362,10 @@ let fold_in_range t p ~dist ~init ~f =
 (* Not the [fold_in_range] wrapper: this is the innermost loop of every
    grid-backed construction, so it calls [f] directly instead of paying
    a second closure indirection per enumerated id. *)
-let iter_in_range t p ~dist f =
+let iter_in_range t (p : Vec2.t) ~dist f =
   if dist >= 0. then begin
-    let cx0, cx1, cy0, cy1 = probe_bounds t p dist in
+    let cx0 = probe_lo t p.x dist and cx1 = probe_hi t p.x dist in
+    let cy0 = probe_lo t p.y dist and cy1 = probe_hi t p.y dist in
     let ny = t.ny in
     let has_overflow = t.n_overflow > 0 in
     for cx = cx0 to cx1 do

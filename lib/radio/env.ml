@@ -37,8 +37,8 @@ type t = {
   (* [mix (Int64.of_int shadow_seed)]: the pair hash's first round,
      which depends on the seed alone *)
   seed_key : int64;
-  (* [link_into]'s fast reject, per bin of the Box-Muller uniform (see
-     [reject_table]); [||] without shadowing *)
+  (* [link_into]'s fast reject, per pair of bins of the two Box-Muller
+     uniforms (see [reject_table]); [||] without shadowing *)
   reject_d2 : float array;
   (* [X_uv = 0] for every pair: the link functions skip the excess and
      its [10 ** 0.] gain, which is exactly [1.], so the shortcut is
@@ -82,34 +82,53 @@ let[@inline] mix z =
 let[@inline] unit_of bits =
   Int64.to_float (Int64.shift_right_logical bits 11) *. 0x1p-53
 
-(* Fast rejection (docs/RADIO.md).  The top [reject_bits] bits of the
-   first draw word [b1] are the bin [k] of the Box-Muller uniform:
-   [u1 = unit_of b1] lies in [k/K, (k+1)/K) with [K = 2^reject_bits],
-   so [r = sqrt (-2 ln u1) <= r_k = sqrt (-2 ln (k/K))] (bin 0 is
-   unbounded).  The clamped draw is then [>= -s_k] with
-   [s_k = min clamp (sigma * r_k)], and obstacle and height losses are
-   [>= 0], so [p_env >= coeff * d^n * 10^(-s_k/10)].  A pair whose
-   squared distance exceeds [((cap / coeff) * 10^(s_k/10))^(2/n)] thus
-   has a link power above [cap].  The 1e-6 relative margin dwarfs the
-   libm and rounding error of both sides (~1e-15), so a rejected pair
-   always fails the exact test too: the reject only skips work. *)
-let reject_bits = 12
+(* Fast rejection (docs/RADIO.md).  A pair's shadowing draw is
+   [x = sigma * r * cos (2 pi u2)] with [r = sqrt (-2 ln u1)], clamped
+   to [+/- clamp], where [u1 = unit_of b1] and [u2 = unit_of b2] read
+   the pair's two draw words.  The top [u1_bits] bits of [b1] are the
+   bin [k] with [u1] in [k/K, (k+1)/K), and the top [u2_bits] bits of
+   [b2] the bin [j] with [u2] in [j/J, (j+1)/J).  Over bin [j],
+   [cos (2 pi u2)] is monotone (each bin lies on one side of 1/2, a bin
+   edge), so it is at least [c_j], the smaller of its values at the two
+   edges.  Over bin [k], [r] lies in [[r_(k+1), r_k]] with
+   [r_k = sqrt (-2 ln (k/K))] ([r_0] unbounded, [r_K = 0]).  So
+   [x >= x_kj], the clamped [sigma * r * c_j] at [r_(k+1)] when
+   [c_j >= 0] and at [r_k] otherwise.  Obstacle and height losses are
+   [>= 0], so [p_env >= coeff * d^n * 10^(x_kj/10)], and a pair whose
+   squared distance exceeds [((cap / coeff) * 10^(-x_kj/10))^(2/n)] has
+   a link power above [cap].  The 1e-6 relative margin dwarfs the libm
+   and rounding error of both sides (~1e-15), so a rejected pair always
+   fails the exact test too: the reject only skips work. *)
+let u1_bits = 7
+let u2_bits = 7
 
-let[@inline] reject_bin b1 =
-  Int64.to_int (Int64.shift_right_logical b1 (64 - reject_bits))
+let[@inline] reject_index b1 b2 =
+  (Int64.to_int (Int64.shift_right_logical b1 (64 - u1_bits)) lsl u2_bits)
+  lor Int64.to_int (Int64.shift_right_logical b2 (64 - u2_bits))
 
 let reject_table ~sigma_db ~clamp_db ~coeff ~exponent ~cap =
   if sigma_db = 0. then [||]
   else begin
-    let bins = 1 lsl reject_bits in
-    Array.init bins (fun k ->
-        let r_k =
-          if k = 0 then infinity
-          else sqrt (-2. *. log (float_of_int k /. float_of_int bins))
-        in
-        let s_k = Float.min clamp_db (sigma_db *. r_k) in
-        let d = (cap /. coeff) *. (10. ** (s_k /. 10.)) in
-        (d ** (2. /. exponent)) *. (1. +. 1e-6))
+    let kbins = 1 lsl u1_bits and jbins = 1 lsl u2_bits in
+    let r_at k =
+      if k = 0 then infinity
+      else sqrt (-2. *. log (float_of_int k /. float_of_int kbins))
+    in
+    let cos_at j =
+      cos (2. *. Float.pi *. (float_of_int j /. float_of_int jbins))
+    in
+    let c = Array.init jbins (fun j -> Float.min (cos_at j) (cos_at (j + 1))) in
+    let r = Array.init (kbins + 1) r_at in
+    (* the distance bound [(cap / coeff)^(1/n)] at [x = 0], squared, and
+       the rate at which [-x] dB widens it: [d2 = base * e^(-x * g)] *)
+    let base = (cap /. coeff) ** (2. /. exponent) in
+    let g = log 10. /. (5. *. exponent) in
+    Array.init (kbins * jbins) (fun i ->
+        let k = i lsr u2_bits and j = i land (jbins - 1) in
+        let c_j = c.(j) in
+        let x = sigma_db *. (if c_j >= 0. then r.(k + 1) else r.(k)) *. c_j in
+        let x = Float.max (-.clamp_db) (Float.min clamp_db x) in
+        base *. exp (-.x *. g) *. (1. +. 1e-6))
   end
 
 let make ?(sigma_db = 0.) ?(shadow_seed = 0) ?clamp_db ?(obstacles = [||])
@@ -184,8 +203,8 @@ let shadow_seed t = t.shadow_seed
 let max_link_cap t = t.params.max_link_cap
 
 (* The first draw word of the pair: the one place the hash is spelled.
-   [shadow_of_bits] turns it into the clamped draw; [link_into] also
-   reads its reject bin. *)
+   [second_word] derives the other; [shadow_of_bits] turns the two into
+   the clamped draw, and [link_into] also reads their reject bins. *)
 let[@inline] pair_bits t ~u ~v =
   let u = node_id t u and v = node_id t v in
   let lo = if u <= v then u else v and hi = if u <= v then v else u in
@@ -193,8 +212,9 @@ let[@inline] pair_bits t ~u ~v =
   let z = mix (add t.seed_key (mul golden_gamma (of_int (lo + 1)))) in
   mix (add z (mul golden_gamma (of_int (hi + 1))))
 
-let[@inline] shadow_of_bits t b1 =
-  let b2 = mix (Int64.add b1 golden_gamma) in
+let[@inline] second_word b1 = mix (Int64.add b1 golden_gamma)
+
+let[@inline] shadow_of_bits t b1 b2 =
   let u1 = Float.max 1e-300 (unit_of b1) in
   let u2 = unit_of b2 in
   let r = sqrt (-2. *. log u1) in
@@ -202,7 +222,11 @@ let[@inline] shadow_of_bits t b1 =
   Float.max (-.t.params.clamp_db) (Float.min t.params.clamp_db x)
 
 let[@inline] shadow_db t ~u ~v =
-  if t.params.sigma_db <= 0. then 0. else shadow_of_bits t (pair_bits t ~u ~v)
+  if t.params.sigma_db <= 0. then 0.
+  else begin
+    let b1 = pair_bits t ~u ~v in
+    shadow_of_bits t b1 (second_word b1)
+  end
 
 (* Squared distance from [c] to the segment [a, b].  Inlined into the
    link path with [obstacle_db], so the degenerate case spells out
@@ -284,6 +308,11 @@ let[@inline] store t (lane : lane) i link =
        true
      end
 
+(* The fast reject's verdict on a pair at squared distance [d2] with
+   draw words [b1], [b2]: [false] proves [p_env > cap]. *)
+let[@inline] passes t b1 b2 d2 =
+  d2 <= Array.unsafe_get t.reject_d2 (reject_index b1 b2)
+
 let link_into t ~u ~v ~pu ~pv lane i =
   let dx = pv.Geom.Vec2.x -. pu.Geom.Vec2.x
   and dy = pv.Geom.Vec2.y -. pu.Geom.Vec2.y in
@@ -292,10 +321,20 @@ let link_into t ~u ~v ~pu ~pv lane i =
     store t lane i (link_of t ~u ~v ~pu ~pv ~dist:(sqrt d2) 0.)
   else begin
     let b1 = pair_bits t ~u ~v in
-    d2 <= t.reject_d2.(reject_bin b1)
+    let b2 = second_word b1 in
+    passes t b1 b2 d2
     && store t lane i
-         (link_of t ~u ~v ~pu ~pv ~dist:(sqrt d2) (shadow_of_bits t b1))
+         (link_of t ~u ~v ~pu ~pv ~dist:(sqrt d2) (shadow_of_bits t b1 b2))
   end
+
+let reject_passes t ~u ~v ~pu ~pv =
+  t.params.sigma_db <= 0.
+  || begin
+       let dx = pv.Geom.Vec2.x -. pu.Geom.Vec2.x
+       and dy = pv.Geom.Vec2.y -. pu.Geom.Vec2.y in
+       let b1 = pair_bits t ~u ~v in
+       passes t b1 (second_word b1) ((dx *. dx) +. (dy *. dy))
+     end
 
 let rx_power t ~tx_power ~u ~v ~pu ~pv ~dist =
   let rx = Pathloss.rx_power t.pathloss ~tx_power ~dist in

@@ -137,14 +137,23 @@ val lane_create : int -> lane
 
     Nothing is allocated per call: no float crosses the call, and the
     shadowing hash stays unboxed.  Under shadowing, a pair is rejected
-    before the excess and the gain are computed when its distance alone
-    proves the link power above {!max_link_cap} (a 4096-bin bound on
-    the Box-Muller draw, built once by {!make}; see docs/RADIO.md,
-    "Fast rejection").  The bound is a pre-test of the same formula,
+    before the excess and the gain are computed when its distance and
+    its two hash words prove the link power above {!max_link_cap} (a
+    bound per pair of bins of the two Box-Muller uniforms, 128 x 128
+    bins built once by {!make}; see docs/RADIO.md, "The kernel entry
+    and fast rejection").  The bound is a pre-test of the same formula,
     not a second one: the decision is the exact test's.
     [i] is not bounds-checked. *)
 val link_into :
   t -> u:int -> v:int -> pu:Geom.Vec2.t -> pv:Geom.Vec2.t -> lane -> int -> bool
+
+(** [reject_passes t ~u ~v ~pu ~pv] is whether {!link_into}'s fast
+    reject lets the pair through to the exact formula (always without
+    shadowing).  It holds for every pair {!link_into} accepts; the share
+    of tested pairs it passes is the pre-test pass rate
+    [bench/profile_link.exe] reports. *)
+val reject_passes :
+  t -> u:int -> v:int -> pu:Geom.Vec2.t -> pv:Geom.Vec2.t -> bool
 
 (** Env counterpart of [Pathloss.reaches]. *)
 val reaches :

@@ -150,6 +150,118 @@ let test_run_flat_degenerate () =
   check_case "coincident cluster + outlier"
     [| v2 0. 0.; v2 0. 0.; v2 0. 0.; v2 50. 0.; v2 500. 500. |]
 
+(* ---------- the pair-once sweep: bands, cell edges, wide spreads ---------- *)
+
+(* [run_flat] sweeps the nodes in cell order (cell side R = 100 here)
+   and splits the columns into one band per job, testing a pair that
+   crosses a band boundary in both bands.  Coordinates sit on cell
+   edges (which are also the band edges), an ulp either side of them,
+   at negative values, or far out (a window too wide for the dense
+   cell cap, so the sweep coarsens its cells); points repeat earlier
+   ones; a strip folds every x into [0, 250), three columns for up to
+   four bands; and n = 0, 1, 2 come up often. *)
+let edge_coord_gen =
+  QCheck.Gen.(
+    let edge = map (fun k -> 100. *. Stdlib.float_of_int k) (int_range (-3) 3) in
+    frequency
+      [
+        (4, float_range (-300.) 300.);
+        (2, edge);
+        (1, map Float.pred edge);
+        (1, map Float.succ edge);
+        (1, map (fun s -> s *. 1e6) (float_range (-1.) 1.));
+      ])
+
+let band_case_gen =
+  QCheck.Gen.(
+    frequency [ (1, int_range 0 2); (3, int_range 3 40) ] >>= fun n ->
+    bool >>= fun strip ->
+    list_repeat n
+      (triple edge_coord_gen edge_coord_gen
+         (frequency [ (5, return None); (1, map Option.some (int_bound 1000)) ]))
+    >>= fun pts ->
+    let pts = Array.of_list pts in
+    let positions = Array.make n Geom.Vec2.zero in
+    Array.iteri
+      (fun i (x, y, copy) ->
+        positions.(i) <-
+          (match copy with
+          | Some j when i > 0 -> positions.(j mod i)
+          | _ -> v2 (if strip then Float.abs (Float.rem x 250.) else x) y))
+      pts;
+    Gen_common.env_gen ~max_range:100. n >>= fun env ->
+    option (array_repeat n (int_range 0 10_000)) >>= fun labels ->
+    growth_gen >|= fun growth ->
+    let env =
+      match labels with
+      | None -> env
+      | Some labels -> Radio.Env.relabel ~labels env
+    in
+    (positions, env, growth))
+
+let test_run_flat_non_finite () =
+  let config = Cbtc.Config.make alpha56 in
+  List.iter
+    (fun bad ->
+      Alcotest.check_raises "non-finite position"
+        (Invalid_argument "Geo.run_flat: non-finite position") (fun () ->
+          ignore (Cbtc.Geo.run_flat config pl [| v2 0. 0.; bad |])))
+    [ v2 Float.infinity 0.; v2 0. Float.neg_infinity; v2 Float.nan 5. ]
+
+let print_band_case (positions, env, _) =
+  Printf.sprintf "sigma %g, %d nodes: %s" (Radio.Env.sigma_db env)
+    (Array.length positions)
+    (String.concat "; "
+       (Array.to_list
+          (Array.map
+             (fun (p : Geom.Vec2.t) -> Printf.sprintf "(%h, %h)" p.x p.y)
+             positions)))
+
+(* One pool per size, made once: domains are not cheap to spawn. *)
+let band_pools =
+  lazy (List.map (fun jobs -> Parallel.Pool.create ~jobs ()) [ 1; 2; 3; 4 ])
+
+let prop_run_flat_bands =
+  QCheck.Test.make ~count:150
+    ~name:
+      "run_flat at pool sizes 1-4 = Spec_geo.run: band and cell edges, sigma > 0"
+    (QCheck.make ~print:print_band_case band_case_gen)
+    (fun (positions, env, growth) ->
+      let config = Cbtc.Config.make ~growth alpha56 in
+      let pl = Radio.Env.pathloss env in
+      let spec = Spec_geo.run ~env config pl positions in
+      Spec_geo.equal (Cbtc.Geo.run_flat ~env config pl positions) spec
+      && List.for_all
+           (fun pool ->
+             Spec_geo.equal
+               (Cbtc.Geo.run_flat ~pool ~env config pl positions)
+               spec)
+           (Lazy.force band_pools))
+
+(* The traced sweep observes the R-cell sizes [Geom.Grid.occupancy]
+   reports, the coarsened window of a wide spread included. *)
+let occupancy_hist obs =
+  Obs.Jsonl.member "histograms"
+    (Obs.Jsonl.of_string (Obs.Recorder.summary_string obs))
+  |> Fun.flip Option.bind (Obs.Jsonl.member "grid.cell_occupancy")
+
+let prop_run_flat_occupancy =
+  QCheck.Test.make ~count:100
+    ~name:"traced run_flat: grid.cell_occupancy = Grid.occupancy"
+    (QCheck.make ~print:print_band_case band_case_gen)
+    (fun (positions, env, growth) ->
+      let config = Cbtc.Config.make ~growth alpha56 in
+      let pl = Radio.Env.pathloss env in
+      let traced = Obs.Recorder.create () in
+      ignore (Cbtc.Geo.run_flat ~obs:traced ~env config pl positions);
+      let direct = Obs.Recorder.create () in
+      List.iter
+        (fun k ->
+          Obs.Recorder.observe direct "grid.cell_occupancy"
+            (Stdlib.float_of_int k))
+        (Geom.Grid.occupancy (Geom.Grid.create ~range:100. positions));
+      occupancy_hist traced = occupancy_hist direct)
+
 (* ---------- CSR grid buckets: degenerate and mobile inputs ---------- *)
 
 let brute_within positions u ~dist =
@@ -335,6 +447,63 @@ let test_grow_into_rejects_out_of_range () =
       ignore
         (Cbtc.Geo.grow_into ~schedule scratch config pl positions
            (Array.length positions)))
+
+(* The daemon's regrow path probes its grid with no allocation: one
+   [consider] closure per scratch, the probe radius cached per env, and
+   a grid query that builds no bounds tuple.  What is left per call is
+   the returned triple with its boxed power and the boxed maximum power
+   read from the pathloss: 8 words, however many candidates the probe
+   meets (the probe used to allocate ~50 words per call, more under
+   shadowing).  Measured on a fixed 2000-node placement with a live
+   set, under the trivial env, under shadowing and with obstacles,
+   heights and a relabeling; the options are built once, so no call
+   site boxes them. *)
+let test_grow_into_allocation () =
+  let n = 2000 in
+  let prng = Prng.create ~seed:11 in
+  let positions =
+    Array.init n (fun _ -> v2 (Prng.float prng 1000.) (Prng.float prng 1000.))
+  in
+  let config = Cbtc.Config.make alpha56 in
+  let schedule = Cbtc.Geo.schedule_of config pl in
+  let grid = Some (Geom.Grid.create ~range:100. positions) in
+  let alive = Some (fun v -> v land 7 <> 0) in
+  let full =
+    Radio.Env.relabel
+      ~labels:(Array.init n (fun i -> (7 * i) mod 2003))
+      (Radio.Env.make ~sigma_db:4. ~shadow_seed:3
+         ~obstacles:
+           [| Radio.Env.obstacle ~center:(v2 500. 500.) ~radius:80. ~loss_db:6. |]
+         ~heights:(Array.init n (fun i -> Stdlib.float_of_int (i mod 9)))
+         ~height_loss_db:0.5 pl)
+  in
+  List.iter
+    (fun (name, env) ->
+      let env = Some env in
+      let s = Cbtc.Geo.scratch_create () in
+      let pass () =
+        let rows = ref 0 in
+        for u = 0 to n - 1 do
+          let k, _, _ =
+            Cbtc.Geo.grow_into ?grid ?alive ?env ~schedule s config pl positions u
+          in
+          rows := !rows + k
+        done;
+        !rows
+      in
+      (* the first pass grows the scratch *)
+      ignore (pass ());
+      let before = Gc.minor_words () in
+      let rows = pass () in
+      let words = (Gc.minor_words () -. before) /. Stdlib.float_of_int n in
+      if rows < 4 * n then Alcotest.failf "%s: only %d rows" name rows;
+      if words > 8. then
+        Alcotest.failf "%s: %.2f words per call (> 8)" name words)
+    [
+      ("trivial env", Radio.Env.trivial pl);
+      ("sigma = 4", Radio.Env.make ~sigma_db:4. ~shadow_seed:3 pl);
+      ("full", full);
+    ]
 
 (* ---------- the power walk: gap count and lazy heap ---------- *)
 
@@ -547,7 +716,13 @@ let () =
                prop_pack_round_trip;
                prop_run_flat_rows_sorted;
                prop_run_flat_pool_identical;
-             ] );
+               prop_run_flat_bands;
+               prop_run_flat_occupancy;
+             ]
+        @ [
+            Alcotest.test_case "non-finite positions" `Quick
+              test_run_flat_non_finite;
+          ] );
       ( "grid buckets",
         Alcotest.test_case "degenerate inputs" `Quick test_grid_degenerate
         :: qsuite
@@ -566,7 +741,11 @@ let () =
             Alcotest.test_case "lattice corners drain" `Quick
               test_lattice_drains;
           ]
-        @ qsuite [ prop_gap_count_matches_rescan; prop_lattice_matches_spec ] );
+        @ qsuite [ prop_gap_count_matches_rescan; prop_lattice_matches_spec ]
+        @ [
+            Alcotest.test_case "grow_into probe allocation" `Quick
+              test_grow_into_allocation;
+          ] );
       ( "occupancy",
         Alcotest.test_case "sorted descending" `Quick
           test_occupancy_sorted_descending
