@@ -2,7 +2,9 @@
    phases: the cell sort, the pair-once sweep with the power walk, and
    the copy of the rows to id order) and the construction stages after
    it (op1, the closure, op3, then the whole all-ops
-   Pipeline.run_oracle); not wired into any alias.  Usage:
+   Pipeline.run_oracle), then the G_R reference
+   (Cbtc.Geo.max_power_graph) with the words its graph holds; not
+   wired into any alias.  Usage:
    dune exec bench/profile_flat.exe -- [n] [sigma_db].  A positive
    sigma_db runs every stage under log-normal shadowing of that many dB
    (Radio.Env.make ~sigma_db, shadow seed 42), the environment of the
@@ -67,4 +69,8 @@ let () =
     phase "run_oracle all-ops" (fun () ->
         Cbtc.Pipeline.run_oracle ?env pl positions (Cbtc.Pipeline.all_ops config))
   in
-  ignore (Sys.opaque_identity r)
+  ignore (Sys.opaque_identity r);
+  let gr = phase "G_R max_power_graph" (fun () -> Cbtc.Geo.max_power_graph ?env pl positions) in
+  Fmt.pr "G_R edges: %d, live %.1f MB@." (Graphkit.Ugraph.nb_edges gr)
+    (Stdlib.float_of_int (Obj.reachable_words (Obj.repr gr) * (Sys.word_size / 8))
+    /. 1048576.)

@@ -14,9 +14,9 @@
 
     Per-node work is independent, so builders accept [?pool] and then
     run chunked over a [Parallel.Pool]: each chunk fills only its own
-    slots of a per-node array, and a sequential merge into the set-based
-    adjacency yields a graph bit-identical to the sequential pass for
-    any pool size.
+    slots of a per-node array of rows, and one [Graphkit.Ugraph.build]
+    over the rows yields a graph bit-identical to the sequential pass
+    for any pool size.
 
     All builders accept [?env] ({!Radio.Env}), resolved once with
     [Radio.Env.resolve] (absent = [Radio.Env.trivial pathloss]): the

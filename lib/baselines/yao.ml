@@ -28,8 +28,8 @@ let build ?pool env positions ~k ~candidates_of =
   let n = Array.length positions in
   let sector_width = Geom.Angle.two_pi /. Stdlib.float_of_int k in
   (* selections are per-node-independent: each chunk writes only its own
-     slots, and the final merge into set-based adjacency is
-     order-insensitive, so the graph is the same for any pool size *)
+     slots, and the graph built from them has sorted rows whatever the
+     order, so it is the same for any pool size *)
   let selected = Array.make n [] in
   let body lo hi =
     (* [link_into]'s one-slot lane: the stored link power is unused *)
@@ -47,11 +47,8 @@ let build ?pool env positions ~k ~candidates_of =
   (match pool with
   | Some pool -> Parallel.Pool.iter_chunks pool n body
   | None -> body 0 n);
-  let g = Graphkit.Ugraph.create n in
-  Array.iteri
-    (fun u vs -> List.iter (fun v -> Graphkit.Ugraph.add_edge g u v) vs)
-    selected;
-  g
+  Graphkit.Ugraph.build n (fun add ->
+      Array.iteri (fun u vs -> List.iter (add u) vs) selected)
 
 let yao ?pool ?env pathloss positions ~k =
   let env = Radio.Env.resolve ?env pathloss in

@@ -122,13 +122,12 @@ let topology ~both (s : t) ~cut =
 
 let graph (tp : topology) =
   let n = Array.length tp.off - 1 in
-  let g = Graphkit.Ugraph.create n in
-  for u = 0 to n - 1 do
-    for a = tp.off.(u) to tp.off.(u + 1) - 1 do
-      if tp.adj.(a) > u then Graphkit.Ugraph.add_edge g u tp.adj.(a)
-    done
-  done;
-  g
+  Graphkit.Ugraph.build n (fun add ->
+      for u = 0 to n - 1 do
+        for a = tp.off.(u) to tp.off.(u + 1) - 1 do
+          if tp.adj.(a) > u then add u tp.adj.(a)
+        done
+      done)
 
 let whole_rows (t : t) = Array.sub t.off 1 (nb_nodes t)
 

@@ -173,7 +173,7 @@ let scratch_create () =
 let probe_env s env =
   if s.p_env != env then begin
     let reach = Radio.Env.max_reach env in
-    let pre = (reach *. (1. +. 1e-9)) +. 1e-9 in
+    let pre = Geom.Grid.padded reach in
     s.p_env <- env;
     s.p_reach <- reach;
     fset s.par 3 (pre *. pre)
@@ -470,8 +470,7 @@ type sweep = {
 
 let sort_cells env positions ~range =
   let n = Array.length positions in
-  let reach = Radio.Env.max_reach env in
-  let r = (reach *. (1. +. 1e-9)) +. 1e-9 in
+  let r = Geom.Grid.padded (Radio.Env.max_reach env) in
   let minx = ref infinity and maxx = ref neg_infinity in
   let miny = ref infinity and maxy = ref neg_infinity in
   Array.iter

@@ -124,21 +124,28 @@ let grow_node t s u =
 
 (* Sort target nodes by grid cell (row-major), ties by id: each
    contiguous chunk of the sorted array is a compact spatial shard.
-   The order is a pure function of positions and the target set. *)
-let spatial_sort t targets =
-  let cell = Geom.Grid.cell_size t.grid in
-  let key u =
-    let p = t.positions.(u) in
-    ( int_of_float (Float.floor (p.Geom.Vec2.x /. cell)),
-      int_of_float (Float.floor (p.Geom.Vec2.y /. cell)) )
-  in
+   The order is a pure function of positions and the target set.  The
+   cell keys are computed once per target into int arrays, and the
+   targets sorted through a permutation of their indices, so a
+   comparison allocates nothing. *)
+let spatial_sort ~cell positions targets =
+  let k = Array.length targets in
+  let kx = Array.make k 0 and ky = Array.make k 0 in
+  Array.iteri
+    (fun i u ->
+      let p : Geom.Vec2.t = positions.(u) in
+      kx.(i) <- int_of_float (Float.floor (p.x /. cell));
+      ky.(i) <- int_of_float (Float.floor (p.y /. cell)))
+    targets;
+  let perm = Array.init k Fun.id in
   Array.sort
-    (fun u v ->
-      let kxu, kyu = key u and kxv, kyv = key v in
-      if kxu <> kxv then Int.compare kxu kxv
-      else if kyu <> kyv then Int.compare kyu kyv
-      else Int.compare u v)
-    targets
+    (fun i j ->
+      if kx.(i) <> kx.(j) then Int.compare kx.(i) kx.(j)
+      else if ky.(i) <> ky.(j) then Int.compare ky.(i) ky.(j)
+      else Int.compare targets.(i) targets.(j))
+    perm;
+  let sorted = Array.map (fun i -> targets.(i)) perm in
+  Array.blit sorted 0 targets 0 k
 
 let regrow ?pool t targets =
   let ntargets = Array.length targets in
@@ -148,7 +155,7 @@ let regrow ?pool t targets =
         grow_node t t.scratch targets.(i)
       done
   | Some pool ->
-      spatial_sort t targets;
+      spatial_sort ~cell:(Geom.Grid.cell_size t.grid) t.positions targets;
       (* disjoint slot writes: bit-identical for every pool size *)
       Parallel.Pool.iter_chunks pool ntargets (fun lo hi ->
           let s = Cbtc.Geo.scratch_create () in

@@ -82,6 +82,12 @@ val apply : t -> Event.t -> unit
 val commit :
   ?pool:Parallel.Pool.t -> t -> [ `Clean | `Incremental of int | `Full of int ]
 
+(** [spatial_sort ~cell positions targets] sorts [targets] in place
+    into {!commit}'s spatial order: by the cell
+    [(floor (x /. cell), floor (y /. cell))] of each target's position,
+    x first, ties broken by id. *)
+val spatial_sort : cell:float -> Geom.Vec2.t array -> int array -> unit
+
 (** {1 Snapshots and invariants} *)
 
 (** Copy of the tracked state as a {!Cbtc.Discovery.t}: the engine's

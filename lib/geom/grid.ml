@@ -47,6 +47,8 @@ let default_brute_cutoff = 200
    can never fall just outside the probed cells. *)
 let probe_slack = 1e-9
 
+let[@inline] padded dist = (dist *. (1. +. probe_slack)) +. probe_slack
+
 (* How far [make_room] scans for a cell with spare capacity before
    giving up and letting the insert fall through to the overflow table.
    Bounds the worst-case cost of a single in-place insert. *)
@@ -321,11 +323,11 @@ let health t =
    coordinate [x]: [@inline], so a query passes no float to a call and
    builds no bounds tuple. *)
 let[@inline] probe_lo t x dist =
-  let r = (dist *. (1. +. probe_slack)) +. probe_slack in
+  let r = padded dist in
   int_of_float (Float.floor ((x -. r) /. t.cell))
 
 let[@inline] probe_hi t x dist =
-  let r = (dist *. (1. +. probe_slack)) +. probe_slack in
+  let r = padded dist in
   int_of_float (Float.floor ((x +. r) /. t.cell))
 
 let fold_in_range t (p : Vec2.t) ~dist ~init ~f =

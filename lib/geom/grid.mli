@@ -58,6 +58,14 @@ type t
     pool fall back to their bit-identical all-pairs kernels below it. *)
 val default_brute_cutoff : int
 
+(** [padded dist] is the half-width of the square a query of radius
+    [dist] probes: [dist] with a relative and an absolute slack of 1e-9,
+    so a point within the exact predicates' float tolerances of [dist]
+    is never just outside the probed cells.  A builder that skips the
+    exact link test past [padded (Radio.Env.max_reach env)] drops only
+    pairs the test rejects. *)
+val padded : float -> float
+
 (** [create ~range positions] indexes [positions] (copied) with cell
     side [range].
     @raise Invalid_argument when [range <= 0.] or not finite. *)

@@ -19,14 +19,12 @@ let survives_node_removal g ~removed =
     let visited = ref 1 in
     while not (Queue.is_empty queue) do
       let u = Queue.pop queue in
-      List.iter
-        (fun v ->
+      Ugraph.iter_neighbors g u (fun v ->
           if (not gone.(v)) && not seen.(v) then begin
             seen.(v) <- true;
             incr visited;
             Queue.add v queue
           end)
-        (Ugraph.neighbors g u)
     done;
     let alive = n - List.length (List.sort_uniq Int.compare removed) in
     !visited = alive

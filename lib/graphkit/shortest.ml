@@ -11,8 +11,7 @@ let dijkstra_tree g ~cost ~src =
     let d, u = Fheap.pop_min heap in
     if not settled.(u) && d <= dist.(u) then begin
       settled.(u) <- true;
-      List.iter
-        (fun v ->
+      Ugraph.iter_neighbors g u (fun v ->
           if not settled.(v) then begin
             let c = cost u v in
             if c < 0. then invalid_arg "Shortest.dijkstra: negative cost";
@@ -23,7 +22,6 @@ let dijkstra_tree g ~cost ~src =
               Fheap.push heap nd v
             end
           end)
-        (Ugraph.neighbors g u)
     end
   done;
   (dist, prev)

@@ -2,7 +2,14 @@
 
     The topologies produced by CBTC and its optimizations ([G_alpha],
     [Gs_alpha], [G-_alpha], the pairwise-reduced graph) are values of
-    this type. *)
+    this type.
+
+    Each node's neighbours are one sorted [int array] row.
+    {!add_edge} and {!remove_edge} cost O(deg): they replace the two
+    rows they touch with fresh copies and never write a stored row, so
+    {!copy} is a shallow O(n) copy of the row table and later edits of
+    either graph never show in the other.  Bulk construction is
+    {!build}, in O(n + m). *)
 
 type t
 
@@ -40,6 +47,17 @@ val edges : t -> (int * int) list
 
 val iter_edges : (int -> int -> unit) -> t -> unit
 
+(** [build n edges] is the graph on [n] nodes whose edges are the pairs
+    [edges add] passes to [add], in O(n + m) with no per-edge
+    allocation.  [edges] is called twice (a counting pass, then a
+    filling pass) and must pass the same pairs both times.  Repeated
+    pairs, in either orientation, merge, as {!add_edge} is idempotent.
+    @raise Invalid_argument as {!add_edge} does, at the first
+    self-loop or out-of-range id, and when the second pass passes
+    other pairs than the first. *)
+val build : int -> ((int -> int -> unit) -> unit) -> t
+
+(** [of_edges n l] is [build] over the list [l]. *)
 val of_edges : int -> (int * int) list -> t
 
 val copy : t -> t

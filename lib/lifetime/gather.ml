@@ -21,10 +21,12 @@ let induce ~alive positions build =
   let to_global = Array.of_list (List.rev !to_global) in
   let local_positions = Array.map (fun u -> positions.(u)) to_global in
   let local_graph, local_radius = build to_global local_positions in
-  let graph = Graphkit.Ugraph.create n in
-  Graphkit.Ugraph.iter_edges
-    (fun a b -> Graphkit.Ugraph.add_edge graph to_global.(a) to_global.(b))
-    local_graph;
+  let graph =
+    Graphkit.Ugraph.build n (fun add ->
+        Graphkit.Ugraph.iter_edges
+          (fun a b -> add to_global.(a) to_global.(b))
+          local_graph)
+  in
   let radius = Array.make n 0. in
   Array.iteri (fun local r -> radius.(to_global.(local)) <- r) local_radius;
   { graph; radius }

@@ -18,13 +18,11 @@ let bfs_path g ~src ~dst =
   let found = ref (src = dst) in
   while (not !found) && not (Queue.is_empty queue) do
     let u = Queue.pop queue in
-    List.iter
-      (fun v ->
+    Graphkit.Ugraph.iter_neighbors g u (fun v ->
         if prev.(v) = -2 then begin
           prev.(v) <- u;
           if v = dst then found := true else Queue.add v queue
         end)
-      (Graphkit.Ugraph.neighbors g u)
   done;
   if not !found then None
   else begin

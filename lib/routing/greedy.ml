@@ -12,14 +12,11 @@ let route g positions ~src ~dst =
     else begin
       let du = dist_to_dst u in
       let next =
-        List.fold_left
-          (fun best v ->
+        Graphkit.Ugraph.fold_neighbors g u ~init:None ~f:(fun best v ->
             let dv = dist_to_dst v in
             match best with
             | Some (bd, _) when bd <= dv -> best
             | _ -> if dv < du then Some (dv, v) else best)
-          None
-          (Graphkit.Ugraph.neighbors g u)
       in
       match next with
       | Some (_, v) -> walk v (u :: acc)

@@ -72,20 +72,24 @@ let contains_angle ?(eps = 1e-9) t theta =
       in
       List.exists inside ivals
 
+let piece_inside ~eps ivals (qs, qe) =
+  List.exists (fun (s, e) -> s -. eps <= qs && qe <= e +. eps) ivals
+
 let contains_arc ?(eps = 1e-9) t arc =
   match t with
   | Full -> true
   | Ivals ivals ->
-      let piece_inside (qs, qe) =
-        List.exists (fun (s, e) -> s -. eps <= qs && qe <= e +. eps) ivals
-      in
       if arc.len = 0. then contains_angle ~eps t arc.start
       else if arc.len >= two_pi then false
-      else List.for_all piece_inside (split_arc arc)
+      else List.for_all (piece_inside ~eps ivals) (split_arc arc)
 
-let subsumes ?eps t u =
-  match u with
-  | Full -> is_full t
-  | Ivals _ -> List.for_all (fun a -> contains_arc ?eps t a) (arcs u)
+(* [u]'s own intervals, not [arcs u]: rebuilding an interval (s, e) as
+   s +. (e -. s) can move its end by an ulp, which decides a comparison
+   that sits exactly on the 1e-9 boundary. *)
+let subsumes ?(eps = 1e-9) t u =
+  match (t, u) with
+  | _, Full -> is_full t
+  | Full, Ivals _ -> true
+  | Ivals ti, Ivals ui -> List.for_all (piece_inside ~eps ti) ui
 
 let equal ?eps a b = subsumes ?eps a b && subsumes ?eps b a

@@ -1,5 +1,5 @@
-(* Differential tests for the flat memory layouts: CSR adjacency vs the
-   set-based Ugraph enumeration, the SoA discovery kernel
+(* Differential tests for the flat memory layouts: the sorted rows of
+   Ugraph and their one enumeration order, the SoA discovery kernel
    (Geo.run_flat, Geo.grow_into) vs the list-based spec in spec_geo.ml,
    degenerate and mobile inputs on the CSR grid buckets, the occupancy
    contract, and the VmHWM parser behind peak-RSS reporting. *)
@@ -10,50 +10,47 @@ let pl = Radio.Pathloss.make ~max_range:100. ()
 
 let alpha56 = Geom.Angle.five_pi_six
 
-(* ---------- CSR adjacency = set-based graphs, same order ---------- *)
+(* ---------- Ugraph rows: increasing id, one enumeration ---------- *)
 
 let edges_gen =
   QCheck.Gen.(
     int_range 1 40 >>= fun n ->
     list_size (int_range 0 120) (pair (int_bound (n - 1)) (int_bound (n - 1)))
-    >|= fun raw ->
-    let keep (u, v) = u <> v in
-    let norm (u, v) = if u < v then (u, v) else (v, u) in
-    (n, List.sort_uniq compare (List.map norm (List.filter keep raw))))
+    >|= fun raw -> (n, List.filter (fun (u, v) -> u <> v) raw))
 
-let prop_csr_of_ugraph_identical =
+let rec increasing = function
+  | a :: (b :: _ as rest) -> a < b && increasing rest
+  | _ -> true
+
+let prop_rows_increasing =
   QCheck.Test.make ~count:200
-    ~name:"Csr.of_ugraph: rows = Ugraph.neighbors, same order"
+    ~name:"Ugraph rows: increasing, one order"
     (QCheck.make edges_gen)
     (fun (n, edges) ->
       let g = Graphkit.Ugraph.of_edges n edges in
-      let csr = Graphkit.Csr.of_ugraph g in
-      let ok = ref (Graphkit.Csr.nb_nodes csr = n) in
-      if Graphkit.Csr.nb_edges csr <> Graphkit.Ugraph.nb_edges g then
-        ok := false;
+      let ok = ref (Graphkit.Ugraph.nb_nodes g = n) in
+      let ends = ref 0 in
       for u = 0 to n - 1 do
-        if Graphkit.Csr.neighbors csr u <> Graphkit.Ugraph.neighbors g u then
-          ok := false;
-        if Graphkit.Csr.degree csr u <> Graphkit.Ugraph.degree g u then
-          ok := false;
-        (* iter and fold agree with the list shim *)
+        let row = Graphkit.Ugraph.neighbors g u in
+        if not (increasing row) then ok := false;
+        if Graphkit.Ugraph.degree g u <> List.length row then ok := false;
+        ends := !ends + List.length row;
         let via_iter = ref [] in
-        Graphkit.Csr.iter_neighbors csr u (fun v -> via_iter := v :: !via_iter);
-        if List.rev !via_iter <> Graphkit.Csr.neighbors csr u then ok := false;
+        Graphkit.Ugraph.iter_neighbors g u (fun v -> via_iter := v :: !via_iter);
+        if List.rev !via_iter <> row then ok := false;
         let via_fold =
-          Graphkit.Csr.fold_neighbors csr u ~init:[] ~f:(fun acc v ->
-              v :: acc)
+          Graphkit.Ugraph.fold_neighbors g u ~init:[] ~f:(fun acc v -> v :: acc)
         in
-        if List.rev via_fold <> Graphkit.Csr.neighbors csr u then ok := false
+        if List.rev via_fold <> row then ok := false
       done;
-      !ok)
+      !ok && !ends = 2 * Graphkit.Ugraph.nb_edges g)
 
-let test_csr_empty () =
-  let csr = Graphkit.Csr.of_ugraph (Graphkit.Ugraph.create 0) in
-  Alcotest.(check int) "no nodes" 0 (Graphkit.Csr.nb_nodes csr);
-  Alcotest.(check int) "no edges" 0 (Graphkit.Csr.nb_edges csr);
-  let one = Graphkit.Csr.of_ugraph (Graphkit.Ugraph.create 1) in
-  Alcotest.(check (list int)) "isolated row" [] (Graphkit.Csr.neighbors one 0)
+let test_empty_graphs () =
+  let g = Graphkit.Ugraph.create 0 in
+  Alcotest.(check int) "no nodes" 0 (Graphkit.Ugraph.nb_nodes g);
+  Alcotest.(check int) "no edges" 0 (Graphkit.Ugraph.nb_edges g);
+  let one = Graphkit.Ugraph.build 1 ignore in
+  Alcotest.(check (list int)) "isolated row" [] (Graphkit.Ugraph.neighbors one 0)
 
 (* ---------- SoA discovery = list-based spec (Spec_geo) ---------- *)
 
@@ -706,8 +703,8 @@ let () =
   Alcotest.run "csr"
     [
       ( "adjacency",
-        Alcotest.test_case "empty graphs" `Quick test_csr_empty
-        :: qsuite [ prop_csr_of_ugraph_identical ] );
+        Alcotest.test_case "empty graphs" `Quick test_empty_graphs
+        :: qsuite [ prop_rows_increasing ] );
       ( "soa discovery",
         Alcotest.test_case "degenerate inputs" `Quick test_run_flat_degenerate
         :: qsuite

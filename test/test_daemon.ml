@@ -471,6 +471,44 @@ let equivalence_prop =
       in
       Daemon.Engine.check_full_equivalence eng = Ok ())
 
+(* [Engine.spatial_sort] against the comparator it replaced, which built
+   both cell-key tuples per comparison.  Coordinates are multiples of a
+   third of a cell around the origin, so targets share cells, sit on
+   cell edges and have negative keys. *)
+let tuple_order ~cell positions targets =
+  let key u =
+    let p : Geom.Vec2.t = positions.(u) in
+    ( int_of_float (Float.floor (p.x /. cell)),
+      int_of_float (Float.floor (p.y /. cell)) )
+  in
+  let a = Array.copy targets in
+  Array.sort
+    (fun u v ->
+      let kxu, kyu = key u and kxv, kyv = key v in
+      if kxu <> kxv then Int.compare kxu kxv
+      else if kyu <> kyv then Int.compare kyu kyv
+      else Int.compare u v)
+    a;
+  a
+
+let spatial_sort_prop =
+  let cell = 7.5 in
+  let gen =
+    QCheck.Gen.(
+      int_range 0 60 >>= fun n ->
+      let coord = map (fun i -> float_of_int i *. cell /. 3.) (int_range (-12) 12) in
+      pair (array_size (return n) (pair coord coord)) (shuffle_l (List.init n Fun.id))
+      >>= fun (pts, ids) ->
+      int_range 0 n >|= fun k -> (pts, Array.of_list (List.filteri (fun i _ -> i < k) ids)))
+  in
+  QCheck.Test.make ~count:300 ~name:"spatial sort = the tuple order"
+    (QCheck.make gen)
+    (fun (pts, targets) ->
+      let positions = Array.map (fun (x, y) -> Geom.Vec2.make x y) pts in
+      let expected = tuple_order ~cell positions targets in
+      Daemon.Engine.spatial_sort ~cell positions targets;
+      targets = expected)
+
 (* ------------------------------------------------------------------ *)
 (* Connectivity verdict: union-find partitions vs the graph oracle    *)
 
@@ -618,6 +656,7 @@ let () =
           Alcotest.test_case "grid lifecycle under drift" `Quick
             test_engine_grid_lifecycle;
           QCheck_alcotest.to_alcotest equivalence_prop;
+          QCheck_alcotest.to_alcotest spatial_sort_prop;
         ] );
       ( "driver",
         [

@@ -44,6 +44,114 @@ let test_ugraph_subgraph_copy () =
   Alcotest.(check bool) "copy is independent" false (U.mem_edge g 2 3);
   Alcotest.(check bool) "equal self" true (U.equal g g)
 
+(* ---------- Ugraph against the set-based oracle ---------- *)
+
+module S = Spec_ugraph
+
+type op = Add of int * int | Remove of int * int | Copy
+
+let print_op = function
+  | Add (u, v) -> Printf.sprintf "add %d %d" u v
+  | Remove (u, v) -> Printf.sprintf "remove %d %d" u v
+  | Copy -> "copy"
+
+let ops_gen n =
+  QCheck.Gen.(
+    let node = int_range 0 (n - 1) in
+    list_size (int_range 0 60)
+      (frequency
+         [
+           (5, map2 (fun u v -> Add (u, v)) node node);
+           (3, map2 (fun u v -> Remove (u, v)) node node);
+           (1, return Copy);
+         ]))
+
+(* A call's result, or the message of the [Invalid_argument] it raised. *)
+let outcome f = match f () with x -> Ok x | exception Invalid_argument m -> Error m
+
+let same g s =
+  let n = U.nb_nodes g in
+  let ids = List.init n Fun.id in
+  n = S.nb_nodes s
+  && U.nb_edges g = S.nb_edges s
+  && U.edges g = S.edges s
+  && List.for_all
+       (fun u ->
+         U.neighbors g u = S.neighbors s u
+         && U.degree g u = S.degree s u
+         && List.for_all (fun v -> U.mem_edge g u v = S.mem_edge s u v) ids)
+       ids
+
+(* Runs [ops] on a graph and its oracle side by side; [Copy] carries on
+   with fresh copies of both. *)
+let replay g s ops =
+  List.fold_left
+    (fun (ok, g, s) op ->
+      let step fu fs = (ok && outcome fu = outcome fs, g, s) in
+      match op with
+      | Add (u, v) -> step (fun () -> U.add_edge g u v) (fun () -> S.add_edge s u v)
+      | Remove (u, v) ->
+          step (fun () -> U.remove_edge g u v) (fun () -> S.remove_edge s u v)
+      | Copy -> (ok, U.copy g, S.copy s))
+    (true, g, s) ops
+
+let prop_edits_match_oracle =
+  QCheck.Test.make ~count:300 ~name:"edits = set oracle"
+    (QCheck.make
+       ~print:QCheck.Print.(pair int (list print_op))
+       QCheck.Gen.(int_range 1 12 >>= fun n -> pair (return n) (ops_gen n)))
+    (fun (n, ops) ->
+      let ok, g, s = replay (U.create n) (S.create n) ops in
+      ok && same g s)
+
+let prop_copies_independent =
+  QCheck.Test.make ~count:300 ~name:"a copy's edits never show in its original"
+    (QCheck.make
+       ~print:QCheck.Print.(triple int (list print_op) (list print_op))
+       QCheck.Gen.(
+         int_range 1 12 >>= fun n -> triple (return n) (ops_gen n) (ops_gen n)))
+    (fun (n, base, ops) ->
+      let _, g, s = replay (U.create n) (S.create n) base in
+      let h = U.copy g and sh = S.copy s in
+      (* edit the copy, then the original *)
+      let ok_h, h', sh' = replay h sh ops in
+      let ok_g, g', s' = replay g s (List.rev ops) in
+      ok_h && ok_g && same h' sh' && same g' s')
+
+(* Edge lists with repeats in both orientations, and now and then a
+   self-loop or an id just out of range. *)
+let edge_list_gen =
+  QCheck.Gen.(
+    int_range 0 15 >>= fun n ->
+    let node =
+      frequency [ (40, int_range 0 (Stdlib.max 0 (n - 1))); (1, return (-1)); (1, return n) ]
+    in
+    pair (return n) (list_size (int_range 0 50) (pair node node)))
+
+let prop_build_matches_oracle =
+  QCheck.Test.make ~count:500 ~name:"build = of_edges = set oracle, errors too"
+    (QCheck.make
+       ~print:QCheck.Print.(pair int (list (pair int int)))
+       edge_list_gen)
+    (fun (n, l) ->
+      let built = outcome (fun () -> U.build n (fun add -> List.iter (fun (u, v) -> add u v) l))
+      and listed = outcome (fun () -> U.of_edges n l)
+      and oracle = outcome (fun () -> S.of_edges n l) in
+      match (built, listed, oracle) with
+      | Ok g, Ok h, Ok s -> same g s && same h s
+      | Error a, Error b, Error c -> a = c && b = c
+      | _ -> false)
+
+let test_build_second_pass () =
+  let passes = ref 0 in
+  Alcotest.check_raises "other pairs on the second pass"
+    (Invalid_argument "Ugraph.build: the second pass passed other edges")
+    (fun () ->
+      ignore
+        (U.build 3 (fun add ->
+             incr passes;
+             if !passes = 1 then add 0 1 else add 1 2)))
+
 (* ---------- Directed relation: closure and core ---------- *)
 
 (* A discovery state whose rows list exactly [rows] (ids in row order,
@@ -335,7 +443,11 @@ let () =
           Alcotest.test_case "edge listing" `Quick test_ugraph_edges_listing;
           Alcotest.test_case "errors" `Quick test_ugraph_errors;
           Alcotest.test_case "subgraph and copy" `Quick test_ugraph_subgraph_copy;
-        ] );
+          Alcotest.test_case "build's second pass" `Quick test_build_second_pass;
+        ]
+        @ qsuite
+            [ prop_edits_match_oracle; prop_copies_independent; prop_build_matches_oracle ]
+      );
       ("digraph", [ Alcotest.test_case "closure vs core" `Quick test_closure_vs_core ]);
       ("unionfind", [ Alcotest.test_case "basic" `Quick test_unionfind ]);
       ( "traversal",
