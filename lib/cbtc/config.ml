@@ -33,15 +33,19 @@ let stepped_powers ~p0 ~factor ~max_power =
   in
   build [] p0
 
-let power_steps t ~pathloss ~link_powers =
+let power_steps ?(from = 0.) t ~pathloss ~link_powers =
   let max_power = Radio.Pathloss.max_power pathloss in
   match t.growth with
   | Exact -> (
-      match List.sort_uniq Float.compare link_powers with
+      match
+        List.sort_uniq Float.compare
+          (List.filter (fun p -> p >= from) link_powers)
+      with
       | [] -> [ max_power ]
       | steps -> steps)
-  | Double p0 -> stepped_powers ~p0 ~factor:2. ~max_power
-  | Mult { p0; factor } -> stepped_powers ~p0 ~factor ~max_power
+  | Double p0 -> stepped_powers ~p0:(Float.max p0 from) ~factor:2. ~max_power
+  | Mult { p0; factor } ->
+      stepped_powers ~p0:(Float.max p0 from) ~factor ~max_power
 
 let pp_growth ppf = function
   | Exact -> Fmt.string ppf "exact"

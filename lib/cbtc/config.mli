@@ -35,13 +35,19 @@ val preserves_connectivity : t -> bool
 (** [allows_asymmetric_removal t] — [alpha <= 2pi/3] (Theorem 3.2). *)
 val allows_asymmetric_removal : t -> bool
 
-(** [power_steps t ~pathloss ~link_powers] is the increasing sequence of
-    powers a node will try: for [Exact], the (deduplicated) candidate link
-    powers; for stepped schedules, the schedule clamped to end exactly at
-    the maximum power [P].  Always nonempty, always ends at a power
-    [>= P] for stepped schedules or the largest candidate for [Exact]
-    (falling back to [\[P\]] when there are no candidates). *)
+(** [power_steps ?from t ~pathloss ~link_powers] is the increasing
+    sequence of powers a node will try: for [Exact], the (deduplicated)
+    candidate link powers; for stepped schedules, the schedule clamped to
+    end exactly at the maximum power [P].  Always nonempty, always ends
+    at a power [>= P] for stepped schedules or the largest candidate for
+    [Exact] (falling back to [\[P\]] when there are no candidates).
+
+    [from] (default [0.]) restarts growth from a power already reached
+    (Section 4's "grow from [p(rad-)]"): a stepped schedule starts at
+    [max p0 from] and multiplies on from there; [Exact] drops the
+    candidates below [from]. *)
 val power_steps :
+  ?from:float ->
   t -> pathloss:Radio.Pathloss.t -> link_powers:float list -> float list
 
 val pp : t Fmt.t

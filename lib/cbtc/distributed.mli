@@ -15,7 +15,9 @@
     broadcast power in use when it was first discovered (for
     shrink-back), estimates the neighbor's link power from the Ack's
     transmission/reception powers, and reads its direction from the
-    angle of arrival.
+    angle of arrival.  That per-node loop is {!Growth}'s machine, the
+    one {!Reconfig} reruns; this module adds the message type, the Ack
+    rule, the crash/recovery wiring and the Remove phase.
 
     After global convergence, {!finalize}d runs send the Section 3.2
     "Remove" notifications: [u] tells every node it acked but did not
@@ -33,25 +35,11 @@
     settles and acknowledges (see below), and a {!Faults.Plan.t} injects
     crashes, recoveries and link loss mid-run. *)
 
-(** Retransmission/robustness knobs.  {!legacy} reproduces the original
+(** Retransmission/robustness knobs of the growth machine, documented
+    at {!Growth.reliability}.  {!legacy} reproduces the original
     fire-and-forget protocol bit-for-bit; {!hardened} is tuned for bursty
-    loss and crash faults.
-
-    - [hello_attempts]: broadcasts of the Hello at {e each} power step
-      while the cone gap persists, before conceding the gap is real and
-      growing the radius.  Retries are spaced by bounded exponential
-      backoff ([backoff] round trips, multiplied by [backoff_factor]
-      each retry, capped).
-    - [settle_rounds]: confirming Hello re-broadcasts at the final power
-      once the gap closes — under loss they harvest acks from in-range
-      nodes whose earlier replies were dropped, so the symmetric closure
-      sees the edge from both sides.  Acks only ever add neighbors, so
-      settling cannot reopen the gap.
-    - [remove_attempts]: transmissions of each Section 3.2 [Remove]
-      notification; every [Remove] is acknowledged and retransmitted
-      with the same backoff until acked (a silently lost [Remove] would
-      leave a stale edge in [E-_alpha]). *)
-type reliability = {
+    loss and crash faults. *)
+type reliability = Growth.reliability = {
   hello_attempts : int;  (** >= 1; 1 = never retry *)
   settle_rounds : int;  (** >= 0; 0 = declare done immediately *)
   remove_attempts : int;  (** >= 1; 1 = fire-and-forget *)
@@ -64,9 +52,7 @@ type reliability = {
     message-for-message identical to earlier releases. *)
 val legacy : reliability
 
-(** Tuned for Gilbert–Elliott burst loss around 0.3 mean and crash
-    faults: 8 hello attempts, 6 settle rounds, 8 remove attempts,
-    1.5x backoff. *)
+(** {!Growth.hardened}. *)
 val hardened : reliability
 
 type stats = {
@@ -119,8 +105,9 @@ type outcome = {
       power growth from the next scheduled step instead of stalling
       (the paper's "grow from p(rad-)" rule); nodes at maximum power
       become boundary nodes.  A recovered node restarts discovery from
-      minimum power.  Messages already in flight from a node that then
-      crashed are suppressed on receipt.
+      minimum power in a new epoch: the hellos and evaluations its
+      previous life left pending stay inert.  Messages already in flight
+      from a node that then crashed are suppressed on receipt.
 
     - [policy] (default {!Dsim.Eventq.Fifo}) selects the simulator's
       same-timestamp tie-break rule.  [Fifo] is bit-identical to the

@@ -18,29 +18,21 @@ type event = { time : float; node : int; about : int; kind : event_kind }
 type msg = Hello | Ack | Beacon
 
 type nstate = {
-  id : int;
-  mutable epoch : int;  (* bumped on recovery; invalidates old NDP timers *)
-  mutable growing : bool;
-  mutable power : float;  (* current data power (may shrink) *)
+  g : Growth.node;  (* growth state; its epoch also guards the NDP timers *)
   mutable basic_power : float;  (* last completed basic-growth power: beacon floor *)
-  mutable schedule : float list;
-  mutable neighbors : Neighbor.t IMap.t;
   mutable last_heard : float IMap.t;
-  mutable acked : float IMap.t;
-  mutable boundary : bool;
 }
 
 type t = {
   config : Config.t;
   pathloss : Radio.Pathloss.t;
   params : params;
-  channel : Dsim.Channel.t;
   sim : Dsim.Sim.t;
   net : msg Airnet.Net.t;
+  growth : msg Growth.t;
   nodes : nstate array;
   mutable events : event list;  (* newest first *)
-  mutable last_activity : float;
-  growth_factor : float;
+  last_activity : float ref;
   p0 : float;
   obs : Obs.Recorder.t;
 }
@@ -56,9 +48,9 @@ let positions t =
 
 let events t = List.rev t.events
 
-let quiescent t ~for_ = now t -. t.last_activity >= for_
+let quiescent t ~for_ = now t -. !(t.last_activity) >= for_
 
-let touch t = t.last_activity <- now t
+let touch t = t.last_activity := now t
 
 let log_event t node about kind =
   Obs.Recorder.incr t.obs
@@ -69,20 +61,9 @@ let log_event t node about kind =
   t.events <- { time = now t; node; about; kind } :: t.events;
   touch t
 
-let growth_params (config : Config.t) =
-  match config.growth with
-  | Config.Exact ->
-      invalid_arg "Reconfig: Exact growth needs global knowledge; use Double \
-                   or Mult"
-  | Config.Double p0 -> (p0, 2.)
-  | Config.Mult { p0; factor } -> (p0, factor)
-
 let alpha t = t.config.Config.alpha
 
-let directions node =
-  IMap.fold (fun _ (nb : Neighbor.t) acc -> nb.dir :: acc) node.neighbors []
-
-let has_gap t node = Geom.Dirset.has_gap ~alpha:(alpha t) (directions node)
+let has_gap t node = Growth.has_gap t.growth node.g
 
 let max_power t = Radio.Pathloss.max_power t.pathloss
 
@@ -90,87 +71,30 @@ let max_power t = Radio.Pathloss.max_power t.pathloss
 let out_reach_power node =
   IMap.fold
     (fun _ (nb : Neighbor.t) acc -> Float.max acc nb.link_power)
-    node.neighbors 0.
+    node.g.neighbors 0.
 
 (* Section 4: beacon with the basic-algorithm power joined with the power
    needed to reach everyone we acked (the incoming E_alpha edges). *)
 let beacon_power t node =
-  let incoming = IMap.fold (fun _ p acc -> Float.max acc p) node.acked 0. in
+  let incoming = IMap.fold (fun _ p acc -> Float.max acc p) node.g.acked 0. in
   Float.min (max_power t) (Float.max t.p0 (Float.max node.basic_power incoming))
 
-let eval_delay t =
-  (Stdlib.float_of_int t.params.hello_repeats
-  *. t.channel.Dsim.Channel.max_delay)
-  +. t.channel.Dsim.Channel.max_delay +. 0.5
-
-(* Stepped schedule from [start] (exclusive of powers below it) up to P. *)
-let schedule_from t ~start =
-  let p = Float.max t.p0 start in
-  let rec build acc power =
-    if power >= max_power t then List.rev (max_power t :: acc)
-    else build (power :: acc) (power *. t.growth_factor)
-  in
-  build [] p
-
-(* Growth closures carry the epoch they were started in and go inert
-   once the node is recovered into a later epoch: a crash/recover cycle
-   quicker than [eval_delay] would otherwise leave the dead run's
-   pending hello/evaluate callbacks firing into the fresh epoch's
-   growth (same guard discipline as the NDP timers in [start_ndp]). *)
-let rec growth_step t node ~epoch =
-  if node.epoch = epoch then
-    match node.schedule with
-    | [] ->
-        node.growing <- false;
-        node.boundary <- true;
-        node.basic_power <- node.power;
-        touch t
-    | power :: rest ->
-        node.schedule <- rest;
-        node.power <- power;
-        for i = 0 to t.params.hello_repeats - 1 do
-          ignore
-            (Dsim.Sim.schedule t.sim
-               ~delay:(Stdlib.float_of_int i *. t.channel.Dsim.Channel.max_delay)
-               (fun () ->
-                 if node.epoch = epoch then begin
-                   Obs.Recorder.incr t.obs "msg.hello";
-                   ignore (Airnet.Net.bcast t.net ~src:node.id ~power Hello)
-                 end))
-        done;
-        ignore
-          (Dsim.Sim.schedule t.sim ~delay:(eval_delay t) (fun () ->
-               evaluate t node ~epoch))
-
-and evaluate t node ~epoch =
-  if node.epoch = epoch && node.growing then
-    if not (has_gap t node) then begin
-      node.growing <- false;
-      node.boundary <- false;
-      node.basic_power <- node.power;
-      touch t
-    end
-    else if node.schedule = [] then begin
-      node.growing <- false;
-      node.boundary <- true;
-      node.basic_power <- node.power;
-      touch t
-    end
-    else growth_step t node ~epoch
-
+(* Section 4's "rerun CBTC(alpha)" from [start]: the stepped schedule
+   restarted there, walked by the same machine as the bootstrap. *)
 let trigger_growth t node ~start =
-  if (not node.growing) && alive t node.id then begin
+  if node.g.phase <> Growth.Growing && alive t node.g.id then begin
     Obs.Recorder.incr t.obs "reconfig.growth_triggers";
-    node.growing <- true;
-    node.schedule <- schedule_from t ~start;
     touch t;
-    growth_step t node ~epoch:node.epoch
+    Growth.start t.growth node.g
+      ~schedule:
+        (Config.power_steps ~from:start t.config ~pathloss:t.pathloss
+           ~link_powers:[])
   end
 
 (* Shrink-back pass used by join / aChange handling: trim farthest tags
    while coverage is unchanged, and lower the data power accordingly. *)
 let shrink t node =
-  let listed = IMap.fold (fun _ nb acc -> nb :: acc) node.neighbors [] in
+  let listed = IMap.fold (fun _ nb acc -> nb :: acc) node.g.neighbors [] in
   match Optimize.shrink_neighbors ~alpha:(alpha t) listed with
   | kept, Some _ ->
       let needed =
@@ -191,13 +115,13 @@ let shrink t node =
       (* Every kept neighbor is reachable at the recomputed power, so its
          effective selection class is at most that power; without the
          clamp a growth-step tag can stay above the shrunk power. *)
-      node.neighbors <-
+      node.g.neighbors <-
         List.fold_left
           (fun m (nb : Neighbor.t) ->
             IMap.add nb.id { nb with Neighbor.tag = Float.min nb.tag power } m)
           IMap.empty kept;
-      node.boundary <- gap;
-      node.power <- power
+      node.g.boundary <- gap;
+      node.g.power <- power
   | _, None -> ()
 
 let heard t node src = node.last_heard <- IMap.add src (now t) node.last_heard
@@ -216,63 +140,43 @@ let fresh_contact t node src =
   | Some when_ -> now t -. when_ > ndp_timeout t
 
 let note_join t node src =
-  if fresh_contact t node src then log_event t node.id src Join
+  if fresh_contact t node src then log_event t node.g.id src Join
 
-let on_hello t (r : msg Airnet.Net.recv) =
+let on_hello t (r : msg Airnet.Net.recv) ~link_power =
   let me = t.nodes.(r.dst) in
   note_join t me r.src;
   heard t me r.src;
-  let link_power =
-    Radio.Pathloss.estimate_link_power t.pathloss ~tx_power:r.tx_power
-      ~rx_power:r.rx_power
-  in
-  me.acked <- IMap.add r.src link_power me.acked;
-  Obs.Recorder.incr t.obs "msg.ack";
-  ignore (Airnet.Net.send t.net ~src:r.dst ~dst:r.src ~power:link_power Ack)
+  Growth.answer t.growth me.g r ~link_power
 
-let on_ack t (r : msg Airnet.Net.recv) =
+let on_ack t (r : msg Airnet.Net.recv) ~link_power =
   let me = t.nodes.(r.dst) in
   note_join t me r.src;
   heard t me r.src;
-  let link_power =
-    Radio.Pathloss.estimate_link_power t.pathloss ~tx_power:r.tx_power
-      ~rx_power:r.rx_power
-  in
   let tag =
-    match IMap.find_opt r.src me.neighbors with
-    | Some old -> Float.min old.Neighbor.tag me.power
-    | None -> me.power
+    match IMap.find_opt r.src me.g.neighbors with
+    | Some old -> Float.min old.Neighbor.tag me.g.power
+    | None -> me.g.power
   in
-  me.neighbors <-
-    IMap.add r.src
-      (Neighbor.make ~id:r.src ~dir:r.rx_dir ~link_power ~tag)
-      me.neighbors
+  Growth.discover me.g r ~link_power ~tag
 
 (* NDP semantics (Section 4): a beacon from [v] is a join iff nothing was
    heard from [v] during the previous timeout interval — not merely "[v]
    is not currently a selected neighbor", which would make every beacon
    from a shrunk-away node a fresh join. *)
-let on_beacon t (r : msg Airnet.Net.recv) =
+let on_beacon t (r : msg Airnet.Net.recv) ~link_power =
   let me = t.nodes.(r.dst) in
   let is_join = fresh_contact t me r.src in
   heard t me r.src;
-  let link_power =
-    Radio.Pathloss.estimate_link_power t.pathloss ~tx_power:r.tx_power
-      ~rx_power:r.rx_power
-  in
   if is_join then begin
     log_event t r.dst r.src Join;
-    me.neighbors <-
-      IMap.add r.src
-        (Neighbor.make ~id:r.src ~dir:r.rx_dir ~link_power ~tag:link_power)
-        me.neighbors;
+    Growth.discover me.g r ~link_power ~tag:link_power;
     shrink t me
   end
   else
-    match IMap.find_opt r.src me.neighbors with
+    match IMap.find_opt r.src me.g.neighbors with
     | None -> ()
     | Some nb ->
-        if link_power > Radio.Pathloss.reach_cap ~power:me.power then begin
+        if link_power > Radio.Pathloss.reach_cap ~power:me.g.power then begin
           (* The neighbor slid beyond what [me] can reach at its current
              data power.  A purely radial move never trips the direction
              test below, and the neighbor's own beacons keep refreshing
@@ -284,11 +188,7 @@ let on_beacon t (r : msg Airnet.Net.recv) =
              and re-cover the cone. *)
           log_event t r.dst r.src Leave;
           log_event t r.dst r.src Join;
-          me.neighbors <-
-            IMap.add r.src
-              (Neighbor.make ~id:r.src ~dir:r.rx_dir ~link_power
-                 ~tag:link_power)
-              me.neighbors;
+          Growth.discover me.g r ~link_power ~tag:link_power;
           if has_gap t me then
             trigger_growth t me ~start:(out_reach_power me)
           else
@@ -300,21 +200,22 @@ let on_beacon t (r : msg Airnet.Net.recv) =
           Geom.Angle.diff nb.Neighbor.dir r.rx_dir > t.params.dir_tolerance
         then begin
           log_event t r.dst r.src Achange;
-          me.neighbors <-
-            IMap.add r.src
-              (Neighbor.make ~id:r.src ~dir:r.rx_dir ~link_power
-                 ~tag:(Float.min nb.Neighbor.tag link_power))
-              me.neighbors;
+          Growth.discover me.g r ~link_power
+            ~tag:(Float.min nb.Neighbor.tag link_power);
           if has_gap t me then
             trigger_growth t me ~start:(out_reach_power me)
           else shrink t me
         end
 
 let on_recv t (r : msg Airnet.Net.recv) =
+  let link_power =
+    Radio.Pathloss.estimate_link_power t.pathloss ~tx_power:r.tx_power
+      ~rx_power:r.rx_power
+  in
   match r.payload with
-  | Hello -> on_hello t r
-  | Ack -> on_ack t r
-  | Beacon -> on_beacon t r
+  | Hello -> on_hello t r ~link_power
+  | Ack -> on_ack t r ~link_power
+  | Beacon -> on_beacon t r ~link_power
 
 let expire t node =
   let timeout = ndp_timeout t in
@@ -323,13 +224,13 @@ let expire t node =
     | Some when_ -> now t -. when_ > timeout
     | None -> true
   in
-  let left = IMap.filter (fun src _ -> stale src) node.neighbors in
+  let left = IMap.filter (fun src _ -> stale src) node.g.neighbors in
   if not (IMap.is_empty left) then begin
-    IMap.iter (fun src _ -> log_event t node.id src Leave) left;
-    node.neighbors <- IMap.filter (fun src _ -> not (stale src)) node.neighbors;
+    IMap.iter (fun src _ -> log_event t node.g.id src Leave) left;
+    node.g.neighbors <- IMap.filter (fun src _ -> not (stale src)) node.g.neighbors;
     if has_gap t node then trigger_growth t node ~start:(out_reach_power node)
   end;
-  node.acked <- IMap.filter (fun src _ -> not (stale src)) node.acked;
+  node.g.acked <- IMap.filter (fun src _ -> not (stale src)) node.g.acked;
   (* Drop stale liveness records so a re-appearing node counts as a join. *)
   node.last_heard <-
     IMap.filter (fun _ when_ -> now t -. when_ <= timeout) node.last_heard
@@ -341,15 +242,15 @@ let expire t node =
    cycle quicker than one beacon interval would leave two live timer
    pairs beaconing at double rate). *)
 let start_ndp t node =
-  let epoch = node.epoch in
-  let live () = alive t node.id && node.epoch = epoch in
+  let epoch = node.g.epoch in
+  let live () = alive t node.g.id && node.g.epoch = epoch in
   let rec beacon = lazy
     (Dsim.Periodic.start t.sim ~initial_delay:0.
        ~interval:t.params.beacon_interval (fun () ->
          if live () then begin
            Obs.Recorder.incr t.obs "msg.beacon";
            ignore
-             (Airnet.Net.bcast t.net ~src:node.id
+             (Airnet.Net.bcast t.net ~src:node.g.id
                 ~power:(beacon_power t node) Beacon)
          end
          else Dsim.Periodic.stop (Lazy.force beacon)))
@@ -367,7 +268,13 @@ let start_ndp t node =
 let create ?(obs = Obs.Recorder.nil) ?(channel = Dsim.Channel.reliable)
     ?(seed = 1) ?(params = default_params) ?(policy = Dsim.Eventq.Fifo) config
     pathloss positions =
-  let p0, growth_factor = growth_params config in
+  let p0 =
+    match config.Config.growth with
+    | Config.Exact ->
+        invalid_arg "Reconfig: Exact growth needs global knowledge; use Double \
+                     or Mult"
+    | Config.Double p0 | Config.Mult { p0; _ } -> p0
+  in
   if params.beacon_interval <= 0. || params.miss_limit < 1
      || params.hello_repeats < 1
   then invalid_arg "Reconfig.create: bad params";
@@ -380,30 +287,34 @@ let create ?(obs = Obs.Recorder.nil) ?(channel = Dsim.Channel.reliable)
   let nodes =
     Array.init (Array.length positions) (fun id ->
         {
-          id;
-          epoch = 0;
-          growing = false;
-          power = p0;
+          g = Growth.node id ~power:p0;
           basic_power = p0;
-          schedule = [];
-          neighbors = IMap.empty;
           last_heard = IMap.empty;
-          acked = IMap.empty;
-          boundary = false;
         })
+  in
+  let last_activity = ref 0. in
+  (* Every completed growth, gap closed or boundary, sets the beacon
+     floor to the power it reached. *)
+  let on_settled (g : Growth.node) =
+    nodes.(g.id).basic_power <- g.power;
+    last_activity := Dsim.Sim.now sim
+  in
+  let growth =
+    Growth.create ~net ~obs ~alpha:config.Config.alpha ~channel
+      ~hello_repeats:params.hello_repeats ~reliability:Growth.legacy
+      ~hello:Hello ~ack:Ack ~on_settled ()
   in
   let t =
     {
       config;
       pathloss;
       params;
-      channel;
       sim;
       net;
+      growth;
       nodes;
       events = [];
-      last_activity = 0.;
-      growth_factor;
+      last_activity;
       p0;
       obs;
     }
@@ -421,7 +332,7 @@ let create ?(obs = Obs.Recorder.nil) ?(channel = Dsim.Channel.reliable)
       node.last_heard <- IMap.map (fun _ -> t0) node.last_heard;
       start_ndp t node)
     nodes;
-  t.last_activity <- t0;
+  touch t;
   t
 
 let run_for t ~duration =
@@ -436,15 +347,9 @@ let recover t u =
   if not (alive t u) then begin
     Airnet.Net.recover t.net u;
     let node = t.nodes.(u) in
-    node.epoch <- node.epoch + 1;
-    node.growing <- false;
-    node.power <- t.p0;
+    Growth.reset node.g ~power:t.p0;
     node.basic_power <- t.p0;
-    node.schedule <- [];
-    node.neighbors <- IMap.empty;
     node.last_heard <- IMap.empty;
-    node.acked <- IMap.empty;
-    node.boundary <- false;
     (* Rejoin like a fresh node: grow from p0, then resume beaconing —
        peers see the beacons as NDP joins. *)
     trigger_growth t node ~start:t.p0;
@@ -453,17 +358,17 @@ let recover t u =
   end
 
 let neighbor_list t node =
-  if not (alive t node.id) then []
+  if not (alive t node.g.id) then []
   else
     IMap.fold
       (fun _ nb acc -> if alive t nb.Neighbor.id then nb :: acc else acc)
-      node.neighbors []
+      node.g.neighbors []
     |> List.sort Neighbor.compare_by_link_power
 
 let discovery t =
   Discovery.pack ~config:t.config ~pathloss:t.pathloss ~positions:(positions t)
-    ~power:(Array.map (fun node -> node.power) t.nodes)
-    ~boundary:(Array.map (fun node -> node.boundary) t.nodes)
+    ~power:(Array.map (fun node -> node.g.power) t.nodes)
+    ~boundary:(Array.map (fun node -> node.g.boundary) t.nodes)
     (Array.map (neighbor_list t) t.nodes)
 
 let topology t = Discovery.closure (discovery t)

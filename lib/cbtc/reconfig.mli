@@ -10,7 +10,8 @@
     reconfiguration rules are the paper's:
 
     - [leave_u(v)]: drop [v]; if an [alpha]-gap opens, rerun CBTC(alpha)
-      growing from [p(rad-_{u,alpha})];
+      growing from [p(rad-_{u,alpha})] — through the same {!Growth}
+      machine as {!Distributed}, with {!Growth.legacy} reliability;
     - [join_u(v)]: record [v], then remove farthest neighbors while
       coverage is unchanged (shrink-back style);
     - [aChange_u(v)]: update the direction; rerun if a gap opened,
@@ -66,13 +67,16 @@ val run_for : t -> duration:float -> unit
     transmission involving [u]). *)
 val set_position : t -> int -> Geom.Vec2.t -> unit
 
-(** [crash t u] crash-stops node [u]; its neighbors will observe leaves. *)
+(** [crash t u] crash-stops node [u]; its neighbors will observe leaves.
+    A growth in progress at [u] stops stepping. *)
 val crash : t -> int -> unit
 
 (** [recover t u] brings a crashed node back with a blank protocol state:
     it regrows from minimum power like a fresh node and resumes NDP
-    beaconing, so peers observe a {e join}.  Its NDP timers are restarted
-    (the pre-crash ones cancel themselves); no-op if [u] is alive. *)
+    beaconing, so peers observe a {e join}.  It runs in a new epoch: its
+    NDP timers are restarted and the pre-crash ones, like any growth
+    callback its previous life left pending, cancel themselves; no-op if
+    [u] is alive. *)
 val recover : t -> int -> unit
 
 (** [alive t u]. *)

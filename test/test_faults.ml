@@ -423,6 +423,72 @@ let test_partition_heals () =
   Alcotest.(check bool) "connectivity preserved after heal" true
     deg.Cbtc.Verify.connectivity_preserved
 
+(* ---------- quick crash/recover: stale growth callbacks ---------- *)
+
+(* Node [v] crashes at 1.2, mid-way through its first power step, and
+   recovers at 1.5, before that step's evaluation timer (2.5) fires.  The
+   dead run's pending hello and evaluate callbacks must stay inert: were
+   they to fire into the fresh run, two chains would step one schedule
+   and [v] would overshoot its power.  On a reliable channel the fresh
+   run then converges exactly on the oracle's row. *)
+let quick_cycle_seeds = List.init 40 (fun i -> i + 1)
+
+let check_row_matches_oracle ~what ~seed ~oracle d v =
+  Alcotest.(check (list int))
+    (Fmt.str "%s seed %d: row of %d" what seed v)
+    (Cbtc.Discovery.neighbor_ids oracle v)
+    (Cbtc.Discovery.neighbor_ids d v);
+  Alcotest.(check (float 1e-6))
+    (Fmt.str "%s seed %d: power of %d" what seed v)
+    oracle.Cbtc.Discovery.power.(v) d.Cbtc.Discovery.power.(v)
+
+let test_quick_recover_matches_oracle () =
+  List.iter
+    (fun seed ->
+      let n = 30 in
+      let v = seed mod n in
+      let pl, positions = scenario ~n ~seed in
+      let config = Cbtc.Config.make ~growth alpha56 in
+      let faults =
+        Faults.Plan.make
+          [ { Faults.Plan.time = 1.2; kind = Faults.Plan.Crash v };
+            { Faults.Plan.time = 1.5; kind = Faults.Plan.Recover v } ]
+      in
+      let o = Cbtc.Distributed.run ~seed ~faults config pl positions in
+      check_row_matches_oracle ~what:"distributed" ~seed
+        ~oracle:(Cbtc.Geo.run_flat config pl positions)
+        o.Cbtc.Distributed.discovery v)
+    quick_cycle_seeds
+
+(* The same cycle through [Reconfig]: [v] is restarted after the
+   bootstrap, crashed 1.2 into its regrowth and recovered 0.3 later.
+   The beacon interval is stretched past the window, so only the
+   bootstrap's beacon round (heard by [v]'s first life) falls in it and
+   no beacon join shrinks the fresh regrowth: once it has finished,
+   [v]'s row and power are the oracle's. *)
+let test_reconfig_quick_recover_matches_oracle () =
+  List.iter
+    (fun seed ->
+      let n = 30 in
+      let v = seed mod n in
+      let pl, positions = scenario ~n ~seed in
+      let config = Cbtc.Config.make ~growth alpha56 in
+      let params =
+        { Cbtc.Reconfig.default_params with beacon_interval = 1000. }
+      in
+      let rc = Cbtc.Reconfig.create ~seed ~params config pl positions in
+      Cbtc.Reconfig.crash rc v;
+      Cbtc.Reconfig.recover rc v;
+      Cbtc.Reconfig.run_for rc ~duration:1.2;
+      Cbtc.Reconfig.crash rc v;
+      Cbtc.Reconfig.run_for rc ~duration:0.3;
+      Cbtc.Reconfig.recover rc v;
+      Cbtc.Reconfig.run_for rc ~duration:40.;
+      check_row_matches_oracle ~what:"reconfig" ~seed
+        ~oracle:(Cbtc.Geo.run_flat config pl positions)
+        (Cbtc.Reconfig.discovery rc) v)
+    quick_cycle_seeds
+
 (* ---------- qcheck: lossy convergence (satellite property) ---------- *)
 
 (* A profile with enough retries that, for every seed the generator can
@@ -594,6 +660,13 @@ let () =
           Alcotest.test_case "crash and recover" `Quick
             test_crash_and_recover_mid_growth;
           Alcotest.test_case "partition heals" `Quick test_partition_heals;
+        ] );
+      ( "quick recover",
+        [
+          Alcotest.test_case "distributed row matches oracle" `Quick
+            test_quick_recover_matches_oracle;
+          Alcotest.test_case "reconfig row matches oracle" `Quick
+            test_reconfig_quick_recover_matches_oracle;
         ] );
       ("lossy convergence", qsuite
         [ prop_lossy_topology_matches_reliable; prop_lossy_core_matches_oracle ]);

@@ -303,6 +303,62 @@ let prop_recovery_converges_any_schedule =
       && (d.Cbtc.Discovery.boundary.(victim)
          || not (Cbtc.Discovery.has_gap d victim)))
 
+let test_crash_mid_growth_stops_stepping () =
+  (* A node crashed in the middle of a regrowth sends nothing more and
+     takes no further power step: every growth callback checks that its
+     node is alive.  The window stays below the NDP timeout, so no peer
+     sees a leave and regrows in it. *)
+  let sc = Workload.Scenario.make ~n:30 ~seed:32 () in
+  let pl = Workload.Scenario.pathloss sc in
+  let positions = Workload.Scenario.positions sc in
+  let obs = Obs.Recorder.create () in
+  let rc = Cbtc.Reconfig.create ~obs config pl positions in
+  let v = 7 in
+  Cbtc.Reconfig.crash rc v;
+  Cbtc.Reconfig.recover rc v;
+  Cbtc.Reconfig.run_for rc ~duration:1.2;
+  Cbtc.Reconfig.crash rc v;
+  let count name = Obs.Recorder.counter obs name in
+  let hellos = count "msg.hello" and steps = count "protocol.power_steps" in
+  Cbtc.Reconfig.run_for rc ~duration:25.;
+  Alcotest.(check int) "no hello after the crash" hellos (count "msg.hello");
+  Alcotest.(check int) "no power step after the crash" steps
+    (count "protocol.power_steps")
+
+let prop_bootstrap_is_one_distributed_run =
+  (* The bootstrap inside [create] is one distributed CBTC(alpha) run to
+     convergence: its snapshot is the centralized oracle's, and it sends
+     exactly the hellos and acks [Distributed.run] sends on the same
+     network (the Remove phase adds no hello or ack). *)
+  QCheck.Test.make ~count:40
+    ~name:"bootstrap equals the oracle and Distributed.run's hello/ack counts"
+    QCheck.(quad (int_bound 9999) (int_range 20 50) bool bool)
+    (fun (seed, n, narrow, mult) ->
+      let alpha = if narrow then Geom.Angle.two_pi_three else alpha56 in
+      let growth =
+        if mult then Cbtc.Config.Mult { p0 = 50.; factor = 1.7 }
+        else Cbtc.Config.Double 100.
+      in
+      let config = Cbtc.Config.make ~growth alpha in
+      let sc = Workload.Scenario.make ~n ~seed () in
+      let pl = Workload.Scenario.pathloss sc in
+      let positions = Workload.Scenario.positions sc in
+      let rc_obs = Obs.Recorder.create () in
+      let rc = Cbtc.Reconfig.create ~obs:rc_obs config pl positions in
+      let run_obs = Obs.Recorder.create () in
+      ignore (Cbtc.Distributed.run ~obs:run_obs config pl positions);
+      (match
+         Cbtc.Verify.discovery_equal
+           ~oracle:(Cbtc.Geo.run_flat config pl positions)
+           (Cbtc.Reconfig.discovery rc)
+       with
+      | Ok () -> ()
+      | Error e -> QCheck.Test.fail_reportf "seed %d n %d: %s" seed n e);
+      List.for_all
+        (fun name ->
+          Obs.Recorder.counter rc_obs name = Obs.Recorder.counter run_obs name)
+        [ "msg.hello"; "msg.ack" ])
+
 let () =
   Alcotest.run "reconfig"
     [
@@ -311,6 +367,7 @@ let () =
           Alcotest.test_case "initial run preserves" `Quick test_initial_run_preserves;
           Alcotest.test_case "stable network is quiet" `Quick test_stable_network_is_quiet;
           Alcotest.test_case "discovery snapshot" `Quick test_discovery_snapshot;
+          QCheck_alcotest.to_alcotest prop_bootstrap_is_one_distributed_run;
         ] );
       ( "failures",
         [
@@ -321,6 +378,8 @@ let () =
           Alcotest.test_case "mass crash recovery" `Quick test_mass_crash_recovery;
           Alcotest.test_case "lossy beacons converge" `Quick
             test_lossy_beacons_still_converge;
+          Alcotest.test_case "crash mid-growth stops stepping" `Quick
+            test_crash_mid_growth_stops_stepping;
         ] );
       ( "mobility",
         [
